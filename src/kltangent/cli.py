@@ -30,7 +30,7 @@ from .tangent import (
 from .verify import VerifyConfig, VerifyOutcome, run_battery
 from .weyl import canonical_reduced_word, is_reduced, parse_word, word_to_element
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _jsonable(value):
@@ -127,8 +127,7 @@ def _cmd_tangent(args) -> int:
     x = word_to_element(rs, parse_word(args.x))
     w = word_to_element(rs, parse_word(args.w))
     if args.parabolic is not None:
-        nodes = frozenset(int(tok) for tok in args.parabolic.replace(",", " ").split())
-        report = gp_tangent_report(rs, w, x, nodes, use_type_a_oracle=args.type_a_oracle,
+        report = gp_tangent_report(rs, w, x, args.parabolic, use_type_a_oracle=args.type_a_oracle,
                                    include_cone_evidence=args.cone_evidence)
     else:
         report = kl_tangent_report(rs, w, x, use_type_a_oracle=args.type_a_oracle,
@@ -222,24 +221,35 @@ def _cmd_verify(args) -> int:
         random_cases=args.random_cases,
         seed=args.seed,
     )
-    outcomes = run_battery(args.type, config)
-    ok = all(o.ok for o in outcomes)
-    for o in outcomes:
-        print(f"[{'ok' if o.ok else 'FAIL'}] {o.suite}: {o.cases} cases, "
-              f"{len(o.failures)} failures ({o.seconds:.2f}s)", file=sys.stderr)
-    if args.json:
-        print(_dump({
-            "cartan_type": args.type.upper(),
-            "ok": ok,
-            "outcomes": [_outcome_payload(o) for o in outcomes],
-        }))
-    else:
+    all_ok = True
+    for label in args.type:
+        outcomes = run_battery(label, config)
+        ok = all(o.ok for o in outcomes)
+        all_ok = all_ok and ok
         for o in outcomes:
-            print(f"[{'ok' if o.ok else 'FAIL'}] {o.suite}: {o.cases} cases, {len(o.failures)} failures")
-            for failure in o.failures[:10]:
-                print(f"    {failure}")
-        print("all suites passed" if ok else "FAILURES detected")
-    return 0 if ok else 1
+            print(f"[{'ok' if o.ok else 'FAIL'}] {o.suite}: {o.cases} cases, "
+                  f"{len(o.failures)} failures ({o.seconds:.2f}s)", file=sys.stderr)
+        if args.json:
+            print(_dump({
+                "cartan_type": label.upper(),
+                "ok": ok,
+                "outcomes": [_outcome_payload(o) for o in outcomes],
+            }))
+        else:
+            for o in outcomes:
+                print(f"[{'ok' if o.ok else 'FAIL'}] {o.suite}: {o.cases} cases, {len(o.failures)} failures")
+                for failure in o.failures[:10]:
+                    print(f"    {failure}")
+            print("all suites passed" if ok else "FAILURES detected")
+    return 0 if all_ok else 1
+
+
+def _node_list(text: str) -> frozenset[int]:
+    """Parse a comma- or space-separated list of Dynkin node numbers."""
+    try:
+        return frozenset(int(tok) for tok in text.replace(",", " ").split())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected node numbers like \"1,3\", got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -251,7 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
     p.add_argument("--x", required=True, help='reduced word for x, e.g. "1 2 1" or "s1 s2 s1"')
     p.add_argument("--w", required=True, help="word for w")
-    p.add_argument("--parabolic", help="comma-separated parabolic generator nodes (G/P report)")
+    p.add_argument("--parabolic", type=_node_list,
+                   help="comma-separated parabolic generator nodes (G/P report)")
     p.add_argument("--type-a-oracle", action="store_true",
                    help="decide decomposable positions with the type-A ordinary-product criterion")
     p.add_argument("--cone-evidence", action="store_true",
@@ -284,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cominuscule)
 
     p = sub.add_parser("verify", help="run the exhaustive verification battery")
-    p.add_argument("type")
+    p.add_argument("type", nargs="+", help="one or more Cartan types, checked in order")
     p.add_argument("--max-rank-guard", type=int, default=400_000,
                    help="refuse to enumerate Weyl groups larger than this")
     p.add_argument("--random-cases", type=int, default=500)

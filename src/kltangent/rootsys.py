@@ -255,6 +255,42 @@ def root_to_epsilon(rs: RootSystem, v: Root) -> tuple[int, ...]:
     return tuple(sum(v[i] * mat[i][j] for i in range(rs.rank)) for j in range(dim))
 
 
+def solve_rational(rows, rhs, unknowns: int) -> tuple[Fraction, ...] | None:
+    """One solution c of ``rows · c = rhs`` over the rationals, or None if there is none.
+
+    Exact Gauss-Jordan elimination; free unknowns are set to 0, so an empty
+    system gives the zero vector of length ``unknowns``.
+
+    >>> solve_rational([[1, 1], [1, -1]], [3, 1], 2)
+    (Fraction(2, 1), Fraction(1, 1))
+    >>> solve_rational([[1, 2], [1, 2]], [1, 0], 2) is None
+    True
+    """
+    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, rhs, strict=True)]
+    m, cols = len(aug), unknowns
+    pivots = []
+    r = 0
+    for col in range(cols):
+        piv = next((k for k in range(r, m) if aug[k][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        scale = aug[r][col]
+        aug[r] = [v / scale for v in aug[r]]
+        for k in range(m):
+            if k != r and aug[k][col] != 0:
+                factor = aug[k][col]
+                aug[k] = [a - factor * b for a, b in zip(aug[k], aug[r])]
+        pivots.append(col)
+        r += 1
+    if any(aug[k][-1] != 0 for k in range(r, m)):
+        return None
+    solution = [Fraction(0)] * cols
+    for k, col in enumerate(pivots):
+        solution[col] = aug[k][-1]
+    return tuple(solution)
+
+
 def root_from_epsilon(rs: RootSystem, eps: tuple[int, ...]) -> Root:
     """Inverse of :func:`root_to_epsilon`; raises if eps is not in the root lattice.
 
@@ -266,29 +302,9 @@ def root_from_epsilon(rs: RootSystem, eps: tuple[int, ...]) -> Root:
     dim = len(mat[0])
     if len(eps) != dim:
         raise WrongType(f"expected an epsilon vector of length {dim}")
-    # Solve sum_i c_i * mat[i] = eps exactly over the rationals.
-    aug = [[Fraction(mat[i][j]) for i in range(rs.rank)] + [Fraction(eps[j])] for j in range(dim)]
-    pivots = []
-    row = 0
-    for col in range(rs.rank):
-        piv = next((r for r in range(row, dim) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        scale = aug[row][col]
-        aug[row] = [x / scale for x in aug[row]]
-        for r in range(dim):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, dim):
-        if aug[r][-1] != 0:
-            raise WrongType(f"{eps} is not in the root lattice of {rs.cartan_type}")
-    coeffs = [Fraction(0)] * rs.rank
-    for r, col in enumerate(pivots):
-        coeffs[col] = aug[r][-1]
+    coeffs = solve_rational([[mat[i][j] for i in range(rs.rank)] for j in range(dim)], eps, rs.rank)
+    if coeffs is None:
+        raise WrongType(f"{eps} is not in the root lattice of {rs.cartan_type}")
     if any(c.denominator != 1 for c in coeffs):
         raise WrongType(f"{eps} is not an integer root-lattice vector")
     return tuple(int(c) for c in coeffs)

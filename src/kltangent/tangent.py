@@ -41,7 +41,7 @@ from .errors import (
     WrongType,
 )
 from .hecke import demazure_element
-from .rootsys import Root, RootSystem, negate
+from .rootsys import Root, RootSystem, negate, solve_rational
 from .rt_ring import LaurentPoly, WeightVector, char_series, in_nonneg_integer_span, one_minus_e
 from .subword import hecke_subwords
 from .weyl import (
@@ -72,8 +72,6 @@ class Evidence:
                   decides tangency at integrally indecomposable positions.
     ordinary_product_ok:  s_1...s^_j...s_l >= w, the invariant-curve (TE)
                   criterion, which decides everything in type A.
-    explicit_factor:  1 - e^{-gamma_j} divides every summand of P_{w,s}
-                  (always the negation of demazure_ok).
     cone_coefficient:  coefficient of e^{-gamma_j} in the tangent-cone
                   character, populated for decomposable weights on request;
                   it carries no tangent-space meaning there.
@@ -82,7 +80,6 @@ class Evidence:
     indecomposable: bool
     demazure_ok: bool
     ordinary_product_ok: bool
-    explicit_factor: bool
     cone_coefficient: int | None = None
 
 
@@ -227,7 +224,6 @@ def _status_for_position(
         indecomposable=indecomposable,
         demazure_ok=demazure_ok,
         ordinary_product_ok=ordinary_ok,
-        explicit_factor=not demazure_ok,
         cone_coefficient=cone_coeff,
     )
     return WeightStatus(position=j, gamma=gamma_j, verdict=verdict, evidence=evidence)
@@ -368,33 +364,11 @@ def cominuscule_witness(rs: RootSystem, x: WeylElement) -> tuple[Fraction, ...] 
     matters, and it is decided by exact rational elimination.
     """
     inversions = sorted(inversion_set_of_inverse(rs, x))
-    if not inversions:
-        return tuple(Fraction(0) for _ in range(rs.rank))
-    rows = [[Fraction(c) for c in gamma] + [Fraction(-1)] for gamma in inversions]
-    m, cols = len(rows), rs.rank
-    pivots: list[int] = []
-    r = 0
-    for col in range(cols):
-        piv = next((k for k in range(r, m) if rows[k][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        scale = rows[r][col]
-        rows[r] = [v / scale for v in rows[r]]
-        for k in range(m):
-            if k != r and rows[k][col] != 0:
-                f = rows[k][col]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-    for k in range(r, m):
-        if rows[k][-1] != 0:
-            return None
-    witness = [Fraction(0)] * cols
-    for k, col in enumerate(pivots):
-        witness[col] = rows[k][-1]
+    witness = solve_rational(inversions, [-1] * len(inversions), rs.rank)
+    if witness is None:
+        return None
     assert all(sum(Fraction(c) * w for c, w in zip(g, witness)) == -1 for g in inversions)
-    return tuple(witness)
+    return witness
 
 
 def is_cominuscule_element(rs: RootSystem, x: WeylElement) -> bool:

@@ -42,6 +42,9 @@ from .weyl import (
 )
 
 _FAILURE_CAP = 50
+_EXHAUSTIVE_ORDER_MAX = 48  # full (x, word, w) sweeps up to this |W|
+_CONE_EXHAUSTIVE_ORDER_MAX = 24  # full (x, w) sweeps of the cone mechanism up to this |W|
+_SAMPLED_CASES = 1_000  # random cases per sampled suite above those orders
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,6 @@ class VerifyConfig:
     """Knobs for the battery orchestrator (`kltangent verify <type>`)."""
 
     group_order_guard: int = 400_000
-    exhaustive_order_max: int = 48  # full (x, word, w) sweeps up to this |W|
-    sampled_cases: int = 1_000
     random_cases: int = 500
     seed: int = 2_718_281
 
@@ -85,52 +86,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _iter_words(gt: GroupTable):
-    for idx in range(len(gt.elements)):
-        for word in gt.reduced_words_of(idx):
-            yield idx, word
-
-
-def _indecomposable_roots(rs: RootSystem, inversions) -> frozenset:
-    return frozenset(g for g in inversions if is_integrally_indecomposable(g, inversions))
-
-
-def euler_identity_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) -> VerifyOutcome:
-    """Signed Hecke-subword sum equals 1 for every (x, reduced word, w <= x).
-
-    With ``sample`` set, checks that many random (x, w, word) triples instead
-    of the full sweep.
-    """
-    t0 = time.perf_counter()
-    out = VerifyOutcome(f"euler-identity[{rs.cartan_type}]")
-    gt = group_table(rs)
-    masks = gt.leq_masks()
-
-    def check(word, w_id):
-        out.cases += 1
-        try:
-            value = euler_signed_sum(rs, gt.elements[w_id], word)
-        except (AssertionError, KltangentError) as exc:
-            out.record(word=word, w=gt.word_of(w_id), expected=1, got=repr(exc))
-            return
-        if value != 1:
-            out.record(word=word, w=gt.word_of(w_id), expected=1, got=value)
-
-    if sample is None:
-        for idx, word in _iter_words(gt):
-            for w_id in _bits(masks[idx]):
-                check(word, w_id)
-    else:
-        rng = random.Random(seed)
-        size = len(gt.elements)
-        for _ in range(sample):
-            idx = rng.randrange(size)
-            word = _random_reduced_word(gt, idx, rng)
-            w_id = rng.choice(list(_bits(masks[idx])))
-            check(word, w_id)
-    return _finish(out, t0)
-
-
 def _random_reduced_word(gt: GroupTable, idx: int, rng: random.Random):
     word = []
     cur = idx
@@ -142,14 +97,78 @@ def _random_reduced_word(gt: GroupTable, idx: int, rng: random.Random):
     return tuple(word)
 
 
+def _cases(gt: GroupTable, sample: int | None, seed: int, all_words: bool = True):
+    """The (x, reduced word for x, w <= x) cases a suite checks, as index triples.
+
+    With ``sample`` None: every x, every w <= x, and every reduced word of x
+    (or only the canonical one when ``all_words`` is false), grouped by x and
+    then by word.  Otherwise ``sample`` random draws, in this order per case:
+    x, a random reduced word (only when ``all_words``), then w <= x.
+    """
+    masks = gt.leq_masks()
+    if sample is None:
+        for idx in range(len(gt.elements)):
+            words = gt.reduced_words_of(idx) if all_words else (gt.word_of(idx),)
+            for word in words:
+                for w_id in _bits(masks[idx]):
+                    yield idx, word, w_id
+        return
+    rng = random.Random(seed)
+    for _ in range(sample):
+        idx = rng.randrange(len(gt.elements))
+        word = _random_reduced_word(gt, idx, rng) if all_words else gt.word_of(idx)
+        yield idx, word, rng.choice(list(_bits(masks[idx])))
+
+
+def _indecomposable_memo(rs: RootSystem, gt: GroupTable):
+    """idx -> the integrally indecomposable roots of I(x^{-1}), computed once per x."""
+    memo: dict[int, frozenset] = {}
+
+    def indecomposable(idx: int) -> frozenset:
+        if idx not in memo:
+            inversions = inversion_set_of_inverse(rs, gt.elements[idx])
+            memo[idx] = frozenset(g for g in inversions if is_integrally_indecomposable(g, inversions))
+        return memo[idx]
+
+    return indecomposable
+
+
+def _subword_products(gt: GroupTable, word) -> set:
+    """(product of the subword, its length) over all 2^|word| subwords: the brute-force oracle."""
+    achievable = set()
+    for mask in range(1 << len(word)):
+        sub = tuple(word[i] for i in range(len(word)) if (mask >> i) & 1)
+        achievable.add((gt.product_fold(sub), len(sub)))
+    return achievable
+
+
+def euler_identity_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) -> VerifyOutcome:
+    """Signed Hecke-subword sum equals 1 for every (x, reduced word, w <= x).
+
+    With ``sample`` set, checks that many random (x, w, word) triples instead
+    of the full sweep.
+    """
+    t0 = time.perf_counter()
+    out = VerifyOutcome(f"euler-identity[{rs.cartan_type}]")
+    gt = group_table(rs)
+    for _, word, w_id in _cases(gt, sample, seed):
+        out.cases += 1
+        try:
+            value = euler_signed_sum(rs, gt.elements[w_id], word)
+        except (AssertionError, KltangentError) as exc:
+            out.record(word=word, w=gt.word_of(w_id), expected=1, got=repr(exc))
+            continue
+        if value != 1:
+            out.record(word=word, w=gt.word_of(w_id), expected=1, got=value)
+    return _finish(out, t0)
+
+
 def ball_sphere_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) -> VerifyOutcome:
     """Interior Euler characteristic (-1)^dim and facet purity for Delta(s, w)."""
     t0 = time.perf_counter()
     out = VerifyOutcome(f"ball-sphere[{rs.cartan_type}]")
     gt = group_table(rs)
-    masks = gt.leq_masks()
-
-    def check(word, w_id):
+    for _, word, w_id in _cases(gt, sample, seed):
         out.cases += 1
         w = gt.elements[w_id]
         size = len(word) - w.length
@@ -158,24 +177,12 @@ def ball_sphere_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) 
             _, interior = euler_characteristics(complex_)
         except (AssertionError, KltangentError) as exc:
             out.record(word=word, w=gt.word_of(w_id), got=repr(exc))
-            return
+            continue
         if interior != (-1) ** ((size - 1) % 2):
             out.record(word=word, w=gt.word_of(w_id), expected=(-1) ** ((size - 1) % 2), got=interior)
         bad = [f for f in complex_.facets if len(f) != size]
         if bad:
             out.record(word=word, w=gt.word_of(w_id), expected=f"facets of size {size}", got=bad)
-
-    if sample is None:
-        for idx, word in _iter_words(gt):
-            for w_id in _bits(masks[idx]):
-                check(word, w_id)
-    else:
-        rng = random.Random(seed)
-        for _ in range(sample):
-            idx = rng.randrange(len(gt.elements))
-            word = _random_reduced_word(gt, idx, rng)
-            w_id = rng.choice(list(_bits(masks[idx])))
-            check(word, w_id)
     return _finish(out, t0)
 
 
@@ -184,22 +191,16 @@ def kclass_well_definedness_suite(rs: RootSystem) -> VerifyOutcome:
     t0 = time.perf_counter()
     out = VerifyOutcome(f"kclass-well-defined[{rs.cartan_type}]")
     gt = group_table(rs)
-    masks = gt.leq_masks()
-    for idx in range(len(gt.elements)):
-        words = list(gt.reduced_words_of(idx))
-        for w_id in _bits(masks[idx]):
-            w = gt.elements[w_id]
-            reference: LaurentPoly | None = None
-            for word in words:
-                out.cases += 1
-                value = kclass_restriction(rs, w, word)
-                if reference is None:
-                    reference = value
-                elif value != reference:
-                    out.record(
-                        x=gt.word_of(idx), w=gt.word_of(w_id), word=word,
-                        expected=reference.items(), got=value.items(),
-                    )
+    reference: dict[tuple[int, int], LaurentPoly] = {}  # (x, w) -> class from the first word
+    for idx, word, w_id in _cases(gt, None, 0):
+        out.cases += 1
+        value = kclass_restriction(rs, gt.elements[w_id], word)
+        expected = reference.setdefault((idx, w_id), value)
+        if value != expected:
+            out.record(
+                x=gt.word_of(idx), w=gt.word_of(w_id), word=word,
+                expected=expected.items(), got=value.items(),
+            )
     return _finish(out, t0)
 
 
@@ -212,27 +213,12 @@ def cone_mechanism_suite(rs: RootSystem, sample: int | None = None, seed: int = 
     t0 = time.perf_counter()
     out = VerifyOutcome(f"cone-mechanism[{rs.cartan_type}]")
     gt = group_table(rs)
-    masks = gt.leq_masks()
-    rng = random.Random(seed)
-    size = len(gt.elements)
-
-    def triples():
-        if sample is None:
-            for idx in range(size):
-                for w_id in _bits(masks[idx]):
-                    yield idx, w_id
-        else:
-            for _ in range(sample):
-                idx = rng.randrange(size)
-                yield idx, rng.choice(list(_bits(masks[idx])))
-
-    for idx, w_id in triples():
-        word = gt.word_of(idx)
+    indecomposable = _indecomposable_memo(rs, gt)
+    for idx, word, w_id in _cases(gt, sample, seed, all_words=False):
         gammas = gamma_sequence(rs, word).gammas
-        inversions = frozenset(gammas)
         w = gt.elements[w_id]
         for j, gamma_j in enumerate(gammas, start=1):
-            if not is_integrally_indecomposable(gamma_j, inversions):
+            if gamma_j not in indecomposable(idx):
                 continue
             out.cases += 1
             coeff = tangent_cone_coefficient(rs, negate(gamma_j), w, word)
@@ -247,23 +233,18 @@ def type_a_oracle_suite(rs: RootSystem) -> VerifyOutcome:
     t0 = time.perf_counter()
     out = VerifyOutcome(f"type-a-oracle[{rs.cartan_type}]")
     gt = group_table(rs)
-    masks = gt.leq_masks()
-    indec_by_x: dict[int, frozenset] = {}
-    for idx, word in _iter_words(gt):
-        if idx not in indec_by_x:
-            indec_by_x[idx] = _indecomposable_roots(rs, inversion_set_of_inverse(rs, gt.elements[idx]))
-        indec = indec_by_x[idx]
+    indecomposable = _indecomposable_memo(rs, gt)
+    for idx, word, w_id in _cases(gt, None, 0):
         gammas = gamma_sequence(rs, word).gammas
-        for w_id in _bits(masks[idx]):
-            w = gt.elements[w_id]
-            for j, gamma_j in enumerate(gammas, start=1):
-                if gamma_j not in indec:
-                    continue
-                out.cases += 1
-                verdict = kl_tangent_membership(rs, j, w, word, include_cone_coefficient=False).verdict
-                oracle = type_a_tangent_oracle(rs, j, w, word)
-                if (verdict is Verdict.IN) != oracle or verdict is Verdict.UNDETERMINED:
-                    out.record(x=word, w=gt.word_of(w_id), j=j, oracle=oracle, got=verdict.value)
+        w = gt.elements[w_id]
+        for j, gamma_j in enumerate(gammas, start=1):
+            if gamma_j not in indecomposable(idx):
+                continue
+            out.cases += 1
+            verdict = kl_tangent_membership(rs, j, w, word, include_cone_coefficient=False).verdict
+            oracle = type_a_tangent_oracle(rs, j, w, word)
+            if (verdict is Verdict.IN) != oracle or verdict is Verdict.UNDETERMINED:
+                out.record(x=word, w=gt.word_of(w_id), j=j, oracle=oracle, got=verdict.value)
     return _finish(out, t0)
 
 
@@ -275,21 +256,19 @@ def simply_laced_product_suite(rs: RootSystem) -> VerifyOutcome:
     t0 = time.perf_counter()
     out = VerifyOutcome(f"simply-laced-products[{rs.cartan_type}]")
     gt = group_table(rs)
-    indec_by_x: dict[int, frozenset] = {}
-    for idx, word in _iter_words(gt):
-        if idx not in indec_by_x:
-            indec_by_x[idx] = _indecomposable_roots(rs, inversion_set_of_inverse(rs, gt.elements[idx]))
-        indec = indec_by_x[idx]
-        gammas = gamma_sequence(rs, word).gammas
-        for j, gamma_j in enumerate(gammas, start=1):
-            if gamma_j not in indec:
-                continue
-            out.cases += 1
-            punctured = word[: j - 1] + word[j:]
-            demazure = gt.demazure_fold(punctured)
-            ordinary = gt.product_fold(punctured)
-            if demazure != ordinary:
-                out.record(x=word, j=j, demazure=gt.word_of(demazure), ordinary=gt.word_of(ordinary))
+    indecomposable = _indecomposable_memo(rs, gt)
+    for idx in range(len(gt.elements)):
+        for word in gt.reduced_words_of(idx):
+            gammas = gamma_sequence(rs, word).gammas
+            for j, gamma_j in enumerate(gammas, start=1):
+                if gamma_j not in indecomposable(idx):
+                    continue
+                out.cases += 1
+                punctured = word[: j - 1] + word[j:]
+                demazure = gt.demazure_fold(punctured)
+                ordinary = gt.product_fold(punctured)
+                if demazure != ordinary:
+                    out.record(x=word, j=j, demazure=gt.word_of(demazure), ordinary=gt.word_of(ordinary))
     return _finish(out, t0)
 
 
@@ -495,7 +474,6 @@ def weyl_basics_suite(rs: RootSystem, word_length_max: int = 6) -> VerifyOutcome
     t0 = time.perf_counter()
     out = VerifyOutcome(f"weyl-basics[{rs.cartan_type}]")
     gt = group_table(rs)
-    masks = gt.leq_masks()
     size = len(gt.elements)
     w0 = max(range(size), key=lambda i: gt.length[i])
 
@@ -511,10 +489,7 @@ def weyl_basics_suite(rs: RootSystem, word_length_max: int = 6) -> VerifyOutcome
     # Bruhat order against the subword oracle, all pairs.
     for v_id in range(size):
         word = gt.word_of(v_id)
-        achievable = set()
-        for mask in range(1 << len(word)):
-            sub = tuple(word[i] for i in range(len(word)) if (mask >> i) & 1)
-            achievable.add((gt.product_fold(sub), len(sub)))
+        achievable = _subword_products(gt, word)
         for u_id in range(size):
             out.cases += 1
             oracle = (u_id, gt.length[u_id]) in achievable
@@ -553,10 +528,7 @@ def hecke_subword_suite(rs: RootSystem, word_length_max: int = 6) -> VerifyOutco
 
     for q in words:
         delta_id = gt.demazure_fold(q)
-        achievable = set()
-        for mask in range(1 << len(q)):
-            sub = tuple(q[i] for i in range(len(q)) if (mask >> i) & 1)
-            achievable.add((gt.product_fold(sub), len(sub)))
+        achievable = _subword_products(gt, q)
         for w_id in range(size):
             out.cases += 1
             contains_reduced = (w_id, gt.length[w_id]) in achievable
@@ -577,8 +549,7 @@ def run_battery(label: str, config: VerifyConfig = VerifyConfig()) -> list[Verif
     rs = build_root_system(label)
     gt = group_table(rs, config.group_order_guard)  # raises GroupTooLarge early
     order = len(gt.elements)
-    exhaustive = order <= config.exhaustive_order_max
-    sample = None if exhaustive else config.sampled_cases
+    sample = None if order <= _EXHAUSTIVE_ORDER_MAX else _SAMPLED_CASES
     outcomes = [root_basics_suite(rs)]
     if order <= 200:
         outcomes.append(weyl_basics_suite(rs))
@@ -589,8 +560,8 @@ def run_battery(label: str, config: VerifyConfig = VerifyConfig()) -> list[Verif
         outcomes.append(ball_sphere_suite(rs, sample=sample, seed=config.seed))
         if order <= 48:
             outcomes.append(kclass_well_definedness_suite(rs))
-        outcomes.append(cone_mechanism_suite(rs, sample=None if order <= 24 else config.sampled_cases,
-                                             seed=config.seed))
+        cone_sample = None if order <= _CONE_EXHAUSTIVE_ORDER_MAX else _SAMPLED_CASES
+        outcomes.append(cone_mechanism_suite(rs, sample=cone_sample, seed=config.seed))
         outcomes.append(cominuscule_indecomposable_suite(rs))
         outcomes.append(cominuscule_parabolic_suite(rs))
         if order <= 200:

@@ -15,8 +15,10 @@ def test_tangent_json_example(capsys):
     code, out, _ = run(capsys, "tangent", "A2", "--x", "1 2 1", "--w", "1", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert [st["status"] for st in payload["statuses"]] == ["In", "Undetermined", "In"]
+    # schema 2 dropped explicit_factor, which always equalled not demazure_ok
+    assert all("explicit_factor" not in st["evidence"] for st in payload["statuses"])
     assert sorted(w["coeffs"] for w in payload["kl_tangent_weights"]) == [[0, 1], [1, 0]]
     assert payload["complete"] is False
     assert payload["x_word"] == [1, 2, 1] and payload["w_word"] == [1]
@@ -105,6 +107,9 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["tangent", "A2", "--x", "1 2", "--w", "", "--parabolic", "x"])
+    assert info.value.code == 2
 
 
 def test_verify_cli_small(capsys):
@@ -115,6 +120,28 @@ def test_verify_cli_small(capsys):
     assert all(not o["failures"] for o in payload["outcomes"])
     assert "euler-identity[A2]" in {o["suite"] for o in payload["outcomes"]}
     assert "cases" in err or err  # timing diagnostics go to stderr
+
+
+def test_verify_several_types(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "A2", "G2", "--random-cases", "50", "--json")
+    assert code == 0
+    singles = [run(capsys, "verify", label, "--random-cases", "50", "--json")[1] for label in ("A2", "G2")]
+    assert out.splitlines(keepends=True) == singles  # one line per type, as if run alone
+
+    import kltangent.cli as cli
+
+    real_battery = cli.run_battery
+
+    def battery_failing_on_g2(label, config):
+        outcomes = real_battery(label, config)
+        if label == "G2":
+            outcomes[0].record(note="injected failure")
+        return outcomes
+
+    monkeypatch.setattr(cli, "run_battery", battery_failing_on_g2)
+    code, out, _ = run(capsys, "verify", "A2", "G2", "--random-cases", "50", "--json")
+    assert code == 1
+    assert [json.loads(line)["ok"] for line in out.splitlines()] == [True, False]
 
 
 def test_verify_rejects_huge_group(capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kltangent import (
     CartanType,
@@ -12,6 +14,7 @@ from kltangent import (
     root_from_epsilon,
     root_to_epsilon,
 )
+from kltangent.rootsys import solve_rational
 
 
 def test_parse_labels():
@@ -136,3 +139,28 @@ def test_format_root(d4):
     assert format_root(d4, (1, 2, 1, 1)) == "a1+2a2+a3+a4"
     assert format_root(d4, (-1, 0, 0, -2)) == "-a1-2a4"
     assert format_root(d4, (0, 0, 0, 0)) == "0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=0, max_size=5),
+        st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+    ))
+)
+def test_solve_rational_solves_consistent_systems(system):
+    rows, known = system
+    rhs = [sum(a * c for a, c in zip(row, known)) for row in rows]
+    solution = solve_rational(rows, rhs, len(known))
+    assert solution is not None and len(solution) == len(known)
+    assert all(sum(a * c for a, c in zip(row, solution)) == b for row, b in zip(rows, rhs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    st.integers(-5, 5),
+    st.integers(1, 5),
+)
+def test_solve_rational_rejects_contradictory_rows(row, b, shift):
+    assert solve_rational([row, row], [b, b + shift], len(row)) is None

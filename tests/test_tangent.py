@@ -113,7 +113,7 @@ def test_membership_examples(a2):
     assert status.evidence.indecomposable is False
     assert status.evidence.demazure_ok is True
     assert status.evidence.ordinary_product_ok is False
-    assert status.evidence.explicit_factor is False
+    assert (not status.evidence.demazure_ok) is False  # 1 - e^{-gamma_2} is no explicit factor
     assert status.evidence.cone_coefficient == 1
 
 
@@ -134,7 +134,6 @@ def test_membership_invariants_no_oracle(a3):
                 else:
                     assert status.evidence.indecomposable
                     assert (status.verdict is Verdict.IN) == status.evidence.demazure_ok
-                assert status.evidence.explicit_factor != status.evidence.demazure_ok
 
 
 def test_report_examples(a2):
@@ -352,5 +351,5 @@ def test_out_implies_explicit_factor(a3):
                 except NotBelow:
                     break
                 if status.verdict is Verdict.OUT:
-                    assert status.evidence.explicit_factor
+                    assert not status.evidence.demazure_ok
                     assert is_explicit_factor(a3, j, w, s, method="enumerate")

@@ -43,7 +43,23 @@ def test_run_battery_all_green_on_g2():
     from kltangent.verify import VerifyConfig
 
     outcomes = run_battery("G2", VerifyConfig(random_cases=100))
-    assert outcomes and all(o.ok for o in outcomes)
+    assert all(o.ok for o in outcomes)
+    assert [(o.suite, o.cases) for o in outcomes] == [
+        ("root-basics[G2]", 13),
+        ("weyl-basics[G2]", 168),
+        ("hecke-subword-equivalence[G2]", 2293),
+        ("euler-identity[G2]", 85),
+        ("ball-sphere[G2]", 85),
+        ("kclass-well-defined[G2]", 85),
+        ("cone-mechanism[G2]", 182),
+        ("cominuscule-indecomposable[G2]", 6),
+        ("cominuscule-parabolic[G2]", 0),
+        ("cominuscule-complete[G2]", 13),
+        ("te-containment[G2]", 6),
+        ("explicit-factor-fast-slow[G2]", 100),
+        ("decomposable-guard[A2]", 2),
+        ("fixed-examples", 3),
+    ]
 
 
 def test_bruhat_memo_is_thread_safe():
