@@ -2,7 +2,7 @@
 
 The package decides, for a torus-fixed point x and a Schubert condition w,
 which ambient torus weights lie in the Zariski tangent space, using only
-exact integer combinatorics: Weyl group matrices on the root lattice,
+exact integer combinatorics: Weyl group elements as points of the orbit of rho,
 0-Hecke (Demazure) products, subword complexes, and Laurent-polynomial
 localization classes.
 """

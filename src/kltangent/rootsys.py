@@ -132,9 +132,10 @@ class RootSystem:
     """Cartan data plus the full positive-root list of a finite root system.
 
     Immutable after construction; safe to share across threads.  The private
-    ``_cache`` dict holds memo tables (Bruhat order, group tables); its values
-    are deterministic, so concurrent idempotent writes are harmless under the
-    GIL and correctness never depends on a cache hit.
+    ``_cache`` dict holds lazily built tables (Dynkin neighbours, group
+    tables, subword Demazure products, signed Demazure counts); its values are
+    deterministic, so concurrent idempotent writes are harmless under the GIL
+    and correctness never depends on a cache hit.
     """
 
     def __init__(self, cartan_type: CartanType) -> None:

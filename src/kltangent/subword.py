@@ -109,7 +109,12 @@ def build_complex(rs: RootSystem, w: WeylElement, s: Word) -> SubwordComplex:
     n = len(s)
     full = (1 << n) - 1
     deltas = _subword_deltas(rs, s)
-    face_masks = [r for r in range(1 << n) if bruhat_leq(rs, w, deltas[full ^ r])]
+    # Many masks share a Demazure product: one Bruhat test per distinct product.
+    above: dict[tuple[int, ...], bool] = {}
+    for d in deltas:
+        if d.point not in above:
+            above[d.point] = bruhat_leq(rs, w, d)
+    face_masks = [r for r in range(1 << n) if above[deltas[full ^ r].point]]
     face_set = set(face_masks)
     facet_masks = [
         r

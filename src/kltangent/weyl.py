@@ -1,11 +1,25 @@
 """Weyl group elements, words, Bruhat order, gamma-sequences and coset minima.
 
-An element is represented by its exact integer action on the root lattice in
-the simple-root basis; equality and hashing use that matrix alone, so every
+An element x is represented by the point x^{-1}(rho) of the Weyl orbit of rho,
+in fundamental-weight coordinates, together with its length (the numbers game
+of Casselman, "Machine calculations in Weyl groups", 1994).  rho is regular,
+so the point determines x: equality and hashing use the point alone, and every
 representation-dependent artifact (choice of word, construction path) is
-invisible.  Words are tuples of 1-based simple-reflection indices and both
-act and multiply left to right: the word (1, 2) denotes s1*s2, which sends a
-vector v to s1(s2(v)).
+invisible.  In this form
+
+  * x*s_i is represented by s_i applied to the point, which changes only
+    coordinate i and its Dynkin neighbours; the length goes up by one when
+    coordinate i is positive and down by one when it is negative, so the
+    right descents of x are the negative coordinates;
+  * peeling right descents off the point until it is rho spells a reduced
+    word of x backwards.  Inverses, left descents, canonical words, products
+    and the action on roots are all read off that peel.
+
+The matrix of x on the root lattice (``WeylElement.rows``) is a derived view.
+
+Words are tuples of 1-based simple-reflection indices and both act and
+multiply left to right: the word (1, 2) denotes s1*s2, which sends a vector v
+to s1(s2(v)).
 
 The gamma-sequence of a reduced word (s_1, ..., s_l) is
 
@@ -14,17 +28,18 @@ The gamma-sequence of a reduced word (s_1, ..., s_l) is
 which lists the inversion set I(x^{-1}) = Phi^+ cap x Phi^- without repeats.
 (A variant with prefix s_1 ... s_i also circulates in the literature, but it
 produces negative vectors -- already gamma_1 = -alpha_1 -- so it cannot
-enumerate I(x^{-1}); this module uses the prefix-(i-1) form and asserts
+enumerate I(x^{-1}); this module uses the prefix-(i-1) form and checks
 positivity and distinctness at runtime.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import factorial
+from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial, lcm
 
 from .errors import GroupTooLarge, LengthBoundExceeded, LetterOutOfRange, NotReduced
-from .rootsys import Root, RootSystem, is_negative, negate
+from .rootsys import Root, RootSystem
 
 Word = tuple[int, ...]
 
@@ -32,15 +47,145 @@ _WORD_BOUND = 16  # default guard for all_reduced_words
 _GROUP_GUARD = 400_000  # default guard for whole-group enumeration; E8 refused
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """A Weyl group element: its matrix on the root lattice plus cached length."""
+class _Dynkin:
+    """The tables of one Cartan matrix A that the point form needs (0-based nodes).
 
-    rows: tuple[tuple[int, ...], ...]
-    length: int = field(compare=False)
+    ``weight_links[i]`` holds (j, A[i][j]) for the neighbours j of node i:
+    s_i negates coordinate i of a weight p and subtracts p_i * A[i][j] from
+    coordinate j.  ``root_links[i]`` holds (k, A[k][i]): on a root-lattice
+    vector v, s_i subtracts <v, alpha_i^vee> = 2 v_i + sum_k v_k A[k][i] from
+    coordinate i.  ``norms[k]`` is a positive multiple of (alpha_k, alpha_k),
+    so (lambda, beta) has the sign of sum_k lambda_k norms[k] beta_k.
+    """
+
+    __slots__ = ("rank", "rho", "weight_links", "root_links", "norms")
+
+    def __init__(self, cartan) -> None:
+        n = len(cartan)
+        self.rank = n
+        self.rho = (1,) * n
+        self.weight_links = tuple(
+            tuple((j, cartan[i][j]) for j in range(n) if j != i and cartan[i][j]) for i in range(n)
+        )
+        self.root_links = tuple(
+            tuple((k, cartan[k][i]) for k in range(n) if k != i and cartan[k][i]) for i in range(n)
+        )
+        # (alpha_i, alpha_j) = A[i][j] (alpha_j, alpha_j) / 2 is symmetric in i, j;
+        # walk the (connected) Dynkin diagram from node 0.
+        norms = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for j, a in self.weight_links[i]:
+                if not norms[j]:
+                    norms[j] = norms[i] * cartan[j][i] / a
+                    stack.append(j)
+        scale = lcm(*(q.denominator for q in norms))
+        self.norms = tuple(int(q * scale) for q in norms)
+
+
+def _dynkin(rs: RootSystem) -> _Dynkin:
+    dyn = rs._cache.get("dynkin")
+    if dyn is None:
+        dyn = rs._cache["dynkin"] = _Dynkin(rs.cartan_matrix)
+    return dyn
+
+
+def _reflect(point: tuple[int, ...], i: int, weight_links) -> tuple[int, ...]:
+    """s_i (0-based node i) applied to a weight in fundamental-weight coordinates."""
+    c = point[i]
+    out = list(point)
+    out[i] = -c
+    for j, a in weight_links[i]:
+        out[j] -= c * a
+    return tuple(out)
+
+
+def _reflect_root(v: list[int], i: int, root_links) -> None:
+    """s_i (0-based node i) applied in place to a vector in simple-root coordinates."""
+    pairing = 2 * v[i]
+    for k, a in root_links[i]:
+        pairing += v[k] * a
+    v[i] -= pairing
+
+
+def _first_descent(point: tuple[int, ...]) -> int:
+    """The least 0-based i with point[i] < 0, or -1 when the point is dominant."""
+    for i, c in enumerate(point):
+        if c < 0:
+            return i
+    return -1
+
+
+def _peel(point: tuple[int, ...], weight_links):
+    """Yield the least right descent, 0-based, and strip it, until the point is rho.
+
+    Peeling i_1, ..., i_l off the point of x spells x = s_{i_l} ... s_{i_1}.
+    """
+    i = _first_descent(point)
+    while i >= 0:
+        yield i
+        point = _reflect(point, i, weight_links)
+        i = _first_descent(point)
+
+
+def _inverse_point(point: tuple[int, ...], dyn: _Dynkin) -> tuple[int, ...]:
+    """The point x(rho) of x^{-1}: the peeled letters of x, folded into rho."""
+    links = dyn.weight_links
+    out = dyn.rho
+    for i in _peel(point, links):
+        out = _reflect(out, i, links)
+    return out
+
+
+def _columns_times(columns: list, i: int, root_links) -> list:
+    """Columns x(alpha_j) of x*s_i from those of x: column i and its neighbours change."""
+    ci = columns[i]
+    out = list(columns)
+    out[i] = tuple(-c for c in ci)
+    for k, a in root_links[i]:
+        out[k] = tuple(c - a * d for c, d in zip(columns[k], ci))
+    return out
+
+
+def _identity_columns(n: int) -> list:
+    return [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
+
+
+class WeylElement:
+    """A Weyl group element x: the point x^{-1}(rho) in fundamental-weight coordinates, plus l(x).
+
+    Immutable by convention.  ``point`` alone decides equality and hashing;
+    the element also keeps the Cartan tables of its root system (not
+    compared) so that it can act on roots.
+    """
+
+    __slots__ = ("point", "length", "_dynkin")
+
+    def __init__(self, point: tuple[int, ...], length: int, dynkin: _Dynkin) -> None:
+        self.point = point
+        self.length = length
+        self._dynkin = dynkin
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        return self.point == other.point
+
+    def __hash__(self) -> int:
+        return hash(self.point)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix of x on the root lattice: rows[i][j] is the alpha_i-coefficient of x(alpha_j)."""
+        dyn = self._dynkin
+        columns = _identity_columns(dyn.rank)
+        for i in reversed(list(_peel(self.point, dyn.weight_links))):
+            columns = _columns_times(columns, i, dyn.root_links)
+        return tuple(zip(*columns))
 
     def __repr__(self) -> str:
-        return f"WeylElement(length={self.length}, rows={self.rows})"
+        return f"WeylElement(length={self.length}, point={self.point})"
 
 
 @dataclass(frozen=True)
@@ -69,115 +214,72 @@ def parse_word(text: str) -> Word:
     return tuple(letters)
 
 
-def _mat_mul(a: tuple[tuple[int, ...], ...], b: tuple[tuple[int, ...], ...]):
-    n = len(a)
-    rng = range(n)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in rng) for j in rng) for i in rng)
+def _check_letter(rs: RootSystem, i: int) -> None:
+    if not 1 <= i <= rs.rank:
+        raise LetterOutOfRange(f"letter {i} out of range for {rs.cartan_type}")
 
 
 def act_on_root(x: WeylElement, v: Root) -> Root:
-    """Image x(v) of a root-lattice vector."""
-    return tuple(sum(row[k] * v[k] for k in range(len(row))) for row in x.rows)
-
-
-def _length_from_rows(rs: RootSystem, rows) -> int:
-    count = 0
-    for beta in rs.positive_roots:
-        img = tuple(sum(row[k] * beta[k] for k in range(rs.rank)) for row in rows)
-        if min(img) < 0:
-            count += 1
-    return count
-
-
-def _element(rs: RootSystem, rows, length: int | None = None) -> WeylElement:
-    if length is None:
-        length = _length_from_rows(rs, rows)
-    return WeylElement(rows, length)
+    """Image x(v) of a root-lattice vector: the peeled letters of x applied to v in turn."""
+    dyn = x._dynkin
+    out = list(v)
+    for i in _peel(x.point, dyn.weight_links):
+        _reflect_root(out, i, dyn.root_links)
+    return tuple(out)
 
 
 def identity_element(rs: RootSystem) -> WeylElement:
-    cached = rs._cache.get("identity")
-    if cached is None:
-        rows = tuple(tuple(1 if i == j else 0 for j in range(rs.rank)) for i in range(rs.rank))
-        cached = WeylElement(rows, 0)
-        rs._cache["identity"] = cached
-    return cached
+    dyn = _dynkin(rs)
+    return WeylElement(dyn.rho, 0, dyn)
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    if not 1 <= i <= rs.rank:
-        raise LetterOutOfRange(f"letter {i} out of range for {rs.cartan_type}")
-    table = rs._cache.get("simples")
-    if table is None:
-        table = {}
-        for j in range(1, rs.rank + 1):
-            rows = []
-            for out in range(rs.rank):
-                if out != j - 1:
-                    rows.append(tuple(1 if k == out else 0 for k in range(rs.rank)))
-                else:
-                    rows.append(
-                        tuple(
-                            (1 if k == out else 0) - rs.cartan_matrix[k][j - 1]
-                            for k in range(rs.rank)
-                        )
-                    )
-            table[j] = WeylElement(tuple(rows), 1)
-        rs._cache["simples"] = table
-    return table[i]
-
-
-def multiply(rs: RootSystem, x: WeylElement, y: WeylElement) -> WeylElement:
-    return _element(rs, _mat_mul(x.rows, y.rows))
+    return right_multiply_simple(rs, identity_element(rs), i)
 
 
 def has_right_ascent(x: WeylElement, i: int) -> bool:
-    """True iff l(x * s_i) > l(x), i.e. x(alpha_i) is a positive root."""
-    col = i - 1
-    return all(row[col] >= 0 for row in x.rows)
-
-
-_RMUL_MEMO_ORDER_MAX = 5_000  # memoize products only for groups this small
-
-
-def _rmul_memo(rs: RootSystem) -> dict | None:
-    memo = rs._cache.get("rmul")
-    if memo is None:
-        memo = {} if weyl_group_order(rs) <= _RMUL_MEMO_ORDER_MAX else False
-        rs._cache["rmul"] = memo
-    return memo if memo is not False else None
+    """True iff l(x * s_i) > l(x), i.e. coordinate i of x^{-1}(rho) is positive."""
+    return x.point[i - 1] > 0
 
 
 def right_multiply_simple(rs: RootSystem, x: WeylElement, i: int) -> WeylElement:
-    memo = _rmul_memo(rs)
-    key = (x.rows, i)
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-    s = simple_reflection(rs, i)
-    delta = 1 if has_right_ascent(x, i) else -1
-    out = WeylElement(_mat_mul(x.rows, s.rows), x.length + delta)
-    if memo is not None:
-        memo[key] = out
-    return out
+    _check_letter(rs, i)
+    c = x.point[i - 1]
+    return WeylElement(
+        _reflect(x.point, i - 1, x._dynkin.weight_links), x.length + (1 if c > 0 else -1), x._dynkin
+    )
 
 
 def left_multiply_simple(rs: RootSystem, x: WeylElement, i: int) -> WeylElement:
-    s = simple_reflection(rs, i)
-    rows = _mat_mul(s.rows, x.rows)
-    delta = 1 if i not in left_descents(rs, x) else -1
-    return WeylElement(rows, x.length + delta)
+    """s_i * x = (x^{-1} * s_i)^{-1}."""
+    _check_letter(rs, i)
+    dyn = x._dynkin
+    inv = _inverse_point(x.point, dyn)
+    length = x.length + (1 if inv[i - 1] > 0 else -1)
+    return WeylElement(_inverse_point(_reflect(inv, i - 1, dyn.weight_links), dyn), length, dyn)
+
+
+def multiply(rs: RootSystem, x: WeylElement, y: WeylElement) -> WeylElement:
+    """x*y: x times a reduced word of y, read off y's peel."""
+    dyn = x._dynkin
+    links = dyn.weight_links
+    point, length = x.point, x.length
+    for i in reversed(list(_peel(y.point, links))):
+        length += 1 if point[i] > 0 else -1
+        point = _reflect(point, i, links)
+    return WeylElement(point, length, dyn)
 
 
 def word_to_element(rs: RootSystem, w: Word) -> WeylElement:
-    """Left-to-right product of simple reflections; length read off the action."""
-    cur = identity_element(rs)
+    """Left-to-right product of simple reflections; length counted along the way."""
+    dyn = _dynkin(rs)
+    links = dyn.weight_links
+    point, length = dyn.rho, 0
     for letter in w:
-        if not 1 <= letter <= rs.rank:
-            raise LetterOutOfRange(f"letter {letter} out of range for {rs.cartan_type}")
-        cur = right_multiply_simple(rs, cur, letter)
-    return cur
+        _check_letter(rs, letter)
+        length += 1 if point[letter - 1] > 0 else -1
+        point = _reflect(point, letter - 1, links)
+    return WeylElement(point, length, dyn)
 
 
 def is_reduced(rs: RootSystem, w: Word) -> bool:
@@ -185,61 +287,63 @@ def is_reduced(rs: RootSystem, w: Word) -> bool:
 
 
 def right_descents(rs: RootSystem, x: WeylElement) -> frozenset[int]:
-    return frozenset(i for i in range(1, rs.rank + 1) if not has_right_ascent(x, i))
+    return frozenset(i for i, c in enumerate(x.point, start=1) if c < 0)
 
 
 def left_descents(rs: RootSystem, x: WeylElement) -> frozenset[int]:
-    """{i : l(s_i x) < l(x)} = {i : alpha_i in I(x^{-1})}."""
-    inv = inversion_set_of_inverse(rs, x)
-    return frozenset(i for i, alpha in enumerate(rs.simple_roots, start=1) if alpha in inv)
+    """{i : l(s_i x) < l(x)}: the right descents of x^{-1}."""
+    return frozenset(i for i, c in enumerate(_inverse_point(x.point, x._dynkin), start=1) if c < 0)
 
 
 def inversion_set_of_inverse(rs: RootSystem, x: WeylElement) -> frozenset[Root]:
-    """I(x^{-1}) = Phi^+ cap x Phi^-, the positive roots x^{-1} makes negative."""
-    out = []
-    for beta in rs.positive_roots:
-        img = act_on_root(x, beta)
-        if is_negative(img):
-            out.append(negate(img))
-    assert len(out) == x.length
+    """I(x^{-1}) = Phi^+ cap x Phi^-, the positive roots x^{-1} makes negative.
+
+    x^{-1}(beta) < 0 iff (x^{-1}(beta), rho) < 0 iff (beta, x(rho)) < 0, and
+    x(rho) is the point of x^{-1}.
+    """
+    dyn = x._dynkin
+    weights = tuple(c * n for c, n in zip(_inverse_point(x.point, dyn), dyn.norms))
+    out = [beta for beta in rs.positive_roots if sum(b * c for b, c in zip(beta, weights)) < 0]
+    if len(out) != x.length:
+        raise AssertionError(f"{len(out)} inversions for an element of length {x.length}")
     return frozenset(out)
 
 
 def inverse(rs: RootSystem, x: WeylElement) -> WeylElement:
-    rev = tuple(reversed(canonical_reduced_word(rs, x)))
-    out = word_to_element(rs, rev)
-    assert out.length == x.length
-    return out
+    return WeylElement(_inverse_point(x.point, x._dynkin), x.length, x._dynkin)
 
 
 def bruhat_leq(rs: RootSystem, u: WeylElement, v: WeylElement) -> bool:
-    """Decide u <= v in Bruhat order by the standard descent recursion.
+    """Decide u <= v in Bruhat order by the descent walk.
 
-    With s a right descent of v:  u <= v  iff  (us <= vs when l(us) < l(u),
-    else u <= vs).  Memoized per root system; results are deterministic so the
-    cache tolerates concurrent idempotent writes.
+    With s a right descent of v:  u <= v  iff  us <= vs when s is also a
+    descent of u, else u <= vs.  The recursion never branches, so it runs as
+    a loop of at most l(v) steps and needs no memo.
     """
-    memo = rs._cache.setdefault("bruhat", {})
+    links = v._dynkin.weight_links
+    a, la = u.point, u.length
+    b, lb = v.point, v.length
+    while la < lb:
+        if la == 0:
+            return True
+        i = _first_descent(b)
+        b = _reflect(b, i, links)
+        lb -= 1
+        if a[i] < 0:
+            a = _reflect(a, i, links)
+            la -= 1
+    return la == lb and a == b
 
-    def rec(a: WeylElement, b: WeylElement) -> bool:
-        if a.length > b.length:
-            return False
-        if a.length == b.length:
-            return a == b
-        key = (a.rows, b.rows)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        i = next(j for j in range(1, rs.rank + 1) if not has_right_ascent(b, j))
-        bs = right_multiply_simple(rs, b, i)
-        if not has_right_ascent(a, i):
-            result = rec(right_multiply_simple(rs, a, i), bs)
-        else:
-            result = rec(a, bs)
-        memo[key] = result
-        return result
 
-    return rec(u, v)
+def _gammas(rs: RootSystem, w: Word) -> tuple[Root, ...]:
+    """gamma_i = s_1...s_{i-1}(alpha_i): column s_i of the prefix, folded along w."""
+    root_links = _dynkin(rs).root_links
+    columns = _identity_columns(rs.rank)
+    gammas = []
+    for letter in w:
+        gammas.append(columns[letter - 1])
+        columns = _columns_times(columns, letter - 1, root_links)
+    return tuple(gammas)
 
 
 def gamma_sequence(rs: RootSystem, w: Word) -> GammaSequence:
@@ -248,50 +352,51 @@ def gamma_sequence(rs: RootSystem, w: Word) -> GammaSequence:
     In A2 the word (1, 2, 1) yields (alpha1, alpha1+alpha2, alpha2): the
     sequence walks through I(x^{-1}) in the order the word inverts roots.
     """
-    if not is_reduced(rs, w):
+    x = word_to_element(rs, w)
+    if x.length != len(w):
         raise NotReduced(f"word {w} is not reduced over {rs.cartan_type}")
-    gammas = []
-    prefix = identity_element(rs)
-    for letter in w:
-        gammas.append(act_on_root(prefix, rs.simple_roots[letter - 1]))
-        prefix = right_multiply_simple(rs, prefix, letter)
-    assert all(g in rs.positive_root_set for g in gammas), "gamma formula must stay positive"
-    assert len(set(gammas)) == len(gammas), "gamma values must be pairwise distinct"
-    assert frozenset(gammas) == inversion_set_of_inverse(rs, prefix)
-    return GammaSequence(w, tuple(gammas))
+    gammas = _gammas(rs, w)
+    if not all(g in rs.positive_root_set for g in gammas):
+        raise AssertionError("gamma formula must stay positive")
+    if len(set(gammas)) != len(gammas):
+        raise AssertionError("gamma values must be pairwise distinct")
+    if frozenset(gammas) != inversion_set_of_inverse(rs, x):
+        raise AssertionError("gamma values must list the inversion set I(x^{-1})")
+    return GammaSequence(w, gammas)
 
 
 def canonical_reduced_word(rs: RootSystem, x: WeylElement) -> Word:
-    """Lexicographically least reduced word, via greedy smallest left descent."""
-    letters = []
-    cur = x
-    while cur.length:
-        i = min(left_descents(rs, cur))
-        letters.append(i)
-        cur = left_multiply_simple(rs, cur, i)
-    return tuple(letters)
+    """Lexicographically least reduced word, via greedy smallest left descent.
+
+    The left descents of x are the right descents of x^{-1}, so the word is
+    the peel of x^{-1}'s point.
+    """
+    dyn = x._dynkin
+    return tuple(i + 1 for i in _peel(_inverse_point(x.point, dyn), dyn.weight_links))
 
 
 def all_reduced_words(rs: RootSystem, x: WeylElement, max_length: int = _WORD_BOUND) -> list[Word]:
-    """Every reduced word of x, by depth-first descent (guarded by max_length)."""
+    """Every reduced word of x in lexicographic order, by depth-first descent (guarded by max_length)."""
     if x.length > max_length:
         raise LengthBoundExceeded(f"l(x)={x.length} exceeds the bound {max_length}")
-    memo: dict[tuple, list[Word]] = {}
+    dyn = x._dynkin
+    links = dyn.weight_links
+    memo: dict[tuple[int, ...], list[Word]] = {dyn.rho: [()]}
 
-    def rec(y: WeylElement) -> list[Word]:
-        if y.length == 0:
-            return [()]
-        hit = memo.get(y.rows)
+    def rec(point: tuple[int, ...]) -> list[Word]:
+        hit = memo.get(point)
         if hit is not None:
             return hit
-        words = []
-        for i in sorted(left_descents(rs, y)):
-            for tail in rec(left_multiply_simple(rs, y, i)):
-                words.append((i,) + tail)
-        memo[y.rows] = words
+        words = [
+            head + (i + 1,)
+            for i, c in enumerate(point)
+            if c < 0
+            for head in rec(_reflect(point, i, links))
+        ]
+        memo[point] = words
         return words
 
-    return rec(x)
+    return sorted(rec(x.point))
 
 
 def is_min_coset_rep(rs: RootSystem, x: WeylElement, parabolic) -> bool:
@@ -321,27 +426,35 @@ def weyl_group_order(rs: RootSystem) -> int:
 
 
 def enumerate_weyl_group(rs: RootSystem, guard: int = _GROUP_GUARD) -> list[WeylElement]:
-    """All elements by breadth-first right multiplication, shortest first."""
+    """All elements by breadth-first right multiplication, shortest first.
+
+    Within one length the elements are sorted by their matrix ``rows``; the
+    columns x(alpha_j) travel along the search, so no matrix is rebuilt.
+    """
     order = weyl_group_order(rs)
     if order > guard:
         raise GroupTooLarge(f"|W({rs.cartan_type})| = {order} exceeds the guard {guard}")
+    dyn = _dynkin(rs)
+    links, root_links = dyn.weight_links, dyn.root_links
     e = identity_element(rs)
-    seen = {e.rows}
-    layer = [e]
+    seen = {e.point}
+    layer = [(e, _identity_columns(rs.rank))]
     out = [e]
     while layer:
         nxt = []
-        for x in layer:
-            for i in range(1, rs.rank + 1):
-                if has_right_ascent(x, i):
-                    y = right_multiply_simple(rs, x, i)
-                    if y.rows not in seen:
-                        seen.add(y.rows)
-                        nxt.append(y)
-        nxt.sort(key=lambda z: z.rows)
-        out.extend(nxt)
+        for x, columns in layer:
+            for i, c in enumerate(x.point):
+                if c > 0:
+                    point = _reflect(x.point, i, links)
+                    if point not in seen:
+                        seen.add(point)
+                        y = WeylElement(point, x.length + 1, dyn)
+                        nxt.append((y, _columns_times(columns, i, root_links)))
+        nxt.sort(key=lambda pair: tuple(zip(*pair[1])))
+        out.extend(y for y, _ in nxt)
         layer = nxt
-    assert len(out) == order
+    if len(out) != order:
+        raise AssertionError(f"enumerated {len(out)} elements of a group of order {order}")
     return out
 
 
@@ -355,7 +468,8 @@ def longest_element(rs: RootSystem) -> WeylElement:
                 cur = right_multiply_simple(rs, cur, i)
                 progress = True
                 break
-    assert cur.length == len(rs.positive_roots)
+    if cur.length != len(rs.positive_roots):
+        raise AssertionError(f"longest element has length {cur.length}, not |Phi+|")
     return cur
 
 
@@ -365,25 +479,24 @@ class GroupTable:
     Used by the exhaustive verification suites: elements become integers,
     right/left multiplication and 0-Hecke products become list lookups, and
     Bruhat order becomes a bitmask test.  Built lazily, once per root system.
+    Left multiplication comes from right multiplication through the inverse
+    table: s_i x = (x^{-1} s_i)^{-1}.
     """
 
     def __init__(self, rs: RootSystem, guard: int = _GROUP_GUARD) -> None:
         self.rs = rs
         self.elements = enumerate_weyl_group(rs, guard)
-        self.index = {x.rows: i for i, x in enumerate(self.elements)}
+        self.index = {x.point: i for i, x in enumerate(self.elements)}
         self.length = [x.length for x in self.elements]
-        n = rs.rank
-        size = len(self.elements)
-        self.rmult = [[0] * size for _ in range(n)]
-        self.lmult = [[0] * size for _ in range(n)]
-        self.hecke = [[0] * size for _ in range(n)]
-        for idx, x in enumerate(self.elements):
-            for i in range(1, n + 1):
-                r = self.index[right_multiply_simple(rs, x, i).rows]
-                self.rmult[i - 1][idx] = r
-                self.hecke[i - 1][idx] = r if self.length[r] > x.length else idx
-                self.lmult[i - 1][idx] = self.index[left_multiply_simple(rs, x, i).rows]
-        self.identity = self.index[identity_element(rs).rows]
+        dyn = _dynkin(rs)
+        links, index, length = dyn.weight_links, self.index, self.length
+        self.rmult = [[index[_reflect(x.point, i, links)] for x in self.elements] for i in range(rs.rank)]
+        self.hecke = [
+            [r if length[r] > length[idx] else idx for idx, r in enumerate(row)] for row in self.rmult
+        ]
+        inv = [index[_inverse_point(x.point, dyn)] for x in self.elements]
+        self.lmult = [[inv[row[inv[idx]]] for idx in range(len(inv))] for row in self.rmult]
+        self.identity = index[dyn.rho]
         self._leq: list[int] | None = None
 
     def leq_masks(self) -> list[int]:

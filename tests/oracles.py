@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values in the tests.
 
 Everything here recomputes results from definitions (subsequence sweeps,
-explicit lattice-point recursion, subword-property Bruhat search) without
-touching the package's fast paths, so a match is meaningful evidence.
+explicit lattice-point recursion, subword-property Bruhat search, products of
+simple-reflection matrices) without touching the package's fast paths, so a
+match is meaningful evidence.
 """
 
 from itertools import combinations
@@ -61,3 +62,99 @@ def count_lattice_solutions(vectors, target):
         return total
 
     return rec(0, target)
+
+
+# -- Weyl group elements as integer matrices on the root lattice ------------
+# A matrix m has rows[i][j] = coefficient of alpha_i in x(alpha_j), in the
+# simple-root basis; only rootsys data (Cartan matrix, positive roots) is used.
+
+
+def simple_reflection_matrix(rs, i):
+    """s_i(v) = v - <v, alpha_i^vee> alpha_i, with <v, alpha_i^vee> = sum_k v_k A[k][i]."""
+    n = rs.rank
+    return tuple(
+        tuple((1 if r == k else 0) - (rs.cartan_matrix[k][i - 1] if r == i - 1 else 0) for k in range(n))
+        for r in range(n)
+    )
+
+
+def mat_mul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
+
+
+def mat_act(m, v):
+    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
+
+
+def matrix_of_word(rs, word):
+    """The product of the simple-reflection matrices over a word, left to right."""
+    m = tuple(tuple(1 if i == j else 0 for j in range(rs.rank)) for i in range(rs.rank))
+    for letter in word:
+        m = mat_mul(m, simple_reflection_matrix(rs, letter))
+    return m
+
+
+def _negative(v):
+    return any(v) and all(c <= 0 for c in v)
+
+
+def matrix_inversions(rs, m):
+    """I(x^{-1}) = {-x(beta) : beta > 0, x(beta) < 0}."""
+    out = set()
+    for beta in rs.positive_roots:
+        image = mat_act(m, beta)
+        if _negative(image):
+            out.add(tuple(-c for c in image))
+    return out
+
+
+def matrix_length(rs, m):
+    return len(matrix_inversions(rs, m))
+
+
+def matrix_right_descents(rs, m):
+    """{i : x(alpha_i) < 0}."""
+    return {i for i in range(1, rs.rank + 1) if _negative([row[i - 1] for row in m])}
+
+
+def matrix_group(rs):
+    """(matrix, a reduced word) for every element, by breadth-first right multiplication.
+
+    Shortest first, and sorted by matrix within one length.
+    """
+    identity = matrix_of_word(rs, ())
+    seen = {identity}
+    layer = [(identity, ())]
+    out = list(layer)
+    while layer:
+        nxt = []
+        for m, word in layer:
+            for i in range(1, rs.rank + 1):
+                if i in matrix_right_descents(rs, m):
+                    continue
+                y = mat_mul(m, simple_reflection_matrix(rs, i))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append((y, word + (i,)))
+        nxt.sort()
+        out.extend(nxt)
+        layer = nxt
+    return out
+
+
+def matrix_canonical_word(rs, word):
+    """Lexicographically least reduced word: repeatedly strip the least left descent.
+
+    i is a left descent of x iff x^{-1}(alpha_i) < 0; stripping it turns x^{-1}
+    into x^{-1} s_i.
+    """
+    inv = matrix_of_word(rs, tuple(reversed(word)))
+    letters = []
+    while True:
+        descents = matrix_right_descents(rs, inv)
+        if not descents:
+            return tuple(letters)
+        i = min(descents)
+        letters.append(i)
+        inv = mat_mul(inv, simple_reflection_matrix(rs, i))
