@@ -91,9 +91,11 @@ from .tangent import (
     is_explicit_factor,
     is_integrally_indecomposable,
     kclass_restriction,
+    kclass_restrictions,
     kl_tangent_membership,
     kl_tangent_report,
     tangent_cone_coefficient,
+    tangent_cone_series,
     te_curve_weights,
     type_a_cominuscule_oracle,
     type_a_tangent_oracle,

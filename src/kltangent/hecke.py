@@ -57,9 +57,9 @@ def demazure_signed_counts(rs: RootSystem, q: Word) -> dict[WeylElement, int]:
 
     One dynamic-programming pass over the positions of q: a subsequence either
     skips the next letter (sign kept) or takes it (sign flipped, Demazure
-    step applied).  Cached per word on the root system; combined with the sign
-    (-1)^{l(u)} this gives the signed Hecke-subword sums for every target at
-    once.
+    step applied).  Cached per word on the root system (words of at most 12
+    letters, at most 1024 of them); combined with the sign (-1)^{l(u)} this
+    gives the signed Hecke-subword sums for every target at once.
     """
     cache = rs._cache.setdefault("demazure_counts", {})
     hit = cache.get(q)
@@ -72,5 +72,6 @@ def demazure_signed_counts(rs: RootSystem, q: Word) -> dict[WeylElement, int]:
             v = hecke_mult(rs, u, letter)
             nxt[v] = nxt.get(v, 0) - c
         counts = {u: c for u, c in nxt.items() if c}
-    cache[q] = counts
+    if len(q) <= 12 and len(cache) < 1024:
+        cache[q] = counts
     return counts

@@ -149,7 +149,8 @@ class RootSystem:
         self.positive_roots = self._close_positive_roots()
         self.positive_root_set = frozenset(self.positive_roots)
         highs = [v for v in self.positive_roots if height(v) == height(self.positive_roots[-1])]
-        assert len(highs) == 1, "highest root must be unique"
+        if len(highs) != 1:
+            raise AssertionError("highest root must be unique")
         self.highest_root: Root = highs[0]
         self._cache: dict = {}
 
@@ -168,7 +169,8 @@ class RootSystem:
                         new.append(w)
             frontier = new
         expected = _POSITIVE_COUNTS[self.cartan_type.family](self.rank)
-        assert len(seen) == expected, (self.cartan_type, len(seen), expected)
+        if len(seen) != expected:
+            raise AssertionError((self.cartan_type, len(seen), expected))
         return tuple(sorted(seen, key=lambda v: (height(v), v)))
 
     def __repr__(self) -> str:

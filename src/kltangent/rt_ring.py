@@ -138,18 +138,17 @@ def lambda_minus_one(weights) -> LaurentPoly:
     return out
 
 
-def in_nonneg_integer_span(vectors, target: WeightVector) -> bool:
-    """Is target a nonnegative-integer combination of the given vectors?
+def _span_search(vectors):
+    """A membership test for the nonnegative-integer span of the given vectors.
 
     All vectors must have nonnegative coordinates and positive height, which
     bounds the search: a vector of height h can be used at most
-    height(target) // h times.
+    height(target) // h times.  One memo serves every target tested with the
+    returned function, so a batch of targets shares its partial searches.
     """
     vecs = [tuple(v) for v in vectors]
-    assert all(height(v) >= 1 and min(v) >= 0 for v in vecs), "span vectors must be positive"
-    target = tuple(target)
-    if min(target) < 0:
-        return False
+    if not all(height(v) >= 1 and min(v) >= 0 for v in vecs):
+        raise AssertionError("span vectors must be positive")
     memo: dict[tuple[int, WeightVector], bool] = {}
 
     def rec(idx: int, remaining: WeightVector) -> bool:
@@ -175,7 +174,16 @@ def in_nonneg_integer_span(vectors, target: WeightVector) -> bool:
         memo[key] = ok
         return ok
 
-    return rec(0, target)
+    def contains(target: WeightVector) -> bool:
+        target = tuple(target)
+        return min(target) >= 0 and rec(0, target)
+
+    return contains
+
+
+def in_nonneg_integer_span(vectors, target: WeightVector) -> bool:
+    """Is target a nonnegative-integer combination of the given (positive) vectors?"""
+    return _span_search(vectors)(target)
 
 
 class TruncatedSeries:
@@ -190,7 +198,8 @@ class TruncatedSeries:
         for exponent, coeff in items:
             exponent = tuple(exponent)
             mu = _vneg(exponent)
-            assert min(mu) >= 0, f"series exponent {exponent} outside -cone"
+            if min(mu) < 0:
+                raise AssertionError(f"series exponent {exponent} outside -cone")
             if height(mu) > bound or coeff == 0:
                 continue
             data[exponent] = data.get(exponent, 0) + coeff
@@ -269,8 +278,9 @@ def char_series(numerator: LaurentPoly, denominator_weights, bound: int) -> Trun
     if any(min(b) < 0 or height(b) < 1 for b in weights):
         raise ValueError("denominator weights must be positive roots")
     rank = len(weights[0])
+    in_cone = _span_search(weights)
     for exponent, _ in numerator.items():
-        if not in_nonneg_integer_span(weights, _vneg(exponent)):
+        if not in_cone(_vneg(exponent)):
             raise ExponentOutsideCone(f"numerator exponent {exponent} outside the span")
     terms = {
         e: c for e, c in numerator.items() if height(_vneg(e)) <= bound

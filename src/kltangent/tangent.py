@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .errors import (
     ExponentOutsideCone,
@@ -41,9 +42,9 @@ from .errors import (
     WrongType,
 )
 from .hecke import demazure_element
-from .rootsys import Root, RootSystem, negate, solve_rational
-from .rt_ring import LaurentPoly, WeightVector, char_series, in_nonneg_integer_span, one_minus_e
-from .subword import hecke_subwords
+from .rootsys import Root, RootSystem, height, negate, solve_rational
+from .rt_ring import LaurentPoly, TruncatedSeries, WeightVector, char_series, in_nonneg_integer_span
+from .subword import _check_word, hecke_subwords
 from .weyl import (
     GammaSequence,
     WeylElement,
@@ -51,9 +52,12 @@ from .weyl import (
     bruhat_leq,
     canonical_reduced_word,
     gamma_sequence,
+    has_right_ascent,
+    identity_element,
     inversion_set_of_inverse,
     is_min_coset_rep,
     is_reduced,
+    right_multiply_simple,
     word_to_element,
 )
 
@@ -123,23 +127,99 @@ def _validate_position(s: Word, j: int) -> None:
         raise LetterOutOfRange(f"position {j} out of range for a word of length {len(s)}")
 
 
+def _add_into(acc: dict[WeightVector, int], poly: dict[WeightVector, int], sign: int = 1) -> None:
+    for e, c in poly.items():
+        c2 = acc.get(e, 0) + sign * c
+        if c2:
+            acc[e] = c2
+        else:
+            del acc[e]
+
+
+def _signed_states(
+    rs: RootSystem, s: Word, gammas: tuple[Root, ...], w: WeylElement | None = None
+) -> dict[WeylElement, dict[WeightVector, int]]:
+    """u -> sum over the subsequences t of s with delta(t) = u of prod_{i in t} -(1 - e^{-gamma_i}).
+
+    The signed-count pass of :func:`kltangent.hecke.demazure_signed_counts`
+    with a Laurent polynomial (exponent -> coefficient) on every state:
+    taking letter k moves u to H_u H_{s_k} and multiplies by e^{-gamma_k} - 1,
+    skipping it keeps both.  Then P_{u,s} = (-1)^{l(u)} state[u].  Given w,
+    only states v <= w are kept: Demazure products only grow along a word,
+    so no other state reaches w.  Letters must already be validated.
+    """
+    one = identity_element(rs)
+    element = {one.point: one}  # the pass keys its states by point, a plain tuple
+    states: dict[tuple[int, ...], dict[WeightVector, int]] = {one.point: {(0,) * rs.rank: 1}}
+    below: dict[tuple[int, ...], bool] = {}
+    for letter, gamma in zip(s, gammas):
+        nxt: dict[tuple[int, ...], dict[WeightVector, int]] = {}
+        for p, poly in states.items():
+            u = element[p]
+            if has_right_ascent(u, letter):
+                # Nothing moves onto an ascent state: u keeps poly,
+                # and poly * (e^{-gamma} - 1) moves on to u*s_k.
+                nxt[p] = poly
+                v = right_multiply_simple(rs, u, letter)
+                key = v.point
+                if w is not None:
+                    keep = below.get(key)
+                    if keep is None:
+                        keep = below[key] = v.length <= w.length and bruhat_leq(rs, v, w)
+                    if not keep:
+                        continue
+                element[key] = v
+                moved = {tuple(map(sub, e, gamma)): c for e, c in poly.items()}
+                _add_into(moved, poly, -1)
+            else:
+                # H_u H_{s_k} = H_u: skipping plus taking leaves poly * e^{-gamma}.
+                key = p
+                moved = {tuple(map(sub, e, gamma)): c for e, c in poly.items()}
+            target = nxt.get(key)
+            if target is None:
+                nxt[key] = moved
+            else:
+                _add_into(target, moved)
+        states = {p: poly for p, poly in nxt.items() if poly}
+    return {element[p]: poly for p, poly in states.items()}
+
+
+def _signed_class(u: WeylElement, state: dict[WeightVector, int]) -> LaurentPoly:
+    sign = -1 if u.length % 2 else 1
+    return LaurentPoly({e: sign * c for e, c in state.items()})
+
+
+def _kclass(rs: RootSystem, w: WeylElement, s: Word, gammas: tuple[Root, ...]) -> LaurentPoly:
+    _check_word(rs, s)
+    state = _signed_states(rs, s, gammas, w).get(w)
+    return _signed_class(w, state) if state else LaurentPoly.zero()
+
+
 def kclass_restriction(rs: RootSystem, w: WeylElement, s: Word) -> LaurentPoly:
     """P_{w,s}: the Schubert class restricted to the fixed point of s.
 
     Signed sum over all Hecke subwords for w inside s of the products
-    prod_{i in t} (1 - e^{-gamma_i}).  Independent of the reduced word chosen
-    for the same x, as an identity of Laurent polynomials.
+    prod_{i in t} (1 - e^{-gamma_i}), computed in one pass over s that keeps
+    a Laurent polynomial per Hecke state <= w (``_signed_states``).
+    Independent of the reduced word chosen for the same x, as an identity of
+    Laurent polynomials.  Words longer than 20 letters are refused
+    (LengthBoundExceeded).
     """
     _validate_pair(rs, w, s)
-    gammas = gamma_sequence(rs, s).gammas
-    rank = rs.rank
-    total = LaurentPoly.zero()
-    for sub in hecke_subwords(rs, w, s):
-        term = LaurentPoly.one(rank)
-        for i in sub.indices:
-            term = term * one_minus_e(gammas[i - 1])
-        total = total + (term if sub.excess % 2 == 0 else term.scale(-1))
-    return total
+    return _kclass(rs, w, s, gamma_sequence(rs, s).gammas)
+
+
+def kclass_restrictions(rs: RootSystem, s: Word) -> dict[WeylElement, LaurentPoly]:
+    """{u: P_{u,s}} for every u <= delta(s) whose class is nonzero, from one pass over s.
+
+    Same values as :func:`kclass_restriction` for each u; the word must be
+    reduced and at most 20 letters long.
+    """
+    if not is_reduced(rs, s):
+        raise NotReduced(f"word {s} is not reduced over {rs.cartan_type}")
+    _check_word(rs, s)
+    states = _signed_states(rs, s, gamma_sequence(rs, s).gammas)
+    return {u: _signed_class(u, state) for u, state in states.items()}
 
 
 def is_explicit_factor(rs: RootSystem, j: int, w: WeylElement, s: Word, method: str = "demazure") -> bool:
@@ -193,24 +273,40 @@ def _indecomposable_inversions(inversions: frozenset[Root]) -> frozenset[Root]:
     )
 
 
+def _cone_series(
+    rs: RootSystem, w: WeylElement, s: Word, gammas: tuple[Root, ...], bound: int
+) -> TruncatedSeries:
+    return char_series(_kclass(rs, w, s, gammas), gammas, bound)
+
+
+def tangent_cone_series(rs: RootSystem, w: WeylElement, s: Word, bound: int) -> TruncatedSeries:
+    """The tangent-cone character Char C = P_{w,s} / prod_i (1 - e^{-gamma_i}).
+
+    Expanded as a height-truncated series: every coefficient at an exponent
+    -mu with height(mu) <= bound is exact (by the height grading), so one
+    series answers every position j with height(gamma_j) <= bound.  Words
+    longer than 20 letters are refused (LengthBoundExceeded).
+    """
+    _validate_pair(rs, w, s)
+    return _cone_series(rs, w, s, gamma_sequence(rs, s).gammas, bound)
+
+
 def tangent_cone_coefficient(rs: RootSystem, lam: WeightVector, w: WeylElement, s: Word) -> int:
     """Exact coefficient of e^{lam} in the tangent-cone character Char C.
 
-    Char C = P_{w,s} / prod_i (1 - e^{-gamma_i}), expanded as a height-
-    truncated series with bound height(-lam) (exact by the height grading).
-    For an integrally indecomposable gamma_j, the coefficient at -gamma_j is
-    1 when 1 - e^{-gamma_j} is not an explicit factor and 0 when it is; for
+    Read from :func:`tangent_cone_series` with bound height(-lam).  For an
+    integrally indecomposable gamma_j, the coefficient at -gamma_j is 1 when
+    1 - e^{-gamma_j} is not an explicit factor and 0 when it is; for
     decomposable weights the integer is returned raw, with no tangent-space
-    meaning attached.
+    meaning attached.  ExponentOutsideCone unless -lam lies in the
+    nonnegative integer span of the gammas.
     """
     _validate_pair(rs, w, s)
-    gammas = list(gamma_sequence(rs, s).gammas)
+    gammas = gamma_sequence(rs, s).gammas
     mu = negate(tuple(lam))
     if min(mu) < 0 or not in_nonneg_integer_span(gammas, mu):
         raise ExponentOutsideCone(f"-({lam}) is outside the cone of the ambient weights")
-    numerator = kclass_restriction(rs, w, s)
-    series = char_series(numerator, gammas, sum(mu))
-    return series.coefficient(tuple(lam))
+    return _cone_series(rs, w, s, gammas, height(mu)).coefficient(tuple(lam))
 
 
 def _status_for_position(
@@ -220,9 +316,10 @@ def _status_for_position(
     s: Word,
     gammas: tuple[Root, ...],
     indecomposables: frozenset[Root],
-    include_cone_coefficient: bool,
+    series: TruncatedSeries | None,
     use_type_a_oracle: bool,
 ) -> WeightStatus:
+    """Verdict and evidence at j; ``series``, when given, holds the cone coefficients."""
     gamma_j = gammas[j - 1]
     punctured = _puncture(s, j)
     demazure_ok = bruhat_leq(rs, w, demazure_element(rs, punctured))
@@ -236,8 +333,8 @@ def _status_for_position(
             verdict = Verdict.IN if ordinary_ok else Verdict.OUT
         else:
             verdict = Verdict.UNDETERMINED
-        if include_cone_coefficient:
-            cone_coeff = tangent_cone_coefficient(rs, negate(gamma_j), w, s)
+        if series is not None:
+            cone_coeff = series.coefficient(negate(gamma_j))
     evidence = Evidence(
         indecomposable=indecomposable,
         demazure_ok=demazure_ok,
@@ -264,9 +361,10 @@ def kl_tangent_membership(
     x = _validate_pair(rs, w, s)
     gammas = gamma_sequence(rs, s).gammas
     indecomposables = _indecomposable_inversions(inversion_set_of_inverse(rs, x))
-    return _status_for_position(
-        rs, j, w, s, gammas, indecomposables, include_cone_coefficient, use_type_a_oracle=False
-    )
+    series = None
+    if include_cone_coefficient and gammas[j - 1] not in indecomposables:
+        series = _cone_series(rs, w, s, gammas, height(gammas[j - 1]))
+    return _status_for_position(rs, j, w, s, gammas, indecomposables, series, use_type_a_oracle=False)
 
 
 def te_curve_weights(rs: RootSystem, w: WeylElement, s: Word) -> frozenset[Root]:
@@ -323,10 +421,14 @@ def kl_tangent_report(
     gamma = gamma_sequence(rs, s)
     inversions = inversion_set_of_inverse(rs, x)
     indecomposables = _indecomposable_inversions(inversions)
+    series = None
+    if include_cone_evidence:
+        # One series, deep enough for every decomposable gamma_j, answers them all.
+        bound = max((height(g) for g in gamma.gammas if g not in indecomposables), default=None)
+        if bound is not None:
+            series = _cone_series(rs, w, s, gamma.gammas, bound)
     statuses = tuple(
-        _status_for_position(
-            rs, j, w, s, gamma.gammas, indecomposables, include_cone_evidence, use_type_a_oracle
-        )
+        _status_for_position(rs, j, w, s, gamma.gammas, indecomposables, series, use_type_a_oracle)
         for j in range(1, len(s) + 1)
     )
     kl_weights = frozenset(st.gamma for st in statuses if st.verdict is Verdict.IN)
@@ -386,7 +488,8 @@ def cominuscule_witness(rs: RootSystem, x: WeylElement) -> tuple[Fraction, ...] 
     witness = solve_rational(inversions, [-1] * len(inversions), rs.rank)
     if witness is None:
         return None
-    assert all(sum(Fraction(c) * w for c, w in zip(g, witness)) == -1 for g in inversions)
+    if not all(sum(Fraction(c) * w for c, w in zip(g, witness)) == -1 for g in inversions):
+        raise AssertionError(f"witness {witness} is not -1 on every inversion")
     return witness
 
 

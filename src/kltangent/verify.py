@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import KltangentError
-from .rootsys import RootSystem, build_root_system, cominuscule_nodes, negate, root_from_epsilon
+from .rootsys import RootSystem, build_root_system, cominuscule_nodes, height, negate, root_from_epsilon
 from .rt_ring import LaurentPoly
 from .subword import build_complex, euler_characteristics, euler_signed_sum
 from .tangent import (
@@ -24,9 +24,10 @@ from .tangent import (
     is_explicit_factor,
     is_integrally_indecomposable,
     kclass_restriction,
+    kclass_restrictions,
     kl_tangent_membership,
     kl_tangent_report,
-    tangent_cone_coefficient,
+    tangent_cone_series,
     type_a_cominuscule_oracle,
     type_a_tangent_oracle,
 )
@@ -192,9 +193,12 @@ def kclass_well_definedness_suite(rs: RootSystem) -> VerifyOutcome:
     out = VerifyOutcome(f"kclass-well-defined[{rs.cartan_type}]")
     gt = group_table(rs)
     reference: dict[tuple[int, int], LaurentPoly] = {}  # (x, w) -> class from the first word
+    table_word, table = None, {}
     for idx, word, w_id in _cases(gt, None, 0):
         out.cases += 1
-        value = kclass_restriction(rs, gt.elements[w_id], word)
+        if word != table_word:  # one pass per reduced word gives every w <= x
+            table_word, table = word, kclass_restrictions(rs, word)
+        value = table.get(gt.elements[w_id], LaurentPoly.zero())
         expected = reference.setdefault((idx, w_id), value)
         if value != expected:
             out.record(
@@ -217,11 +221,13 @@ def cone_mechanism_suite(rs: RootSystem, sample: int | None = None, seed: int = 
     for idx, word, w_id in _cases(gt, sample, seed, all_words=False):
         gammas = gamma_sequence(rs, word).gammas
         w = gt.elements[w_id]
-        for j, gamma_j in enumerate(gammas, start=1):
-            if gamma_j not in indecomposable(idx):
-                continue
+        positions = [j for j, gamma_j in enumerate(gammas, start=1) if gamma_j in indecomposable(idx)]
+        if not positions:
+            continue
+        series = tangent_cone_series(rs, w, word, max(height(gammas[j - 1]) for j in positions))
+        for j in positions:
             out.cases += 1
-            coeff = tangent_cone_coefficient(rs, negate(gamma_j), w, word)
+            coeff = series.coefficient(negate(gammas[j - 1]))
             explicit = is_explicit_factor(rs, j, w, word)
             if coeff not in (0, 1) or (coeff == 0) != explicit:
                 out.record(x=word, w=gt.word_of(w_id), j=j, explicit=explicit, got=coeff)

@@ -8,7 +8,16 @@ match is meaningful evidence.
 
 from itertools import combinations
 
-from kltangent import hecke_mult, identity_element, word_to_element
+from kltangent import (
+    LaurentPoly,
+    gamma_sequence,
+    hecke_mult,
+    hecke_subwords,
+    identity_element,
+    is_reduced,
+    one_minus_e,
+    word_to_element,
+)
 
 
 def brute_hecke_subwords(rs, w, s):
@@ -22,6 +31,58 @@ def brute_hecke_subwords(rs, w, s):
             if cur == w:
                 out.append(positions)
     return out
+
+
+def kclass_by_enumeration(rs, w, s, products=None):
+    """P_{w,s} term by term: sum over Hecke subwords t of (-1)^{e(t)} prod_{i in t} (1 - e^{-gamma_i}).
+
+    ``products`` (index tuple -> its product) may be shared between calls on
+    the same word s, so that each product is one multiplication of a shorter one.
+    """
+    assert is_reduced(rs, s)
+    gammas = gamma_sequence(rs, s).gammas
+    products = {} if products is None else products
+
+    def product(indices):
+        hit = products.get(indices)
+        if hit is None:
+            if indices:
+                hit = product(indices[:-1]) * one_minus_e(gammas[indices[-1] - 1])
+            else:
+                hit = LaurentPoly.one(rs.rank)
+            products[indices] = hit
+        return hit
+
+    total = LaurentPoly.zero()
+    for sub in hecke_subwords(rs, w, s):
+        term = product(sub.indices)
+        total = total + (term if sub.excess % 2 == 0 else term.scale(-1))
+    return total
+
+
+def brute_subword_complex(rs, w, s):
+    """(faces, facets, face -> Demazure fold of the complement) of Delta(s, w) from the definition.
+
+    A face is a position set whose complementary subword contains a reduced
+    word for w; facets are the inclusion-maximal faces.
+    """
+    positions = range(1, len(s) + 1)
+    faces, deltas = [], {}
+    for size in range(len(s) + 1):
+        for r in combinations(positions, size):
+            rest = tuple(s[j - 1] for j in positions if j not in r)
+            if brute_reduced_subwords(rs, w, rest):
+                faces.append(r)
+                cur = identity_element(rs)
+                for letter in rest:
+                    cur = hecke_mult(rs, cur, letter)
+                deltas[r] = cur
+    face_set = set(faces)
+    facets = [
+        r for r in faces
+        if not any(tuple(sorted(r + (j,))) in face_set for j in positions if j not in r)
+    ]
+    return sorted(faces), sorted(facets), deltas
 
 
 def brute_reduced_subwords(rs, w, s):

@@ -1,0 +1,139 @@
+"""The one-pass localized classes and cone series against the enumeration oracle.
+
+``kclass_restriction``, ``kclass_restrictions`` and ``tangent_cone_series``
+compute P_{w,s} by a single signed pass over the Hecke states of s; the
+oracle ``kclass_by_enumeration`` sums the Hecke subwords term by term.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from kltangent import (
+    LaurentPoly,
+    NotBelow,
+    NotReduced,
+    bruhat_leq,
+    build_complex,
+    build_root_system,
+    char_series,
+    demazure_element,
+    gamma_sequence,
+    group_table,
+    height,
+    identity_element,
+    kclass_restriction,
+    kclass_restrictions,
+    tangent_cone_series,
+    word_to_element,
+)
+from kltangent.rootsys import negate
+from oracles import brute_subword_complex, kclass_by_enumeration
+
+
+def _cases(label, all_words=True):
+    """(x, reduced word of x, w <= x) over a whole group, one reduced word per x unless all_words."""
+    rs = build_root_system(label)
+    gt = group_table(rs)
+    masks = gt.leq_masks()
+    for idx, x in enumerate(gt.elements):
+        words = gt.reduced_words_of(idx) if all_words else (gt.word_of(idx),)
+        for word in words:
+            below = [gt.elements[w_id] for w_id in range(len(gt.elements)) if (masks[idx] >> w_id) & 1]
+            yield rs, x, word, below
+
+
+@pytest.mark.parametrize(
+    "label,all_words", [("A3", True), ("B3", True), ("C3", True), ("G2", True), ("D4", False)]
+)
+def test_kclass_pass_matches_enumeration(label, all_words):
+    count = 0
+    for rs, x, word, below in _cases(label, all_words):
+        table = kclass_restrictions(rs, word)
+        assert all(bruhat_leq(rs, u, x) for u in table)
+        assert not any(p.is_zero for p in table.values())
+        products = {}
+        for w in below:
+            count += 1
+            value = kclass_restriction(rs, w, word)
+            assert value == kclass_by_enumeration(rs, w, word, products), (word, w)
+            assert table.get(w, LaurentPoly.zero()) == value, (word, w)
+    assert count > 0
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_tangent_cone_series_matches_enumeration(label):
+    for rs, _, word, below in _cases(label, all_words=False):
+        gammas = gamma_sequence(rs, word).gammas
+        if not gammas:
+            continue
+        heights = sorted({height(g) for g in gammas})
+        products = {}
+        for w in below:
+            series = tangent_cone_series(rs, w, word, heights[-1])
+            oracle = kclass_by_enumeration(rs, w, word, products)
+            for h in heights:
+                expected = char_series(oracle, gammas, h)
+                for gamma in gammas:
+                    if height(gamma) == h:
+                        lam = negate(gamma)
+                        assert series.coefficient(lam) == expected.coefficient(lam), (word, w, gamma)
+
+
+def test_kclass_validation():
+    a2 = build_root_system("A2")
+    with pytest.raises(NotReduced):
+        kclass_restrictions(a2, (1, 1))
+    with pytest.raises(NotBelow):
+        tangent_cone_series(a2, word_to_element(a2, (1, 2, 1)), (1, 2), 2)
+
+
+@st.composite
+def _reduced_word_and_target(draw, label):
+    """A random reduced word of at most 12 letters, and the Demazure product of a random subword."""
+    rs = build_root_system(label)
+    letters = draw(st.lists(st.integers(1, rs.rank), min_size=1, max_size=40))
+    word, x = [], identity_element(rs)
+    for letter in letters:
+        nxt = word_to_element(rs, tuple(word) + (letter,))
+        if nxt.length > x.length and len(word) < 12:
+            word.append(letter)
+            x = nxt
+    keep = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    w = demazure_element(rs, tuple(letter for letter, k in zip(word, keep) if k))
+    return rs, tuple(word), w
+
+
+@pytest.mark.parametrize("label", ["E6", "E7"])
+def test_kclass_pass_random_exceptional(label):
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_reduced_word_and_target(label))
+    def check(case):
+        rs, word, w = case
+        value = kclass_restriction(rs, w, word)
+        assert value == kclass_by_enumeration(rs, w, word)
+        assert kclass_restrictions(rs, word).get(w, LaurentPoly.zero()) == value
+
+    check()
+
+
+@pytest.mark.parametrize("label", ["A3", "G2"])
+def test_build_complex_matches_definition(label):
+    for rs, _, word, below in _cases(label):
+        for w in below:
+            c = build_complex(rs, w, word)
+            faces, facets, deltas = brute_subword_complex(rs, w, word)
+            assert list(c.faces) == faces and list(c.facets) == facets
+            assert c._deltas == deltas
+
+
+def test_build_complex_matches_definition_b3_sample():
+    rs = build_root_system("B3")
+    gt = group_table(rs)
+    for idx in range(0, len(gt.elements), 7):
+        word = gt.word_of(idx)
+        for w in (identity_element(rs), gt.elements[idx], demazure_element(rs, word[::2])):
+            c = build_complex(rs, w, word)
+            faces, facets, deltas = brute_subword_complex(rs, w, word)
+            assert list(c.faces) == faces and list(c.facets) == facets
+            assert c._deltas == deltas
