@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import enum
 import json
 import sys
-from fractions import Fraction
 
 from .errors import KltangentError
 from .hecke import demazure_product
@@ -33,26 +31,9 @@ from .weyl import canonical_reduced_word, is_reduced, parse_word, word_to_elemen
 SCHEMA_VERSION = 2
 
 
-def _jsonable(value):
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, Fraction):
-        return str(value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(value).items()}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
-    return value
-
-
 def _dump(payload: dict) -> str:
-    payload = dict(payload)
-    payload["schema_version"] = SCHEMA_VERSION
-    return json.dumps(_jsonable(payload), sort_keys=True, ensure_ascii=False)
+    """JSON for a payload of plain values; tuples serialize as lists."""
+    return json.dumps({**payload, "schema_version": SCHEMA_VERSION}, sort_keys=True, ensure_ascii=False)
 
 
 def _root_json(rs: RootSystem, v) -> dict:
@@ -89,7 +70,7 @@ def _report_payload(rs: RootSystem, report: TangentReport) -> dict:
                 "position": st.position,
                 "gamma": _root_json(rs, st.gamma),
                 "status": st.verdict.value,
-                "evidence": _jsonable(st.evidence),
+                "evidence": dataclasses.asdict(st.evidence),
             }
             for st in report.statuses
         ],
@@ -212,7 +193,7 @@ def _cmd_cominuscule(args) -> int:
 
 
 def _outcome_payload(outcome: VerifyOutcome) -> dict:
-    return {"suite": outcome.suite, "cases": outcome.cases, "failures": _jsonable(outcome.failures)}
+    return {"suite": outcome.suite, "cases": outcome.cases, "failures": outcome.failures}
 
 
 def _cmd_verify(args) -> int:

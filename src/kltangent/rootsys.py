@@ -9,12 +9,17 @@ The Cartan matrix convention is ``cartan_matrix[i][j] = <alpha_i, alpha_j^vee>``
 (0-based rows/columns for nodes i+1, j+1), so the simple reflection acts by
 
     s_j(v) = v - <v, alpha_j^vee> alpha_j,   <v, alpha_j^vee> = sum_k v_k A[k][j].
+
+This module is the only one that knows how s_i acts: :class:`Dynkin` holds the
+neighbour tables of A, and :func:`reflect_weight` and :func:`reflect_root_in_place`
+apply s_i to a weight and to a root-lattice vector by reading them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidCartanType, WrongType
 
@@ -22,6 +27,7 @@ from .errors import InvalidCartanType, WrongType
 Root = tuple[int, ...]
 
 _FAMILIES = "ABCDEFG"
+_MAX_RANK = 32  # refused above this before any root is built: A_n has n(n+1)/2 roots of length n
 
 # Number of positive roots per family, used as a construction cross-check.
 _POSITIVE_COUNTS = {
@@ -57,6 +63,8 @@ class CartanType:
         }[self.family]
         if not ok:
             raise InvalidCartanType(f"rank {n} is not allowed for family {self.family}")
+        if n > _MAX_RANK:
+            raise InvalidCartanType(f"rank {n} exceeds the ceiling {_MAX_RANK}")
 
     @classmethod
     def parse(cls, label: str) -> "CartanType":
@@ -77,15 +85,6 @@ class CartanType:
 def height(v: Root) -> int:
     """Sum of simple-root coefficients; >= 1 for positive roots."""
     return sum(v)
-
-
-def is_positive(v: Root) -> bool:
-    """True iff v is a nonzero vector with all coefficients >= 0."""
-    return any(v) and all(c >= 0 for c in v)
-
-
-def is_negative(v: Root) -> bool:
-    return any(v) and all(c <= 0 for c in v)
 
 
 def negate(v: Root) -> Root:
@@ -128,20 +127,78 @@ def _cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
+class Dynkin:
+    """The neighbour tables of one Cartan matrix A (0-based nodes), read by every reflection.
+
+    ``weight_links[i]`` holds (j, A[i][j]) for the neighbours j of node i:
+    s_i negates coordinate i of a weight p and subtracts p_i * A[i][j] from
+    coordinate j.  ``root_links[i]`` holds (k, A[k][i]): on a root-lattice
+    vector v, s_i subtracts <v, alpha_i^vee> = 2 v_i + sum_k v_k A[k][i] from
+    coordinate i.  ``norms[k]`` is a positive multiple of (alpha_k, alpha_k),
+    so (lambda, beta) has the sign of sum_k lambda_k norms[k] beta_k.  ``rho``
+    is the sum of the fundamental weights in fundamental-weight coordinates.
+    """
+
+    __slots__ = ("rank", "rho", "weight_links", "root_links", "norms")
+
+    def __init__(self, cartan) -> None:
+        n = len(cartan)
+        self.rank = n
+        self.rho = (1,) * n
+        self.weight_links = tuple(
+            tuple((j, cartan[i][j]) for j in range(n) if j != i and cartan[i][j]) for i in range(n)
+        )
+        self.root_links = tuple(
+            tuple((k, cartan[k][i]) for k in range(n) if k != i and cartan[k][i]) for i in range(n)
+        )
+        # (alpha_i, alpha_j) = A[i][j] (alpha_j, alpha_j) / 2 is symmetric in i, j;
+        # walk the (connected) Dynkin diagram from node 0.
+        norms = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for j, a in self.weight_links[i]:
+                if not norms[j]:
+                    norms[j] = norms[i] * cartan[j][i] / a
+                    stack.append(j)
+        scale = lcm(*(q.denominator for q in norms))
+        self.norms = tuple(int(q * scale) for q in norms)
+
+
+def reflect_weight(point: tuple[int, ...], i: int, weight_links) -> tuple[int, ...]:
+    """s_i (0-based node i) applied to a weight in fundamental-weight coordinates."""
+    c = point[i]
+    out = list(point)
+    out[i] = -c
+    for j, a in weight_links[i]:
+        out[j] -= c * a
+    return tuple(out)
+
+
+def reflect_root_in_place(v: list[int], i: int, root_links) -> None:
+    """s_i (0-based node i) applied in place to a vector in simple-root coordinates."""
+    pairing = 2 * v[i]
+    for k, a in root_links[i]:
+        pairing += v[k] * a
+    v[i] -= pairing
+
+
 class RootSystem:
     """Cartan data plus the full positive-root list of a finite root system.
 
-    Immutable after construction; safe to share across threads.  The private
-    ``_cache`` dict holds lazily built tables (Dynkin neighbours, group
-    tables, subword Demazure products, signed Demazure counts); its values are
-    deterministic, so concurrent idempotent writes are harmless under the GIL
-    and correctness never depends on a cache hit.
+    Immutable after construction; safe to share across threads.  ``dynkin``
+    holds the reflection tables that Weyl group elements reference.  The
+    private ``_cache`` dict holds lazily built tables (group tables, subword
+    Demazure products, signed Demazure counts); its values are deterministic,
+    so concurrent idempotent writes are harmless under the GIL and
+    correctness never depends on a cache hit.
     """
 
     def __init__(self, cartan_type: CartanType) -> None:
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
         self.cartan_matrix = _cartan_matrix(cartan_type)
+        self.dynkin = Dynkin(self.cartan_matrix)
         self.simple_roots: tuple[Root, ...] = tuple(
             tuple(1 if k == i else 0 for k in range(self.rank)) for i in range(self.rank)
         )
@@ -155,16 +212,21 @@ class RootSystem:
         self._cache: dict = {}
 
     def _close_positive_roots(self) -> tuple[Root, ...]:
-        # Breadth-first closure of the simple roots under simple reflections,
-        # keeping positive vectors only.  Every positive root arises this way.
+        # Every positive root of height > 1 is s_i(beta) for a positive root
+        # beta of smaller height, so walking up from the simple roots reaches
+        # them all.  s_i changes coordinate i only: an image whose coordinate i
+        # went up is positive.
+        root_links = self.dynkin.root_links
         seen = set(self.simple_roots)
         frontier = list(self.simple_roots)
         while frontier:
             new = []
             for v in frontier:
-                for i in range(1, self.rank + 1):
-                    w = reflect(self, i, v)
-                    if is_positive(w) and w not in seen:
+                for i in range(self.rank):
+                    image = list(v)
+                    reflect_root_in_place(image, i, root_links)
+                    w = tuple(image)
+                    if w[i] > v[i] and w not in seen:
                         seen.add(w)
                         new.append(w)
             frontier = new
@@ -184,12 +246,6 @@ def build_root_system(ct: CartanType | str) -> RootSystem:
     return RootSystem(ct)
 
 
-def pairing_with_coroot(rs: RootSystem, v: Root, i: int) -> int:
-    """Exact value of <v, alpha_i^vee> for a root-lattice vector v."""
-    col = i - 1
-    return sum(v[k] * rs.cartan_matrix[k][col] for k in range(rs.rank))
-
-
 def reflect(rs: RootSystem, i: int, v: Root) -> Root:
     """Apply the simple reflection s_i to a root-lattice vector.
 
@@ -199,9 +255,8 @@ def reflect(rs: RootSystem, i: int, v: Root) -> Root:
     """
     if not 1 <= i <= rs.rank:
         raise IndexError(f"simple index {i} out of range for {rs.cartan_type}")
-    c = pairing_with_coroot(rs, v, i)
     out = list(v)
-    out[i - 1] -= c
+    reflect_root_in_place(out, i - 1, rs.dynkin.root_links)
     return tuple(out)
 
 

@@ -13,8 +13,6 @@ coefficients up to the truncation bound are exact.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-
 from .errors import BeyondTruncation, ExponentOutsideCone
 from .rootsys import Root, height
 
@@ -253,16 +251,6 @@ class TruncatedSeries:
         return f"TruncatedSeries(bound={self.bound}, terms={self.items()})"
 
 
-def _orthant_points(rank: int, bound: int):
-    """All nonnegative integer vectors of the given rank with height <= bound."""
-    for h in range(bound + 1):
-        for cut in combinations_with_replacement(range(rank), h):
-            vec = [0] * rank
-            for i in cut:
-                vec[i] += 1
-            yield tuple(vec)
-
-
 def char_series(numerator: LaurentPoly, denominator_weights, bound: int) -> TruncatedSeries:
     """Expand numerator / prod (1 - e^{-beta}) as a height-truncated series.
 
@@ -277,7 +265,6 @@ def char_series(numerator: LaurentPoly, denominator_weights, bound: int) -> Trun
         raise ValueError("denominator weight list must be nonempty")
     if any(min(b) < 0 or height(b) < 1 for b in weights):
         raise ValueError("denominator weights must be positive roots")
-    rank = len(weights[0])
     in_cone = _span_search(weights)
     for exponent, _ in numerator.items():
         if not in_cone(_vneg(exponent)):
@@ -286,15 +273,15 @@ def char_series(numerator: LaurentPoly, denominator_weights, bound: int) -> Trun
         e: c for e, c in numerator.items() if height(_vneg(e)) <= bound
     }
     for beta in weights:
-        # Multiplying by sum_k e^{-k beta} is a prefix sum along beta:
-        # new[-mu] = old[-mu] + new[-(mu - beta)], walked by increasing height.
+        # Multiplying by sum_k e^{-k beta} spreads each term e^{-mu} along
+        # e^{-mu - beta}, e^{-mu - 2 beta}, ... while the height stays <= bound.
+        step = height(beta)
         nxt: dict[WeightVector, int] = {}
-        for mu in _orthant_points(rank, bound):
-            prev = tuple(m - b for m, b in zip(mu, beta))
-            val = terms.get(_vneg(mu), 0)
-            if min(prev) >= 0:
-                val += nxt.get(_vneg(prev), 0)
-            if val:
-                nxt[_vneg(mu)] = val
-        terms = nxt
+        for e, c in terms.items():
+            h = -height(e)
+            while h <= bound:
+                nxt[e] = nxt.get(e, 0) + c
+                e = tuple(x - b for x, b in zip(e, beta))
+                h += step
+        terms = {e: c for e, c in nxt.items() if c}
     return TruncatedSeries(terms, bound)

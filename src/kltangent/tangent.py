@@ -114,9 +114,9 @@ def _puncture(s: Word, j: int) -> Word:
 
 
 def _validate_pair(rs: RootSystem, w: WeylElement, s: Word) -> WeylElement:
-    if not is_reduced(rs, s):
-        raise NotReduced(f"word {s} is not reduced over {rs.cartan_type}")
     x = word_to_element(rs, s)
+    if x.length != len(s):
+        raise NotReduced(f"word {s} is not reduced over {rs.cartan_type}")
     if not bruhat_leq(rs, w, x):
         raise NotBelow("target w is not below x in Bruhat order")
     return x

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import KltangentError
 from .rootsys import RootSystem, build_root_system, cominuscule_nodes, height, negate, root_from_epsilon
@@ -435,7 +435,7 @@ def fixed_examples_suite() -> VerifyOutcome:
         or status.evidence.ordinary_product_ok
         or oracle
     ):
-        out.record(example="a2-verdicts", got=(status.verdict.value, status.evidence))
+        out.record(example="a2-verdicts", got=(status.verdict.value, asdict(status.evidence)))
 
     out.cases += 1
     d4 = build_root_system("D4")

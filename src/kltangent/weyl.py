@@ -15,7 +15,12 @@ invisible.  In this form
     word of x backwards.  Inverses, left descents, canonical words, products
     and the action on roots are all read off that peel.
 
-The matrix of x on the root lattice (``WeylElement.rows``) is a derived view.
+The reflections themselves belong to ``rootsys``: every element references
+the ``dynkin`` tables of its root system and applies s_i through
+``rootsys.reflect_weight`` (to points) and ``rootsys.reflect_root_in_place``
+(to roots); this module keeps no table of its own in ``rs._cache`` except the
+optional group table.  The matrix of x on the root lattice
+(``WeylElement.rows``) is a derived view.
 
 Words are tuples of 1-based simple-reflection indices and both act and
 multiply left to right: the word (1, 2) denotes s1*s2, which sends a vector v
@@ -35,78 +40,15 @@ positivity and distinctness at runtime.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .errors import GroupTooLarge, LengthBoundExceeded, LetterOutOfRange, NotReduced
-from .rootsys import Root, RootSystem
+from .rootsys import Dynkin, Root, RootSystem, reflect_root_in_place, reflect_weight
 
 Word = tuple[int, ...]
 
 _WORD_BOUND = 16  # default guard for all_reduced_words
 _GROUP_GUARD = 400_000  # default guard for whole-group enumeration; E8 refused
-
-
-class _Dynkin:
-    """The tables of one Cartan matrix A that the point form needs (0-based nodes).
-
-    ``weight_links[i]`` holds (j, A[i][j]) for the neighbours j of node i:
-    s_i negates coordinate i of a weight p and subtracts p_i * A[i][j] from
-    coordinate j.  ``root_links[i]`` holds (k, A[k][i]): on a root-lattice
-    vector v, s_i subtracts <v, alpha_i^vee> = 2 v_i + sum_k v_k A[k][i] from
-    coordinate i.  ``norms[k]`` is a positive multiple of (alpha_k, alpha_k),
-    so (lambda, beta) has the sign of sum_k lambda_k norms[k] beta_k.
-    """
-
-    __slots__ = ("rank", "rho", "weight_links", "root_links", "norms")
-
-    def __init__(self, cartan) -> None:
-        n = len(cartan)
-        self.rank = n
-        self.rho = (1,) * n
-        self.weight_links = tuple(
-            tuple((j, cartan[i][j]) for j in range(n) if j != i and cartan[i][j]) for i in range(n)
-        )
-        self.root_links = tuple(
-            tuple((k, cartan[k][i]) for k in range(n) if k != i and cartan[k][i]) for i in range(n)
-        )
-        # (alpha_i, alpha_j) = A[i][j] (alpha_j, alpha_j) / 2 is symmetric in i, j;
-        # walk the (connected) Dynkin diagram from node 0.
-        norms = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j, a in self.weight_links[i]:
-                if not norms[j]:
-                    norms[j] = norms[i] * cartan[j][i] / a
-                    stack.append(j)
-        scale = lcm(*(q.denominator for q in norms))
-        self.norms = tuple(int(q * scale) for q in norms)
-
-
-def _dynkin(rs: RootSystem) -> _Dynkin:
-    dyn = rs._cache.get("dynkin")
-    if dyn is None:
-        dyn = rs._cache["dynkin"] = _Dynkin(rs.cartan_matrix)
-    return dyn
-
-
-def _reflect(point: tuple[int, ...], i: int, weight_links) -> tuple[int, ...]:
-    """s_i (0-based node i) applied to a weight in fundamental-weight coordinates."""
-    c = point[i]
-    out = list(point)
-    out[i] = -c
-    for j, a in weight_links[i]:
-        out[j] -= c * a
-    return tuple(out)
-
-
-def _reflect_root(v: list[int], i: int, root_links) -> None:
-    """s_i (0-based node i) applied in place to a vector in simple-root coordinates."""
-    pairing = 2 * v[i]
-    for k, a in root_links[i]:
-        pairing += v[k] * a
-    v[i] -= pairing
 
 
 def _first_descent(point: tuple[int, ...]) -> int:
@@ -125,16 +67,16 @@ def _peel(point: tuple[int, ...], weight_links):
     i = _first_descent(point)
     while i >= 0:
         yield i
-        point = _reflect(point, i, weight_links)
+        point = reflect_weight(point, i, weight_links)
         i = _first_descent(point)
 
 
-def _inverse_point(point: tuple[int, ...], dyn: _Dynkin) -> tuple[int, ...]:
+def _inverse_point(point: tuple[int, ...], dyn: Dynkin) -> tuple[int, ...]:
     """The point x(rho) of x^{-1}: the peeled letters of x, folded into rho."""
     links = dyn.weight_links
     out = dyn.rho
     for i in _peel(point, links):
-        out = _reflect(out, i, links)
+        out = reflect_weight(out, i, links)
     return out
 
 
@@ -156,16 +98,16 @@ class WeylElement:
     """A Weyl group element x: the point x^{-1}(rho) in fundamental-weight coordinates, plus l(x).
 
     Immutable by convention.  ``point`` alone decides equality and hashing;
-    the element also keeps the Cartan tables of its root system (not
-    compared) so that it can act on roots.
+    the element also references its root system's ``dynkin`` tables (not
+    compared) so that it can act on weights and roots.
     """
 
-    __slots__ = ("point", "length", "_dynkin")
+    __slots__ = ("point", "length", "dynkin")
 
-    def __init__(self, point: tuple[int, ...], length: int, dynkin: _Dynkin) -> None:
+    def __init__(self, point: tuple[int, ...], length: int, dynkin: Dynkin) -> None:
         self.point = point
         self.length = length
-        self._dynkin = dynkin
+        self.dynkin = dynkin
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylElement):
@@ -178,7 +120,7 @@ class WeylElement:
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The matrix of x on the root lattice: rows[i][j] is the alpha_i-coefficient of x(alpha_j)."""
-        dyn = self._dynkin
+        dyn = self.dynkin
         columns = _identity_columns(dyn.rank)
         for i in reversed(list(_peel(self.point, dyn.weight_links))):
             columns = _columns_times(columns, i, dyn.root_links)
@@ -221,15 +163,15 @@ def _check_letter(rs: RootSystem, i: int) -> None:
 
 def act_on_root(x: WeylElement, v: Root) -> Root:
     """Image x(v) of a root-lattice vector: the peeled letters of x applied to v in turn."""
-    dyn = x._dynkin
+    dyn = x.dynkin
     out = list(v)
     for i in _peel(x.point, dyn.weight_links):
-        _reflect_root(out, i, dyn.root_links)
+        reflect_root_in_place(out, i, dyn.root_links)
     return tuple(out)
 
 
 def identity_element(rs: RootSystem) -> WeylElement:
-    dyn = _dynkin(rs)
+    dyn = rs.dynkin
     return WeylElement(dyn.rho, 0, dyn)
 
 
@@ -246,39 +188,39 @@ def right_multiply_simple(rs: RootSystem, x: WeylElement, i: int) -> WeylElement
     _check_letter(rs, i)
     c = x.point[i - 1]
     return WeylElement(
-        _reflect(x.point, i - 1, x._dynkin.weight_links), x.length + (1 if c > 0 else -1), x._dynkin
+        reflect_weight(x.point, i - 1, x.dynkin.weight_links), x.length + (1 if c > 0 else -1), x.dynkin
     )
 
 
 def left_multiply_simple(rs: RootSystem, x: WeylElement, i: int) -> WeylElement:
     """s_i * x = (x^{-1} * s_i)^{-1}."""
     _check_letter(rs, i)
-    dyn = x._dynkin
+    dyn = x.dynkin
     inv = _inverse_point(x.point, dyn)
     length = x.length + (1 if inv[i - 1] > 0 else -1)
-    return WeylElement(_inverse_point(_reflect(inv, i - 1, dyn.weight_links), dyn), length, dyn)
+    return WeylElement(_inverse_point(reflect_weight(inv, i - 1, dyn.weight_links), dyn), length, dyn)
 
 
 def multiply(rs: RootSystem, x: WeylElement, y: WeylElement) -> WeylElement:
     """x*y: x times a reduced word of y, read off y's peel."""
-    dyn = x._dynkin
+    dyn = x.dynkin
     links = dyn.weight_links
     point, length = x.point, x.length
     for i in reversed(list(_peel(y.point, links))):
         length += 1 if point[i] > 0 else -1
-        point = _reflect(point, i, links)
+        point = reflect_weight(point, i, links)
     return WeylElement(point, length, dyn)
 
 
 def word_to_element(rs: RootSystem, w: Word) -> WeylElement:
     """Left-to-right product of simple reflections; length counted along the way."""
-    dyn = _dynkin(rs)
+    dyn = rs.dynkin
     links = dyn.weight_links
     point, length = dyn.rho, 0
     for letter in w:
         _check_letter(rs, letter)
         length += 1 if point[letter - 1] > 0 else -1
-        point = _reflect(point, letter - 1, links)
+        point = reflect_weight(point, letter - 1, links)
     return WeylElement(point, length, dyn)
 
 
@@ -292,7 +234,7 @@ def right_descents(rs: RootSystem, x: WeylElement) -> frozenset[int]:
 
 def left_descents(rs: RootSystem, x: WeylElement) -> frozenset[int]:
     """{i : l(s_i x) < l(x)}: the right descents of x^{-1}."""
-    return frozenset(i for i, c in enumerate(_inverse_point(x.point, x._dynkin), start=1) if c < 0)
+    return frozenset(i for i, c in enumerate(_inverse_point(x.point, x.dynkin), start=1) if c < 0)
 
 
 def inversion_set_of_inverse(rs: RootSystem, x: WeylElement) -> frozenset[Root]:
@@ -301,7 +243,7 @@ def inversion_set_of_inverse(rs: RootSystem, x: WeylElement) -> frozenset[Root]:
     x^{-1}(beta) < 0 iff (x^{-1}(beta), rho) < 0 iff (beta, x(rho)) < 0, and
     x(rho) is the point of x^{-1}.
     """
-    dyn = x._dynkin
+    dyn = x.dynkin
     weights = tuple(c * n for c, n in zip(_inverse_point(x.point, dyn), dyn.norms))
     out = [beta for beta in rs.positive_roots if sum(b * c for b, c in zip(beta, weights)) < 0]
     if len(out) != x.length:
@@ -310,7 +252,7 @@ def inversion_set_of_inverse(rs: RootSystem, x: WeylElement) -> frozenset[Root]:
 
 
 def inverse(rs: RootSystem, x: WeylElement) -> WeylElement:
-    return WeylElement(_inverse_point(x.point, x._dynkin), x.length, x._dynkin)
+    return WeylElement(_inverse_point(x.point, x.dynkin), x.length, x.dynkin)
 
 
 def bruhat_leq(rs: RootSystem, u: WeylElement, v: WeylElement) -> bool:
@@ -320,24 +262,24 @@ def bruhat_leq(rs: RootSystem, u: WeylElement, v: WeylElement) -> bool:
     descent of u, else u <= vs.  The recursion never branches, so it runs as
     a loop of at most l(v) steps and needs no memo.
     """
-    links = v._dynkin.weight_links
+    links = v.dynkin.weight_links
     a, la = u.point, u.length
     b, lb = v.point, v.length
     while la < lb:
         if la == 0:
             return True
         i = _first_descent(b)
-        b = _reflect(b, i, links)
+        b = reflect_weight(b, i, links)
         lb -= 1
         if a[i] < 0:
-            a = _reflect(a, i, links)
+            a = reflect_weight(a, i, links)
             la -= 1
     return la == lb and a == b
 
 
 def _gammas(rs: RootSystem, w: Word) -> tuple[Root, ...]:
     """gamma_i = s_1...s_{i-1}(alpha_i): column s_i of the prefix, folded along w."""
-    root_links = _dynkin(rs).root_links
+    root_links = rs.dynkin.root_links
     columns = _identity_columns(rs.rank)
     gammas = []
     for letter in w:
@@ -371,7 +313,7 @@ def canonical_reduced_word(rs: RootSystem, x: WeylElement) -> Word:
     The left descents of x are the right descents of x^{-1}, so the word is
     the peel of x^{-1}'s point.
     """
-    dyn = x._dynkin
+    dyn = x.dynkin
     return tuple(i + 1 for i in _peel(_inverse_point(x.point, dyn), dyn.weight_links))
 
 
@@ -379,7 +321,7 @@ def all_reduced_words(rs: RootSystem, x: WeylElement, max_length: int = _WORD_BO
     """Every reduced word of x in lexicographic order, by depth-first descent (guarded by max_length)."""
     if x.length > max_length:
         raise LengthBoundExceeded(f"l(x)={x.length} exceeds the bound {max_length}")
-    dyn = x._dynkin
+    dyn = x.dynkin
     links = dyn.weight_links
     memo: dict[tuple[int, ...], list[Word]] = {dyn.rho: [()]}
 
@@ -391,7 +333,7 @@ def all_reduced_words(rs: RootSystem, x: WeylElement, max_length: int = _WORD_BO
             head + (i + 1,)
             for i, c in enumerate(point)
             if c < 0
-            for head in rec(_reflect(point, i, links))
+            for head in rec(reflect_weight(point, i, links))
         ]
         memo[point] = words
         return words
@@ -434,7 +376,7 @@ def enumerate_weyl_group(rs: RootSystem, guard: int = _GROUP_GUARD) -> list[Weyl
     order = weyl_group_order(rs)
     if order > guard:
         raise GroupTooLarge(f"|W({rs.cartan_type})| = {order} exceeds the guard {guard}")
-    dyn = _dynkin(rs)
+    dyn = rs.dynkin
     links, root_links = dyn.weight_links, dyn.root_links
     e = identity_element(rs)
     seen = {e.point}
@@ -445,7 +387,7 @@ def enumerate_weyl_group(rs: RootSystem, guard: int = _GROUP_GUARD) -> list[Weyl
         for x, columns in layer:
             for i, c in enumerate(x.point):
                 if c > 0:
-                    point = _reflect(x.point, i, links)
+                    point = reflect_weight(x.point, i, links)
                     if point not in seen:
                         seen.add(point)
                         y = WeylElement(point, x.length + 1, dyn)
@@ -488,9 +430,9 @@ class GroupTable:
         self.elements = enumerate_weyl_group(rs, guard)
         self.index = {x.point: i for i, x in enumerate(self.elements)}
         self.length = [x.length for x in self.elements]
-        dyn = _dynkin(rs)
+        dyn = rs.dynkin
         links, index, length = dyn.weight_links, self.index, self.length
-        self.rmult = [[index[_reflect(x.point, i, links)] for x in self.elements] for i in range(rs.rank)]
+        self.rmult = [[index[reflect_weight(x.point, i, links)] for x in self.elements] for i in range(rs.rank)]
         self.hecke = [
             [r if length[r] > length[idx] else idx for idx, r in enumerate(row)] for row in self.rmult
         ]

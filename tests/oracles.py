@@ -6,10 +6,11 @@ simple-reflection matrices) without touching the package's fast paths, so a
 match is meaningful evidence.
 """
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from kltangent import (
     LaurentPoly,
+    TruncatedSeries,
     gamma_sequence,
     hecke_mult,
     hecke_subwords,
@@ -123,6 +124,39 @@ def count_lattice_solutions(vectors, target):
         return total
 
     return rec(0, target)
+
+
+def orthant_points(rank, bound):
+    """All nonnegative integer vectors of the given rank with height <= bound."""
+    for h in range(bound + 1):
+        for cut in combinations_with_replacement(range(rank), h):
+            vec = [0] * rank
+            for i in cut:
+                vec[i] += 1
+            yield tuple(vec)
+
+
+def char_series_by_orthant(numerator, weights, bound):
+    """numerator / prod (1 - e^{-beta}) up to the height bound, walking the whole orthant.
+
+    Multiplying by sum_k e^{-k beta} is a prefix sum along beta:
+    new[-mu] = old[-mu] + new[-(mu - beta)], taken at every lattice point mu
+    >= 0 of height <= bound in order of increasing height.
+    """
+    weights = [tuple(b) for b in weights]
+    rank = len(weights[0])
+    terms = {e: c for e, c in numerator.items() if -sum(e) <= bound}
+    for beta in weights:
+        nxt = {}
+        for mu in orthant_points(rank, bound):
+            prev = tuple(m - b for m, b in zip(mu, beta))
+            val = terms.get(tuple(-m for m in mu), 0)
+            if min(prev) >= 0:
+                val += nxt.get(tuple(-p for p in prev), 0)
+            if val:
+                nxt[tuple(-m for m in mu)] = val
+        terms = nxt
+    return TruncatedSeries(terms, bound)
 
 
 # -- Weyl group elements as integer matrices on the root lattice ------------

@@ -1,8 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from kltangent.cli import main
+from kltangent import verify
+from kltangent.cli import _dump, _outcome_payload, main
+
+# stdout and exit code of the README examples, a B3 report with cone evidence and three
+# error payloads, recorded while a generic recursive encoder still walked every payload
+PINNED = json.loads((Path(__file__).parent / "data" / "cli_stdout.json").read_text())
 
 
 def run(capsys, *argv):
@@ -148,3 +154,28 @@ def test_verify_rejects_huge_group(capsys):
     code, out, _ = run(capsys, "verify", "E8", "--json")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "GroupTooLarge"
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda case: " ".join(case["argv"]))
+def test_stdout_bytes_are_pinned(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, out) == (case["exit_code"], case["stdout"])
+
+
+def test_failure_payload_with_evidence_is_pinned(monkeypatch):
+    # the a2-verdicts failure record holds (verdict, evidence); the bytes were recorded
+    # when the evidence was still a dataclass walked by the encoder
+    monkeypatch.setattr(verify, "type_a_tangent_oracle", lambda *args: True)
+    outcome = verify.fixed_examples_suite()
+    assert _dump({"cartan_type": "A2", "ok": outcome.ok, "outcomes": [_outcome_payload(outcome)]}) == (
+        '{"cartan_type": "A2", "ok": false, "outcomes": [{"cases": 3, "failures": [{"example": '
+        '"a2-verdicts", "got": ["Undetermined", {"cone_coefficient": 1, "demazure_ok": true, '
+        '"indecomposable": false, "ordinary_product_ok": false}]}], "suite": "fixed-examples"}], '
+        '"schema_version": 2}'
+    )
+
+
+def test_rank_ceiling_exit_code(capsys):
+    code, out, _ = run(capsys, "tangent", "A33", "--x", "1", "--w", "", "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "InvalidCartanType", "message": "rank 33 exceeds the ceiling 32"}

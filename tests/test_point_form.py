@@ -130,6 +130,20 @@ def test_long_lived_root_system_caches_stay_bounded():
     assert _cache_sizes(rs) == before
 
 
+def test_element_operations_add_no_cache_entry():
+    # the reflection tables live on rs.dynkin, built with the root system
+    rs = build_root_system("E6")
+    x = word_to_element(rs, (1, 3, 4, 2, 5, 4, 6))
+    y = word_to_element(rs, (2, 4, 5))
+    word = canonical_reduced_word(rs, multiply(rs, x, inverse(rs, y)))
+    bruhat_leq(rs, y, x)
+    act_on_root(x, rs.highest_root)
+    inversion_set_of_inverse(rs, x)
+    left_descents(rs, x)
+    right_multiply_simple(rs, x, 1)
+    assert is_reduced(rs, word) and rs._cache == {}
+
+
 _GUARD_SCRIPT = textwrap.dedent(
     """
     import sys

@@ -6,6 +6,7 @@ from kltangent import (
     CartanType,
     InvalidCartanType,
     WrongType,
+    act_on_root,
     build_root_system,
     cominuscule_nodes,
     format_root,
@@ -13,8 +14,10 @@ from kltangent import (
     reflect,
     root_from_epsilon,
     root_to_epsilon,
+    simple_reflection,
 )
 from kltangent.rootsys import solve_rational
+from oracles import mat_act, simple_reflection_matrix
 
 
 def test_parse_labels():
@@ -164,3 +167,43 @@ def test_solve_rational_solves_consistent_systems(system):
 )
 def test_solve_rational_rejects_contradictory_rows(row, b, shift):
     assert solve_rational([row, row], [b, b + shift], len(row)) is None
+
+
+_CLOSURE_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)] + [f"C{n}" for n in range(2, 7)]
+    + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", _CLOSURE_TYPES)
+def test_positive_roots_equal_the_oracle_closure(label):
+    # closure of the simple roots under the matrices s_i, built from the Cartan matrix alone
+    rs = build_root_system(label)
+    matrices = [simple_reflection_matrix(rs, i) for i in range(1, rs.rank + 1)]
+    seen = set(rs.simple_roots)
+    frontier = list(seen)
+    while frontier:
+        images = {mat_act(m, v) for v in frontier for m in matrices}
+        frontier = [v for v in images if min(v) >= 0 and v not in seen]
+        seen.update(frontier)
+    assert set(rs.positive_roots) == seen
+    assert len(rs.positive_roots) == len(seen)
+
+
+@pytest.mark.parametrize("label", ["A4", "B4", "C4", "D5", "E6", "F4", "G2"])
+def test_reflect_and_act_on_root_match_the_oracle_matrices(label):
+    rs = build_root_system(label)
+    roots = list(rs.positive_roots) + [tuple(-c for c in v) for v in rs.positive_roots]
+    for i in range(1, rs.rank + 1):
+        m = simple_reflection_matrix(rs, i)
+        s_i = simple_reflection(rs, i)
+        for v in roots:
+            assert reflect(rs, i, v) == act_on_root(s_i, v) == mat_act(m, v)
+
+
+def test_rank_ceiling():
+    build_root_system("A32")  # the ceiling itself is accepted
+    with pytest.raises(InvalidCartanType, match="rank 33 exceeds the ceiling 32"):
+        build_root_system("A33")
+    with pytest.raises(InvalidCartanType):
+        CartanType("D", 100)

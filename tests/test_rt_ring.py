@@ -12,7 +12,7 @@ from kltangent import (
     lambda_minus_one,
     one_minus_e,
 )
-from oracles import count_lattice_solutions
+from oracles import char_series_by_orthant, count_lattice_solutions
 
 A1, A2, A12 = (1, 0), (0, 1), (1, 1)
 
@@ -128,3 +128,41 @@ def test_series_inversion_consistency(mu, c0, c1):
     )
     expected = TruncatedSeries(dict(p.items()), bound)
     assert back == expected
+
+
+def _series_cases():
+    """(numerator, weights, bound) with numerator exponents in the negative cone of the weights.
+
+    Weights may repeat and may be collinear ((1, 0) with (2, 0), say).
+    """
+    vectors = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)).filter(lambda v: sum(v) >= 1)
+
+    @st.composite
+    def build(draw):
+        weights = draw(st.lists(vectors, min_size=1, max_size=5))
+        if draw(st.booleans()):  # force a repeated and a collinear weight
+            weights += [weights[0], tuple(2 * c for c in weights[0])]
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            ks = draw(st.lists(st.integers(0, 2), min_size=len(weights), max_size=len(weights)))
+            exponent = tuple(-sum(k * b[i] for k, b in zip(ks, weights)) for i in range(3))
+            terms[exponent] = terms.get(exponent, 0) + draw(st.integers(-3, 3))
+        return LaurentPoly(terms), weights, draw(st.integers(0, 7))
+
+    return build()
+
+
+@given(_series_cases())
+@settings(max_examples=150, deadline=None)
+def test_char_series_matches_the_orthant_walk(case):
+    numerator, weights, bound = case
+    assert char_series(numerator, weights, bound) == char_series_by_orthant(numerator, weights, bound)
+
+
+def test_char_series_repeated_and_collinear_weights():
+    weights = [A1, A1, (2, 0), A12]
+    numerator = LaurentPoly({(0, 0): 1, (-2, 0): -1})
+    assert char_series(numerator, weights, 6) == char_series_by_orthant(numerator, weights, 6)
+    # 1 / (1 - e^{-a1})^2: the coefficient of e^{-k a1} is k + 1
+    square = char_series(LaurentPoly.one(2), [A1, A1], 5)
+    assert [square.coefficient((-k, 0)) for k in range(6)] == [1, 2, 3, 4, 5, 6]
