@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LetterOutOfRange
 from .rootsys import RootSystem
-from .weyl import Word, WeylElement, has_right_ascent, identity_element, right_multiply_simple
+from .weyl import Word, WeylElement, _check_letter, has_right_ascent, identity_element, right_multiply_simple
 
 
 @dataclass(frozen=True)
@@ -27,8 +26,7 @@ class HeckeWordStats:
 
 def hecke_mult(rs: RootSystem, u: WeylElement, i: int) -> WeylElement:
     """0-Hecke product H_u H_{s_i}: u*s_i if that is longer, else u."""
-    if not 1 <= i <= rs.rank:
-        raise LetterOutOfRange(f"letter {i} out of range for {rs.cartan_type}")
+    _check_letter(rs, i)
     if has_right_ascent(u, i):
         return right_multiply_simple(rs, u, i)
     return u
@@ -57,14 +55,10 @@ def demazure_signed_counts(rs: RootSystem, q: Word) -> dict[WeylElement, int]:
 
     One dynamic-programming pass over the positions of q: a subsequence either
     skips the next letter (sign kept) or takes it (sign flipped, Demazure
-    step applied).  Cached per word on the root system (words of at most 12
-    letters, at most 1024 of them); combined with the sign (-1)^{l(u)} this
-    gives the signed Hecke-subword sums for every target at once.
+    step applied).  Combined with the sign (-1)^{l(u)} this gives the signed
+    Hecke-subword sums for every target at once, so a caller with many
+    targets for one word calls it once per word; nothing is cached.
     """
-    cache = rs._cache.setdefault("demazure_counts", {})
-    hit = cache.get(q)
-    if hit is not None:
-        return hit
     counts: dict[WeylElement, int] = {identity_element(rs): 1}
     for letter in q:
         nxt = dict(counts)
@@ -72,6 +66,4 @@ def demazure_signed_counts(rs: RootSystem, q: Word) -> dict[WeylElement, int]:
             v = hecke_mult(rs, u, letter)
             nxt[v] = nxt.get(v, 0) - c
         counts = {u: c for u, c in nxt.items() if c}
-    if len(q) <= 12 and len(cache) < 1024:
-        cache[q] = counts
     return counts

@@ -188,10 +188,11 @@ class RootSystem:
 
     Immutable after construction; safe to share across threads.  ``dynkin``
     holds the reflection tables that Weyl group elements reference.  The
-    private ``_cache`` dict holds lazily built tables (group tables, subword
-    Demazure products, signed Demazure counts); its values are deterministic,
-    so concurrent idempotent writes are harmless under the GIL and
-    correctness never depends on a cache hit.
+    private ``_cache`` dict holds one lazily built table, the group table
+    (``weyl.group_table``); its value is deterministic, so concurrent
+    idempotent writes are harmless under the GIL and correctness never
+    depends on a cache hit.  Per-word tables are built by their callers,
+    once per word, and never stored here.
     """
 
     def __init__(self, cartan_type: CartanType) -> None:

@@ -7,6 +7,11 @@ complex is always a ball or a sphere, the boundary faces are exactly those
 with delta(s \\ r) strictly above w, and the interior reduced Euler
 characteristic equals (-1)^dim.  The signed sum over all Hecke subwords for
 w (index sets t with delta(s at t) = w, signed by (-1)^{excess}) is always 1.
+
+The module keeps no table between calls.  What Delta(s, w) needs of s alone
+(the 2^l Demazure products and the lexicographic order of the masks) is
+built by ``_word_tables``; a caller with many targets for one word builds it
+once and derives each complex with ``_target_complex``.
 """
 
 from __future__ import annotations
@@ -14,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import LengthBoundExceeded, LetterOutOfRange, TargetNotContained
+from .errors import LengthBoundExceeded, TargetNotContained
 from .hecke import demazure_element, demazure_signed_counts, hecke_mult
 from .rootsys import RootSystem
-from .weyl import Word, WeylElement, bruhat_leq, identity_element
+from .weyl import Word, WeylElement, _check_letter, bruhat_leq, identity_element
 
 # Strictly increasing 1-based positions into a word.
 IndexSequence = tuple[int, ...]
@@ -30,59 +35,27 @@ class HeckeSubword(NamedTuple):
     excess: int
 
 
-def _check_word(rs: RootSystem, s: Word, bound: int = _ENUM_LETTERS_BOUND) -> None:
+def _check_word(rs: RootSystem, s: Word) -> None:
     for letter in s:
-        if not 1 <= letter <= rs.rank:
-            raise LetterOutOfRange(f"letter {letter} out of range for {rs.cartan_type}")
-    if len(s) > bound:
-        raise LengthBoundExceeded(f"|s| = {len(s)} exceeds the enumeration guard {bound}")
+        _check_letter(rs, letter)
+    if len(s) > _ENUM_LETTERS_BOUND:
+        raise LengthBoundExceeded(f"|s| = {len(s)} exceeds the enumeration guard {_ENUM_LETTERS_BOUND}")
 
 
 def _subword_deltas(rs: RootSystem, s: Word) -> list[WeylElement]:
     """delta(subword of s at mask) for every bitmask over positions of s.
 
-    Built incrementally: stripping the highest set bit removes the last letter
-    of the subword, so each entry costs one 0-Hecke multiplication.  Tables
-    for short words are cached on the root system (the verification sweeps
-    revisit the same words for many targets).
+    Built letter by letter: the masks with highest bit k are those below 2^k
+    plus bit k, so each entry costs one 0-Hecke multiplication.
     """
-    cache = rs._cache.setdefault("subword_deltas", {})
-    hit = cache.get(s)
-    if hit is not None:
-        return hit
-    table = [identity_element(rs)] * (1 << len(s))
-    for mask in range(1, 1 << len(s)):
-        top = mask.bit_length() - 1
-        table[mask] = hecke_mult(rs, table[mask ^ (1 << top)], s[top])
-    if len(s) <= 12 and len(cache) < 1024:
-        cache[s] = table
+    table = [identity_element(rs)]
+    for letter in s:
+        table += [hecke_mult(rs, d, letter) for d in table]
     return table
 
 
 def _mask_to_indices(mask: int) -> IndexSequence:
     return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
-
-
-_MASK_TABLES: dict[int, tuple[list[IndexSequence], list[int]]] = {}
-
-
-def _mask_tables(n: int) -> tuple[list[IndexSequence], list[int]]:
-    """(index set of every mask over n positions, the masks in lexicographic order of those sets).
-
-    Stripping the highest set bit removes the last index, so each entry is one
-    tuple extension.  Cached for n <= 12, like the Demazure tables.
-    """
-    hit = _MASK_TABLES.get(n)
-    if hit is not None:
-        return hit
-    indices: list[IndexSequence] = [()] * (1 << n)
-    for mask in range(1, 1 << n):
-        top = mask.bit_length() - 1
-        indices[mask] = indices[mask ^ (1 << top)] + (top + 1,)
-    tables = (indices, sorted(range(1 << n), key=indices.__getitem__))
-    if n <= 12:
-        _MASK_TABLES[n] = tables
-    return tables
 
 
 def hecke_subwords(rs: RootSystem, w: WeylElement, s: Word) -> list[HeckeSubword]:
@@ -124,37 +97,61 @@ class SubwordComplex:
         return len(self.word) - self.target.length - 1
 
 
-def build_complex(rs: RootSystem, w: WeylElement, s: Word) -> SubwordComplex:
-    """Enumerate Delta(s, w); raises TargetNotContained when w is not <= delta(s)."""
+class _WordTables(NamedTuple):
+    """The part of Delta(s, w) that depends on the word s alone, shared by every target w."""
+
+    word: Word
+    complements: list[WeylElement]  # delta(s \ r) for every position mask r
+    products: dict  # point -> element, one entry per distinct complement
+    indices: list[IndexSequence]  # the positions in every mask
+    lex_order: list[int]  # the masks in lexicographic order of their positions
+
+
+def _word_tables(rs: RootSystem, s: Word) -> _WordTables:
+    """Demazure products of all complements and the lexicographic mask order of s.
+
+    The index sets are built position by position, like the Demazure table.
+    """
     _check_word(rs, s)
-    if not bruhat_leq(rs, w, demazure_element(rs, s)):
-        raise TargetNotContained(f"{s} has no reduced subword for the target")
-    n = len(s)
-    full = (1 << n) - 1
-    deltas = _subword_deltas(rs, s)
-    # Many masks share a Demazure product: one Bruhat test per distinct product.
-    above: dict[tuple[int, ...], bool] = {}
-    for d in deltas:
-        if d.point not in above:
-            above[d.point] = bruhat_leq(rs, w, d)
-    is_face = [above[deltas[full ^ r].point] for r in range(1 << n)]
-    bits = [1 << j for j in range(n)]
-    indices, lex_order = _mask_tables(n)
+    complements = _subword_deltas(rs, s)[::-1]  # mask r <-> subword at full ^ r
+    indices: list[IndexSequence] = [()]
+    for k in range(1, len(s) + 1):
+        indices += [t + (k,) for t in indices]
+    lex_order = sorted(range(len(complements)), key=indices.__getitem__)
+    return _WordTables(s, complements, {d.point: d for d in complements}, indices, lex_order)
+
+
+def _target_complex(rs: RootSystem, w: WeylElement, t: _WordTables) -> SubwordComplex:
+    """Delta(s, w) from the word's tables, with one Bruhat test per distinct complement product."""
+    above = {p: bruhat_leq(rs, w, d) for p, d in t.products.items()}
+    is_face = [above[d.point] for d in t.complements]
+    bits = [1 << j for j in range(len(t.word))]
     faces, facets, delta_by_face = [], [], {}
-    for r in lex_order:  # faces and facets come out sorted
+    for r in t.lex_order:  # faces and facets come out sorted
         if not is_face[r]:
             continue
-        face = indices[r]
+        face = t.indices[r]
         faces.append(face)
-        delta_by_face[face] = deltas[full ^ r]
+        delta_by_face[face] = t.complements[r]
         if all(r & b or not is_face[r | b] for b in bits):
             facets.append(face)
-    return SubwordComplex(rs, s, w, tuple(faces), tuple(facets), delta_by_face)
+    return SubwordComplex(rs, t.word, w, tuple(faces), tuple(facets), delta_by_face)
+
+
+def build_complex(rs: RootSystem, w: WeylElement, s: Word) -> SubwordComplex:
+    """Enumerate Delta(s, w); raises TargetNotContained when w is not <= delta(s)."""
+    tables = _word_tables(rs, s)
+    if not bruhat_leq(rs, w, tables.complements[0]):  # the empty face's complement: delta(s)
+        raise TargetNotContained(f"{s} has no reduced subword for the target")
+    return _target_complex(rs, w, tables)
 
 
 def boundary_faces(c: SubwordComplex) -> list[IndexSequence]:
-    """Faces with delta(s \\ r) strictly greater than the target."""
-    return sorted(r for r in c.faces if c._deltas[r] != c.target)
+    """Faces with delta(s \\ r) strictly greater than the target, in lexicographic order.
+
+    On a face delta(s \\ r) >= w, so it differs from w exactly when it is longer.
+    """
+    return [r for r in c.faces if c._deltas[r].length > c.target.length]
 
 
 def euler_characteristics(c: SubwordComplex) -> tuple[int, int]:
@@ -179,10 +176,7 @@ def euler_signed_sum(rs: RootSystem, w: WeylElement, s: Word) -> int:
     :func:`kltangent.hecke.demazure_signed_counts`, so no subword enumeration
     is needed; the result is asserted against the constant 1.
     """
-    for letter in s:
-        if not 1 <= letter <= rs.rank:
-            raise LetterOutOfRange(f"letter {letter} out of range for {rs.cartan_type}")
-    if not bruhat_leq(rs, w, demazure_element(rs, s)):
+    if not bruhat_leq(rs, w, demazure_element(rs, s)):  # hecke_mult checks every letter
         raise TargetNotContained(f"{s} has no reduced subword for the target")
     counts = demazure_signed_counts(rs, s)
     total = (-1) ** (w.length % 2) * counts.get(w, 0)

@@ -56,7 +56,6 @@ from .weyl import (
     identity_element,
     inversion_set_of_inverse,
     is_min_coset_rep,
-    is_reduced,
     right_multiply_simple,
     word_to_element,
 )
@@ -215,10 +214,9 @@ def kclass_restrictions(rs: RootSystem, s: Word) -> dict[WeylElement, LaurentPol
     Same values as :func:`kclass_restriction` for each u; the word must be
     reduced and at most 20 letters long.
     """
-    if not is_reduced(rs, s):
-        raise NotReduced(f"word {s} is not reduced over {rs.cartan_type}")
+    gammas = gamma_sequence(rs, s).gammas  # raises NotReduced
     _check_word(rs, s)
-    states = _signed_states(rs, s, gamma_sequence(rs, s).gammas)
+    states = _signed_states(rs, s, gammas)
     return {u: _signed_class(u, state) for u, state in states.items()}
 
 
@@ -358,9 +356,9 @@ def kl_tangent_membership(
     the tangent-cone coefficient unless switched off).
     """
     _validate_position(s, j)
-    x = _validate_pair(rs, w, s)
+    _validate_pair(rs, w, s)
     gammas = gamma_sequence(rs, s).gammas
-    indecomposables = _indecomposable_inversions(inversion_set_of_inverse(rs, x))
+    indecomposables = _indecomposable_inversions(frozenset(gammas))  # gamma_sequence checked I(x^{-1})
     series = None
     if include_cone_coefficient and gammas[j - 1] not in indecomposables:
         series = _cone_series(rs, w, s, gammas, height(gammas[j - 1]))
@@ -419,7 +417,7 @@ def kl_tangent_report(
         raise WrongType(f"type-A oracle requested on {rs.cartan_type}")
     s = canonical_reduced_word(rs, x)
     gamma = gamma_sequence(rs, s)
-    inversions = inversion_set_of_inverse(rs, x)
+    inversions = frozenset(gamma.gammas)  # gamma_sequence checked it equal to I(x^{-1})
     indecomposables = _indecomposable_inversions(inversions)
     series = None
     if include_cone_evidence:

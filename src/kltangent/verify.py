@@ -13,10 +13,10 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 
-from .errors import KltangentError
+from .hecke import demazure_signed_counts
 from .rootsys import RootSystem, build_root_system, cominuscule_nodes, height, negate, root_from_epsilon
 from .rt_ring import LaurentPoly
-from .subword import build_complex, euler_characteristics, euler_signed_sum
+from .subword import _ENUM_LETTERS_BOUND, _target_complex, _word_tables, euler_characteristics
 from .tangent import (
     Verdict,
     element_to_permutation,
@@ -46,6 +46,7 @@ _FAILURE_CAP = 50
 _EXHAUSTIVE_ORDER_MAX = 48  # full (x, word, w) sweeps up to this |W|
 _CONE_EXHAUSTIVE_ORDER_MAX = 24  # full (x, w) sweeps of the cone mechanism up to this |W|
 _SAMPLED_CASES = 1_000  # random cases per sampled suite above those orders
+_WORD_LENGTH_MAX = 6  # words swept by the weyl-basics and hecke-subword suites
 
 
 @dataclass(frozen=True)
@@ -99,26 +100,29 @@ def _random_reduced_word(gt: GroupTable, idx: int, rng: random.Random):
 
 
 def _cases(gt: GroupTable, sample: int | None, seed: int, all_words: bool = True):
-    """The (x, reduced word for x, w <= x) cases a suite checks, as index triples.
+    """The (x, reduced word for x, targets w <= x) groups a suite checks, as (index, word, indices).
 
-    With ``sample`` None: every x, every w <= x, and every reduced word of x
-    (or only the canonical one when ``all_words`` is false), grouped by x and
-    then by word.  Otherwise ``sample`` random draws, in this order per case:
-    x, a random reduced word (only when ``all_words``), then w <= x.
+    A suite does the work that depends on the word alone once per group.
+    With ``sample`` None: one group per x and reduced word of x (only the
+    canonical one when ``all_words`` is false), holding every w <= x.
+    Otherwise ``sample`` random draws of one target each, in this order per
+    draw: x among the elements of at most ``_ENUM_LETTERS_BOUND`` letters (the
+    subword guard), a random reduced word (only when ``all_words``), then w <= x.
     """
     masks = gt.leq_masks()
     if sample is None:
         for idx in range(len(gt.elements)):
             words = gt.reduced_words_of(idx) if all_words else (gt.word_of(idx),)
+            below = tuple(_bits(masks[idx]))
             for word in words:
-                for w_id in _bits(masks[idx]):
-                    yield idx, word, w_id
+                yield idx, word, below
         return
     rng = random.Random(seed)
+    pool = [idx for idx, length in enumerate(gt.length) if length <= _ENUM_LETTERS_BOUND]
     for _ in range(sample):
-        idx = rng.randrange(len(gt.elements))
+        idx = pool[rng.randrange(len(pool))]
         word = _random_reduced_word(gt, idx, rng) if all_words else gt.word_of(idx)
-        yield idx, word, rng.choice(list(_bits(masks[idx])))
+        yield idx, word, (rng.choice(list(_bits(masks[idx]))),)
 
 
 def _indecomposable_memo(rs: RootSystem, gt: GroupTable):
@@ -147,43 +151,47 @@ def euler_identity_suite(rs: RootSystem, sample: int | None = None, seed: int = 
     """Signed Hecke-subword sum equals 1 for every (x, reduced word, w <= x).
 
     With ``sample`` set, checks that many random (x, w, word) triples instead
-    of the full sweep.
+    of the full sweep.  One signed-count pass per word serves all its targets.
     """
     t0 = time.perf_counter()
     out = VerifyOutcome(f"euler-identity[{rs.cartan_type}]")
     gt = group_table(rs)
-    for _, word, w_id in _cases(gt, sample, seed):
-        out.cases += 1
-        try:
-            value = euler_signed_sum(rs, gt.elements[w_id], word)
-        except (AssertionError, KltangentError) as exc:
-            out.record(word=word, w=gt.word_of(w_id), expected=1, got=repr(exc))
-            continue
-        if value != 1:
-            out.record(word=word, w=gt.word_of(w_id), expected=1, got=value)
+    for _, word, w_ids in _cases(gt, sample, seed):
+        counts = demazure_signed_counts(rs, word)
+        for w_id in w_ids:
+            out.cases += 1
+            w = gt.elements[w_id]
+            value = (-1) ** (w.length % 2) * counts.get(w, 0)
+            if value != 1:
+                out.record(word=word, w=gt.word_of(w_id), expected=1, got=value)
     return _finish(out, t0)
 
 
 def ball_sphere_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) -> VerifyOutcome:
-    """Interior Euler characteristic (-1)^dim and facet purity for Delta(s, w)."""
+    """Interior Euler characteristic (-1)^dim and facet purity for Delta(s, w).
+
+    The Demazure table and mask order of each word are built once for all its targets.
+    """
     t0 = time.perf_counter()
     out = VerifyOutcome(f"ball-sphere[{rs.cartan_type}]")
     gt = group_table(rs)
-    for _, word, w_id in _cases(gt, sample, seed):
-        out.cases += 1
-        w = gt.elements[w_id]
-        size = len(word) - w.length
-        try:
-            complex_ = build_complex(rs, w, word)
-            _, interior = euler_characteristics(complex_)
-        except (AssertionError, KltangentError) as exc:
-            out.record(word=word, w=gt.word_of(w_id), got=repr(exc))
-            continue
-        if interior != (-1) ** ((size - 1) % 2):
-            out.record(word=word, w=gt.word_of(w_id), expected=(-1) ** ((size - 1) % 2), got=interior)
-        bad = [f for f in complex_.facets if len(f) != size]
-        if bad:
-            out.record(word=word, w=gt.word_of(w_id), expected=f"facets of size {size}", got=bad)
+    for _, word, w_ids in _cases(gt, sample, seed):
+        tables = _word_tables(rs, word)
+        for w_id in w_ids:
+            out.cases += 1
+            w = gt.elements[w_id]
+            size = len(word) - w.length
+            try:
+                complex_ = _target_complex(rs, w, tables)
+                _, interior = euler_characteristics(complex_)
+            except AssertionError as exc:
+                out.record(word=word, w=gt.word_of(w_id), got=repr(exc))
+                continue
+            if interior != (-1) ** ((size - 1) % 2):
+                out.record(word=word, w=gt.word_of(w_id), expected=(-1) ** ((size - 1) % 2), got=interior)
+            bad = [f for f in complex_.facets if len(f) != size]
+            if bad:
+                out.record(word=word, w=gt.word_of(w_id), expected=f"facets of size {size}", got=bad)
     return _finish(out, t0)
 
 
@@ -193,18 +201,17 @@ def kclass_well_definedness_suite(rs: RootSystem) -> VerifyOutcome:
     out = VerifyOutcome(f"kclass-well-defined[{rs.cartan_type}]")
     gt = group_table(rs)
     reference: dict[tuple[int, int], LaurentPoly] = {}  # (x, w) -> class from the first word
-    table_word, table = None, {}
-    for idx, word, w_id in _cases(gt, None, 0):
-        out.cases += 1
-        if word != table_word:  # one pass per reduced word gives every w <= x
-            table_word, table = word, kclass_restrictions(rs, word)
-        value = table.get(gt.elements[w_id], LaurentPoly.zero())
-        expected = reference.setdefault((idx, w_id), value)
-        if value != expected:
-            out.record(
-                x=gt.word_of(idx), w=gt.word_of(w_id), word=word,
-                expected=expected.items(), got=value.items(),
-            )
+    for idx, word, w_ids in _cases(gt, None, 0):
+        table = kclass_restrictions(rs, word)  # one pass per reduced word gives every w <= x
+        for w_id in w_ids:
+            out.cases += 1
+            value = table.get(gt.elements[w_id], LaurentPoly.zero())
+            expected = reference.setdefault((idx, w_id), value)
+            if value != expected:
+                out.record(
+                    x=gt.word_of(idx), w=gt.word_of(w_id), word=word,
+                    expected=expected.items(), got=value.items(),
+                )
     return _finish(out, t0)
 
 
@@ -218,19 +225,21 @@ def cone_mechanism_suite(rs: RootSystem, sample: int | None = None, seed: int = 
     out = VerifyOutcome(f"cone-mechanism[{rs.cartan_type}]")
     gt = group_table(rs)
     indecomposable = _indecomposable_memo(rs, gt)
-    for idx, word, w_id in _cases(gt, sample, seed, all_words=False):
+    for idx, word, w_ids in _cases(gt, sample, seed, all_words=False):
         gammas = gamma_sequence(rs, word).gammas
-        w = gt.elements[w_id]
         positions = [j for j, gamma_j in enumerate(gammas, start=1) if gamma_j in indecomposable(idx)]
         if not positions:
             continue
-        series = tangent_cone_series(rs, w, word, max(height(gammas[j - 1]) for j in positions))
-        for j in positions:
-            out.cases += 1
-            coeff = series.coefficient(negate(gammas[j - 1]))
-            explicit = is_explicit_factor(rs, j, w, word)
-            if coeff not in (0, 1) or (coeff == 0) != explicit:
-                out.record(x=word, w=gt.word_of(w_id), j=j, explicit=explicit, got=coeff)
+        bound = max(height(gammas[j - 1]) for j in positions)
+        for w_id in w_ids:
+            w = gt.elements[w_id]
+            series = tangent_cone_series(rs, w, word, bound)
+            for j in positions:
+                out.cases += 1
+                coeff = series.coefficient(negate(gammas[j - 1]))
+                explicit = is_explicit_factor(rs, j, w, word)
+                if coeff not in (0, 1) or (coeff == 0) != explicit:
+                    out.record(x=word, w=gt.word_of(w_id), j=j, explicit=explicit, got=coeff)
     return _finish(out, t0)
 
 
@@ -240,17 +249,17 @@ def type_a_oracle_suite(rs: RootSystem) -> VerifyOutcome:
     out = VerifyOutcome(f"type-a-oracle[{rs.cartan_type}]")
     gt = group_table(rs)
     indecomposable = _indecomposable_memo(rs, gt)
-    for idx, word, w_id in _cases(gt, None, 0):
+    for idx, word, w_ids in _cases(gt, None, 0):
         gammas = gamma_sequence(rs, word).gammas
-        w = gt.elements[w_id]
-        for j, gamma_j in enumerate(gammas, start=1):
-            if gamma_j not in indecomposable(idx):
-                continue
-            out.cases += 1
-            verdict = kl_tangent_membership(rs, j, w, word, include_cone_coefficient=False).verdict
-            oracle = type_a_tangent_oracle(rs, j, w, word)
-            if (verdict is Verdict.IN) != oracle or verdict is Verdict.UNDETERMINED:
-                out.record(x=word, w=gt.word_of(w_id), j=j, oracle=oracle, got=verdict.value)
+        positions = [j for j, gamma_j in enumerate(gammas, start=1) if gamma_j in indecomposable(idx)]
+        for w_id in w_ids:
+            w = gt.elements[w_id]
+            for j in positions:
+                out.cases += 1
+                verdict = kl_tangent_membership(rs, j, w, word, include_cone_coefficient=False).verdict
+                oracle = type_a_tangent_oracle(rs, j, w, word)
+                if (verdict is Verdict.IN) != oracle or verdict is Verdict.UNDETERMINED:
+                    out.record(x=word, w=gt.word_of(w_id), j=j, oracle=oracle, got=verdict.value)
     return _finish(out, t0)
 
 
@@ -475,7 +484,7 @@ def root_basics_suite(rs: RootSystem) -> VerifyOutcome:
     return _finish(out, t0)
 
 
-def weyl_basics_suite(rs: RootSystem, word_length_max: int = 6) -> VerifyOutcome:
+def weyl_basics_suite(rs: RootSystem) -> VerifyOutcome:
     """Gamma well-definedness, Bruhat vs subword oracle, length complements."""
     t0 = time.perf_counter()
     out = VerifyOutcome(f"weyl-basics[{rs.cartan_type}]")
@@ -484,7 +493,7 @@ def weyl_basics_suite(rs: RootSystem, word_length_max: int = 6) -> VerifyOutcome
     w0 = max(range(size), key=lambda i: gt.length[i])
 
     for idx, x in enumerate(gt.elements):
-        if x.length > word_length_max:
+        if x.length > _WORD_LENGTH_MAX:
             continue
         inv = inversion_set_of_inverse(rs, x)
         sets = {frozenset(gamma_sequence(rs, word).gammas) for word in gt.reduced_words_of(idx)}
@@ -513,10 +522,10 @@ def weyl_basics_suite(rs: RootSystem, word_length_max: int = 6) -> VerifyOutcome
     return _finish(out, t0)
 
 
-def hecke_subword_suite(rs: RootSystem, word_length_max: int = 6) -> VerifyOutcome:
+def hecke_subword_suite(rs: RootSystem) -> VerifyOutcome:
     """Demazure-subword equivalence: delta(q) >= w iff q has a reduced word for w.
 
-    Exhaustive over every word of length <= word_length_max, every target w;
+    Exhaustive over every word of length <= _WORD_LENGTH_MAX, every target w;
     also checks the associativity surrogate delta(q1 q2) = delta(r q2) with r
     a reduced word for delta(q1).
     """
@@ -528,7 +537,7 @@ def hecke_subword_suite(rs: RootSystem, word_length_max: int = 6) -> VerifyOutco
 
     words: list[tuple[int, ...]] = [()]
     frontier: list[tuple[int, ...]] = [()]
-    for _ in range(word_length_max):
+    for _ in range(_WORD_LENGTH_MAX):
         frontier = [w + (i,) for w in frontier for i in range(1, rs.rank + 1)]
         words.extend(frontier)
 

@@ -471,14 +471,14 @@ class GroupTable:
     def word_of(self, idx: int) -> Word:
         return canonical_reduced_word(self.rs, self.elements[idx])
 
-    def demazure_fold(self, letters, start: int | None = None) -> int:
-        cur = self.identity if start is None else start
+    def demazure_fold(self, letters) -> int:
+        cur = self.identity
         for letter in letters:
             cur = self.hecke[letter - 1][cur]
         return cur
 
-    def product_fold(self, letters, start: int | None = None) -> int:
-        cur = self.identity if start is None else start
+    def product_fold(self, letters) -> int:
+        cur = self.identity
         for letter in letters:
             cur = self.rmult[letter - 1][cur]
         return cur

@@ -13,7 +13,6 @@ from kltangent import (
     TruncatedSeries,
     gamma_sequence,
     hecke_mult,
-    hecke_subwords,
     identity_element,
     is_reduced,
     one_minus_e,
@@ -34,31 +33,36 @@ def brute_hecke_subwords(rs, w, s):
     return out
 
 
-def kclass_by_enumeration(rs, w, s, products=None):
-    """P_{w,s} term by term: sum over Hecke subwords t of (-1)^{e(t)} prod_{i in t} (1 - e^{-gamma_i}).
+def kclasses_by_enumeration(rs, s, targets=None):
+    """{u: P_{u,s}} for every u (or every u in targets) with a nonzero class, term by term.
 
-    ``products`` (index tuple -> its product) may be shared between calls on
-    the same word s, so that each product is one multiplication of a shorter one.
+    Every subsequence t of s is visited once, extending a shorter one by a
+    later position, and folded to delta(t) by 0-Hecke multiplication.  When
+    delta(t) is wanted, t adds (-1)^{e(t)} prod_{i in t} (1 - e^{-gamma_i})
+    to its class; each product is one multiplication of a shorter one.
     """
     assert is_reduced(rs, s)
     gammas = gamma_sequence(rs, s).gammas
-    products = {} if products is None else products
+    products = {(): LaurentPoly.one(rs.rank)}
 
-    def product(indices):
-        hit = products.get(indices)
-        if hit is None:
-            if indices:
-                hit = product(indices[:-1]) * one_minus_e(gammas[indices[-1] - 1])
-            else:
-                hit = LaurentPoly.one(rs.rank)
-            products[indices] = hit
-        return hit
+    def product(t):
+        if t not in products:
+            products[t] = product(t[:-1]) * one_minus_e(gammas[t[-1] - 1])
+        return products[t]
 
-    total = LaurentPoly.zero()
-    for sub in hecke_subwords(rs, w, s):
-        term = product(sub.indices)
-        total = total + (term if sub.excess % 2 == 0 else term.scale(-1))
-    return total
+    sums = {}  # u -> {exponent: coefficient}
+    stack = [((), identity_element(rs))]
+    while stack:
+        t, delta = stack.pop()
+        if targets is None or delta in targets:
+            sign = -1 if (len(t) - delta.length) % 2 else 1
+            acc = sums.setdefault(delta, {})
+            for e, c in product(t).items():
+                acc[e] = acc.get(e, 0) + sign * c
+        for j in range(t[-1] if t else 0, len(s)):
+            stack.append((t + (j + 1,), hecke_mult(rs, delta, s[j])))
+    classes = {u: LaurentPoly(acc) for u, acc in sums.items()}
+    return {u: p for u, p in classes.items() if not p.is_zero}
 
 
 def brute_subword_complex(rs, w, s):

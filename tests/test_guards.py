@@ -1,8 +1,8 @@
-"""Guards that must hold as documented: the 20-letter bound, bounded caches, python -O.
+"""Guards that must hold as documented: the 20-letter bound, no per-word cache, python -O.
 
 The localized class and the tangent-cone series refuse words longer than 20
-letters with the same error everywhere; the per-word signed-count cache of a
-long-lived root system stays bounded; and the correctness checks raise
+letters with the same error everywhere; the per-word functions store nothing
+on a long-lived root system; and the correctness checks raise
 AssertionError explicitly, so they survive ``python -O``.
 """
 
@@ -18,9 +18,11 @@ import pytest
 from kltangent import (
     LaurentPoly,
     LengthBoundExceeded,
+    build_complex,
     build_root_system,
     canonical_reduced_word,
     euler_signed_sum,
+    hecke_subwords,
     identity_element,
     kclass_restriction,
     kclass_restrictions,
@@ -30,6 +32,7 @@ from kltangent import (
     word_to_element,
 )
 from kltangent.cli import main
+from kltangent.hecke import demazure_signed_counts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -72,17 +75,16 @@ def test_cli_kclass_guard_payload(capsys):
     }
 
 
-def test_demazure_counts_cache_is_bounded():
-    rs = build_root_system("A2")
+def test_per_word_functions_keep_no_cache():
+    rs = build_root_system("A5")
     e = identity_element(rs)
-    words = list(product((1, 2), repeat=11))  # 2048 distinct words of 11 letters
+    words = list(product((1, 2, 3, 4, 5), repeat=5))[:2048]  # 2048 distinct words of 5 letters
     for word in words:
         assert euler_signed_sum(rs, e, word) == 1
-    assert len(rs._cache["demazure_counts"]) == 1024
-    fresh = build_root_system("A2")
-    long_word = (1, 2) * 7
-    assert euler_signed_sum(fresh, identity_element(fresh), long_word) == 1
-    assert long_word not in fresh._cache["demazure_counts"]  # more than 12 letters: not cached
+        assert demazure_signed_counts(rs, word)
+        assert build_complex(rs, e, word).faces
+        assert hecke_subwords(rs, e, word)
+    assert rs._cache == {}
 
 
 def test_euler_identity_check_survives_python_O():

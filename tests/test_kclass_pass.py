@@ -2,7 +2,7 @@
 
 ``kclass_restriction``, ``kclass_restrictions`` and ``tangent_cone_series``
 compute P_{w,s} by a single signed pass over the Hecke states of s; the
-oracle ``kclass_by_enumeration`` sums the Hecke subwords term by term.
+oracle ``kclasses_by_enumeration`` sums all subwords of s term by term, once per word.
 """
 
 import pytest
@@ -28,7 +28,7 @@ from kltangent import (
     word_to_element,
 )
 from kltangent.rootsys import negate
-from oracles import brute_subword_complex, kclass_by_enumeration
+from oracles import brute_subword_complex, kclasses_by_enumeration
 
 
 def _cases(label, all_words=True):
@@ -52,12 +52,12 @@ def test_kclass_pass_matches_enumeration(label, all_words):
         table = kclass_restrictions(rs, word)
         assert all(bruhat_leq(rs, u, x) for u in table)
         assert not any(p.is_zero for p in table.values())
-        products = {}
+        oracle = kclasses_by_enumeration(rs, word)
+        assert table == oracle, word
         for w in below:
             count += 1
             value = kclass_restriction(rs, w, word)
-            assert value == kclass_by_enumeration(rs, w, word, products), (word, w)
-            assert table.get(w, LaurentPoly.zero()) == value, (word, w)
+            assert value == oracle.get(w, LaurentPoly.zero()), (word, w)
     assert count > 0
 
 
@@ -68,10 +68,10 @@ def test_tangent_cone_series_matches_enumeration(label):
         if not gammas:
             continue
         heights = sorted({height(g) for g in gammas})
-        products = {}
+        classes = kclasses_by_enumeration(rs, word)
         for w in below:
             series = tangent_cone_series(rs, w, word, heights[-1])
-            oracle = kclass_by_enumeration(rs, w, word, products)
+            oracle = classes.get(w, LaurentPoly.zero())
             for h in heights:
                 expected = char_series(oracle, gammas, h)
                 for gamma in gammas:
@@ -111,7 +111,7 @@ def test_kclass_pass_random_exceptional(label):
     def check(case):
         rs, word, w = case
         value = kclass_restriction(rs, w, word)
-        assert value == kclass_by_enumeration(rs, w, word)
+        assert value == kclasses_by_enumeration(rs, word, {w}).get(w, LaurentPoly.zero())
         assert kclass_restrictions(rs, word).get(w, LaurentPoly.zero()) == value
 
     check()

@@ -1,10 +1,17 @@
 """Battery-level invariants not already pinned by the acceptance criteria."""
 
+import hashlib
 import threading
 
-from kltangent import build_root_system, bruhat_leq, enumerate_weyl_group
+import pytest
+
+from kltangent import build_root_system, bruhat_leq, enumerate_weyl_group, group_table
+from kltangent.subword import _ENUM_LETTERS_BOUND
 from kltangent.verify import (
+    _SAMPLED_CASES,
+    VerifyConfig,
     VerifyOutcome,
+    _cases,
     cominuscule_complete_suite,
     run_battery,
     te_containment_suite,
@@ -60,6 +67,39 @@ def test_run_battery_all_green_on_g2():
         ("decomposable-guard[A2]", 2),
         ("fixed-examples", 3),
     ]
+
+
+# sha256 of repr([(x id, word, w id), ...]) over the default-seed sampled draws
+SAMPLED_DIGESTS = {
+    ("D4", True): "966b8a5cbcf0f27c65a1ed262146ac73d8a025772950fa7e840da11d10a17249",
+    ("D4", False): "8202b7ca9facabb242aea6cab2216395187dc6a3b9883aa0f40a487b44d57946",
+    ("A5", True): "38ac55d24bb5b5e4866f759729eb6bc20c3b577d75e472cfa0e4eff7b6e6d10d",
+    ("A5", False): "0f0611222141a8680787da22414563301a7c42a90eeccff4011b825416b5a6b7",
+}
+
+
+def _sampled_triples(gt, all_words):
+    groups = _cases(gt, _SAMPLED_CASES, VerifyConfig().seed, all_words)
+    return [(idx, word, w_id) for idx, word, w_ids in groups for w_id in w_ids]
+
+
+@pytest.mark.parametrize("label", ["D4", "A5"])
+def test_sampled_cases_are_pinned(label):
+    gt = group_table(build_root_system(label))
+    for all_words in (True, False):
+        triples = _sampled_triples(gt, all_words)
+        assert len(triples) == _SAMPLED_CASES
+        assert hashlib.sha256(repr(triples).encode()).hexdigest() == SAMPLED_DIGESTS[label, all_words]
+
+
+def test_sampled_words_respect_the_subword_guard_on_f4():
+    # 30 elements of W(F4) are longer than the guard; no draw may land on them
+    gt = group_table(build_root_system("F4"))
+    assert max(gt.length) > _ENUM_LETTERS_BOUND
+    for all_words in (True, False):
+        triples = _sampled_triples(gt, all_words)
+        assert len(triples) == _SAMPLED_CASES
+        assert max(len(word) for _, word, _ in triples) <= _ENUM_LETTERS_BOUND
 
 
 def test_bruhat_memo_is_thread_safe():
