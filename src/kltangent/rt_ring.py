@@ -269,9 +269,12 @@ def char_series(numerator: LaurentPoly, denominator_weights, bound: int) -> Trun
     for exponent, _ in numerator.items():
         if not in_cone(_vneg(exponent)):
             raise ExponentOutsideCone(f"numerator exponent {exponent} outside the span")
-    terms = {
-        e: c for e, c in numerator.items() if height(_vneg(e)) <= bound
-    }
+    return _spread(numerator, weights, bound)
+
+
+def _spread(numerator: LaurentPoly, weights, bound: int) -> TruncatedSeries:
+    """:func:`char_series` without its checks, for exponents in the cone by construction."""
+    terms = {e: c for e, c in numerator.items() if height(_vneg(e)) <= bound}
     for beta in weights:
         # Multiplying by sum_k e^{-k beta} spreads each term e^{-mu} along
         # e^{-mu - beta}, e^{-mu - 2 beta}, ... while the height stays <= bound.

@@ -42,13 +42,14 @@ from .errors import (
     WrongType,
 )
 from .hecke import demazure_element
-from .rootsys import Root, RootSystem, height, negate, solve_rational
-from .rt_ring import LaurentPoly, TruncatedSeries, WeightVector, char_series, in_nonneg_integer_span
+from .rootsys import Root, RootSystem, height, negate
+from .rt_ring import LaurentPoly, TruncatedSeries, WeightVector, _spread, in_nonneg_integer_span
 from .subword import _check_word, hecke_subwords
 from .weyl import (
     GammaSequence,
     WeylElement,
     Word,
+    _gamma_sequence,
     bruhat_leq,
     canonical_reduced_word,
     gamma_sequence,
@@ -204,8 +205,7 @@ def kclass_restriction(rs: RootSystem, w: WeylElement, s: Word) -> LaurentPoly:
     Laurent polynomials.  Words longer than 20 letters are refused
     (LengthBoundExceeded).
     """
-    _validate_pair(rs, w, s)
-    return _kclass(rs, w, s, gamma_sequence(rs, s).gammas)
+    return _kclass(rs, w, s, _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas)
 
 
 def kclass_restrictions(rs: RootSystem, s: Word) -> dict[WeylElement, LaurentPoly]:
@@ -274,7 +274,9 @@ def _indecomposable_inversions(inversions: frozenset[Root]) -> frozenset[Root]:
 def _cone_series(
     rs: RootSystem, w: WeylElement, s: Word, gammas: tuple[Root, ...], bound: int
 ) -> TruncatedSeries:
-    return char_series(_kclass(rs, w, s, gammas), gammas, bound)
+    if not gammas:
+        raise ValueError("denominator weight list must be nonempty")
+    return _spread(_kclass(rs, w, s, gammas), gammas, bound)
 
 
 def tangent_cone_series(rs: RootSystem, w: WeylElement, s: Word, bound: int) -> TruncatedSeries:
@@ -285,8 +287,7 @@ def tangent_cone_series(rs: RootSystem, w: WeylElement, s: Word, bound: int) -> 
     series answers every position j with height(gamma_j) <= bound.  Words
     longer than 20 letters are refused (LengthBoundExceeded).
     """
-    _validate_pair(rs, w, s)
-    return _cone_series(rs, w, s, gamma_sequence(rs, s).gammas, bound)
+    return _cone_series(rs, w, s, _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas, bound)
 
 
 def tangent_cone_coefficient(rs: RootSystem, lam: WeightVector, w: WeylElement, s: Word) -> int:
@@ -299,8 +300,7 @@ def tangent_cone_coefficient(rs: RootSystem, lam: WeightVector, w: WeylElement, 
     meaning attached.  ExponentOutsideCone unless -lam lies in the
     nonnegative integer span of the gammas.
     """
-    _validate_pair(rs, w, s)
-    gammas = gamma_sequence(rs, s).gammas
+    gammas = _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas
     mu = negate(tuple(lam))
     if min(mu) < 0 or not in_nonneg_integer_span(gammas, mu):
         raise ExponentOutsideCone(f"-({lam}) is outside the cone of the ambient weights")
@@ -356,9 +356,8 @@ def kl_tangent_membership(
     the tangent-cone coefficient unless switched off).
     """
     _validate_position(s, j)
-    _validate_pair(rs, w, s)
-    gammas = gamma_sequence(rs, s).gammas
-    indecomposables = _indecomposable_inversions(frozenset(gammas))  # gamma_sequence checked I(x^{-1})
+    gammas = _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas
+    indecomposables = _indecomposable_inversions(frozenset(gammas))  # the gammas list I(x^{-1})
     series = None
     if include_cone_coefficient and gammas[j - 1] not in indecomposables:
         series = _cone_series(rs, w, s, gammas, height(gammas[j - 1]))
@@ -371,8 +370,7 @@ def te_curve_weights(rs: RootSystem, w: WeylElement, s: Word) -> frozenset[Root]
     {gamma_j : s_1...s^_j...s_l >= w}, with no indecomposability restriction;
     always a subset of the tangent weights.
     """
-    _validate_pair(rs, w, s)
-    gammas = gamma_sequence(rs, s).gammas
+    gammas = _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas
     out = []
     for j in range(1, len(s) + 1):
         if bruhat_leq(rs, w, word_to_element(rs, _puncture(s, j))):
@@ -416,8 +414,8 @@ def kl_tangent_report(
     if use_type_a_oracle and rs.cartan_type.family != "A":
         raise WrongType(f"type-A oracle requested on {rs.cartan_type}")
     s = canonical_reduced_word(rs, x)
-    gamma = gamma_sequence(rs, s)
-    inversions = frozenset(gamma.gammas)  # gamma_sequence checked it equal to I(x^{-1})
+    gamma = _gamma_sequence(rs, x, s)
+    inversions = frozenset(gamma.gammas)  # _gamma_sequence checked it equal to I(x^{-1})
     indecomposables = _indecomposable_inversions(inversions)
     series = None
     if include_cone_evidence:
@@ -463,8 +461,6 @@ def gp_tangent_report(
     for xx, name in ((x, "x"), (w, "w")):
         if not is_min_coset_rep(rs, xx, pset):
             raise NotMinimalCosetRep(f"{name} is not a minimal coset representative")
-    if not bruhat_leq(rs, w, x):
-        raise NotBelow("target w is not below x in Bruhat order")
     return kl_tangent_report(
         rs,
         w,
@@ -478,15 +474,19 @@ def gp_tangent_report(
 def cominuscule_witness(rs: RootSystem, x: WeylElement) -> tuple[Fraction, ...] | None:
     """A coweight v with <gamma, v> = -1 for all gamma in I(x^{-1}), or None.
 
-    v is expressed in the basis dual to the simple roots, so <gamma, v> is
-    the dot product of gamma's coefficient vector with v; only solvability
-    matters, and it is decided by exact rational elimination.
+    v is in the basis dual to the simple roots.  Along the canonical word, the
+    condition at gamma_i forces v_{s_i} = -1 - sum_{k<i} A[s_i][s_k] once the
+    earlier ones hold: x is cominuscule iff repeated letters are forced alike.
     """
-    inversions = sorted(inversion_set_of_inverse(rs, x))
-    witness = solve_rational(inversions, [-1] * len(inversions), rs.rank)
-    if witness is None:
-        return None
-    if not all(sum(Fraction(c) * w for c, w in zip(g, witness)) == -1 for g in inversions):
+    forced: dict[int, int] = {}
+    need = [-1] * rs.rank  # -1 - <alpha_r, the coroots of the letters read so far>
+    for letter in canonical_reduced_word(rs, x):
+        i = letter - 1
+        if forced.setdefault(i, need[i]) != need[i]:
+            return None
+        need = [n - row[i] for n, row in zip(need, rs.cartan_matrix)]
+    witness = tuple(Fraction(forced.get(i, 0)) for i in range(rs.rank))
+    if not all(sum(c * v for c, v in zip(g, witness)) == -1 for g in inversion_set_of_inverse(rs, x)):
         raise AssertionError(f"witness {witness} is not -1 on every inversion")
     return witness
 

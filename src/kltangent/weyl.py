@@ -297,12 +297,18 @@ def gamma_sequence(rs: RootSystem, w: Word) -> GammaSequence:
     x = word_to_element(rs, w)
     if x.length != len(w):
         raise NotReduced(f"word {w} is not reduced over {rs.cartan_type}")
+    return _gamma_sequence(rs, x, w)
+
+
+def _gamma_sequence(rs: RootSystem, x: WeylElement, w: Word) -> GammaSequence:
+    """:func:`gamma_sequence` of a word w of x: l(x) distinct positive roots with (beta, x(rho)) < 0."""
     gammas = _gammas(rs, w)
     if not all(g in rs.positive_root_set for g in gammas):
         raise AssertionError("gamma formula must stay positive")
     if len(set(gammas)) != len(gammas):
         raise AssertionError("gamma values must be pairwise distinct")
-    if frozenset(gammas) != inversion_set_of_inverse(rs, x):
+    weights = tuple(c * n for c, n in zip(_inverse_point(x.point, x.dynkin), x.dynkin.norms))
+    if len(gammas) != x.length or any(sum(g * c for g, c in zip(gamma, weights)) >= 0 for gamma in gammas):
         raise AssertionError("gamma values must list the inversion set I(x^{-1})")
     return GammaSequence(w, gammas)
 
@@ -483,18 +489,9 @@ class GroupTable:
             cur = self.rmult[letter - 1][cur]
         return cur
 
-    def reduced_words_of(self, idx: int):
-        """Yield all reduced words of the element with the given id."""
-        stack = [(idx, ())]
-        while stack:
-            cur, prefix = stack.pop()
-            if self.length[cur] == 0:
-                yield prefix
-                continue
-            for i in range(self.rs.rank, 0, -1):
-                down = self.lmult[i - 1][cur]
-                if self.length[down] < self.length[cur]:
-                    stack.append((down, prefix + (i,)))
+    def reduced_words_of(self, idx: int) -> list[Word]:
+        """All reduced words of the element with the given id, in lexicographic order."""
+        return all_reduced_words(self.rs, self.elements[idx], self.length[idx])
 
 
 def group_table(rs: RootSystem, guard: int = _GROUP_GUARD) -> GroupTable:

@@ -2,8 +2,8 @@
 
 Everything here recomputes results from definitions (subsequence sweeps,
 explicit lattice-point recursion, subword-property Bruhat search, products of
-simple-reflection matrices) without touching the package's fast paths, so a
-match is meaningful evidence.
+simple-reflection matrices, exact rational elimination) without touching the
+package's fast paths, so a match is meaningful evidence.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -18,6 +18,7 @@ from kltangent import (
     one_minus_e,
     word_to_element,
 )
+from kltangent.rootsys import solve_rational
 
 
 def brute_hecke_subwords(rs, w, s):
@@ -257,3 +258,32 @@ def matrix_canonical_word(rs, word):
         i = min(descents)
         letters.append(i)
         inv = mat_mul(inv, simple_reflection_matrix(rs, i))
+
+
+def brute_reduced_words(rs, m, length):
+    """Every word of the given length whose simple-reflection matrix product is m, sorted.
+
+    Each word extends a shorter prefix by one letter, so it costs one matrix
+    product; with length = l(x) these are the reduced words of x.
+    """
+    out = []
+    stack = [((), matrix_of_word(rs, ()))]
+    while stack:
+        word, prefix = stack.pop()
+        if len(word) == length:
+            if prefix == m:
+                out.append(word)
+            continue
+        for i in range(1, rs.rank + 1):
+            stack.append((word + (i,), mat_mul(prefix, simple_reflection_matrix(rs, i))))
+    return sorted(out)
+
+
+def witness_by_elimination(rs, word):
+    """A coweight v with <gamma, v> = -1 on every inversion of the element of word, or None.
+
+    Solves the |I(x^{-1})| x rank system by exact rational elimination, free
+    coordinates 0; the inversions come from the matrix of the word.
+    """
+    inversions = sorted(matrix_inversions(rs, matrix_of_word(rs, word)))
+    return solve_rational(inversions, [-1] * len(inversions), rs.rank)

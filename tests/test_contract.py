@@ -1,0 +1,141 @@
+"""The error contract of the public word-taking functions of ``tangent``.
+
+Every function gets the same bad inputs; the table pins which exception each
+one raises, with its message, so the order of the checks (position, letter,
+reducedness, Bruhat order, the 20-letter guard, the cone of lambda) is part
+of the contract.
+"""
+
+import pytest
+
+from kltangent import (
+    ExponentOutsideCone,
+    LengthBoundExceeded,
+    LetterOutOfRange,
+    NotBelow,
+    NotReduced,
+    WrongType,
+    build_root_system,
+    canonical_reduced_word,
+    is_explicit_factor,
+    kclass_restriction,
+    kclass_restrictions,
+    kl_tangent_membership,
+    longest_element,
+    tangent_cone_coefficient,
+    tangent_cone_series,
+    te_curve_weights,
+    type_a_tangent_oracle,
+    word_to_element,
+)
+
+
+def _alpha1(rs):
+    return (1,) + (0,) * (rs.rank - 1)
+
+
+CALLS = {
+    "kclass_restriction": lambda rs, w, s, j: kclass_restriction(rs, w, s),
+    "kclass_restrictions": lambda rs, w, s, j: kclass_restrictions(rs, s),
+    "tangent_cone_series": lambda rs, w, s, j: tangent_cone_series(rs, w, s, 2),
+    "tangent_cone_coefficient": lambda rs, w, s, j: tangent_cone_coefficient(rs, (0,) * rs.rank, w, s),
+    "tangent_cone_coefficient(+a1)": lambda rs, w, s, j: tangent_cone_coefficient(rs, _alpha1(rs), w, s),
+    "te_curve_weights": lambda rs, w, s, j: te_curve_weights(rs, w, s),
+    "kl_tangent_membership": lambda rs, w, s, j: kl_tangent_membership(rs, j, w, s),
+    "is_explicit_factor": lambda rs, w, s, j: is_explicit_factor(rs, j, w, s),
+    "type_a_tangent_oracle": lambda rs, w, s, j: type_a_tangent_oracle(rs, j, w, s),
+}
+POSITIONAL = ("kl_tangent_membership", "is_explicit_factor", "type_a_tangent_oracle")
+CONE = ("tangent_cone_series", "tangent_cone_coefficient")
+GUARDED = ("kclass_restriction", "kclass_restrictions") + CONE
+
+_A6_W0 = canonical_reduced_word(build_root_system("A6"), longest_element(build_root_system("A6")))
+_NOT_REDUCED_21 = _A6_W0[:20] + (_A6_W0[19],)
+_A7_PREFIX_21 = canonical_reduced_word(build_root_system("A7"), longest_element(build_root_system("A7")))[:21]
+
+LETTER = (LetterOutOfRange, "letter 9 out of range for A2")
+NOT_REDUCED = (NotReduced, "word (1, 1) is not reduced over A2")
+NOT_BELOW = (NotBelow, "target w is not below x in Bruhat order")
+GUARD = (LengthBoundExceeded, "|s| = 21 exceeds the enumeration guard 20")
+OUTSIDE_A2 = (ExponentOutsideCone, "-((1, 0)) is outside the cone of the ambient weights")
+
+
+def _position(j, n):
+    return (LetterOutOfRange, f"position {j} out of range for a word of length {n}")
+
+
+# (id, type, word of w, s, j, outcome of every function unless overridden, overrides);
+# an outcome is None for a return or (exception type, message).
+CASES = [
+    ("letter out of range", "A2", (1,), (1, 9), 1, LETTER, {}),
+    ("letter before reducedness", "A2", (1,), (1, 1, 9), 1, LETTER, {}),
+    ("not reduced", "A2", (1,), (1, 1), 1, NOT_REDUCED, {}),
+    ("not below", "A2", (1, 2, 1), (1, 2), 1, NOT_BELOW, {"kclass_restrictions": None}),
+    ("reducedness before order", "A2", (1, 2, 1), (1, 1), 1, NOT_REDUCED, {}),
+    (
+        "position 0", "A2", (1,), (1, 2, 1), 0, None,
+        {**{f: _position(0, 3) for f in POSITIONAL}, "tangent_cone_coefficient(+a1)": OUTSIDE_A2},
+    ),
+    (
+        "position past the end", "A2", (1,), (1, 2, 1), 4, None,
+        {**{f: _position(4, 3) for f in POSITIONAL}, "tangent_cone_coefficient(+a1)": OUTSIDE_A2},
+    ),
+    (
+        "position before reducedness", "A2", (1,), (1, 1), 3, NOT_REDUCED,
+        {f: _position(3, 2) for f in POSITIONAL},
+    ),
+    (
+        "21-letter reduced word", "A6", (), _A6_W0, 1, None,
+        {
+            **{f: GUARD for f in GUARDED},
+            "tangent_cone_coefficient(+a1)": (
+                ExponentOutsideCone, "-((1, 0, 0, 0, 0, 0)) is outside the cone of the ambient weights"
+            ),
+        },
+    ),
+    (
+        "reducedness before the guard", "A6", (), _NOT_REDUCED_21, 1,
+        (NotReduced, f"word {_NOT_REDUCED_21} is not reduced over A6"), {},
+    ),
+    ("order before the guard", "A7", (7,), _A7_PREFIX_21, 1, NOT_BELOW, {"kclass_restrictions": GUARD}),
+    (
+        "empty word", "A2", (), (), 1, None,
+        {
+            **{f: _position(1, 0) for f in POSITIONAL},
+            **{f: (ValueError, "denominator weight list must be nonempty") for f in CONE},
+            "tangent_cone_coefficient(+a1)": OUTSIDE_A2,
+        },
+    ),
+    (
+        "outside type A", "B2", (), (1, 2), 1, None,
+        {
+            "type_a_tangent_oracle": (WrongType, "type-A oracle called on B2"),
+            "tangent_cone_coefficient(+a1)": OUTSIDE_A2,
+        },
+    ),
+    (
+        "type before position", "B2", (), (1, 1), 0, (NotReduced, "word (1, 1) is not reduced over B2"),
+        {
+            "type_a_tangent_oracle": (WrongType, "type-A oracle called on B2"),
+            "kl_tangent_membership": _position(0, 2),
+            "is_explicit_factor": _position(0, 2),
+        },
+    ),
+]
+
+
+def _outcome(call):
+    try:
+        call()
+    except Exception as exc:  # the table pins the exact type
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
+def test_word_functions_error_contract(case):
+    _, label, w_word, s, j, default, overrides = case
+    rs = build_root_system(label)
+    w = word_to_element(rs, w_word)
+    got = {name: _outcome(lambda call=call: call(rs, w, s, j)) for name, call in CALLS.items()}
+    assert got == {name: overrides.get(name, default) for name in CALLS}
