@@ -25,7 +25,6 @@ from .tangent import (
     kclass_restriction,
     kl_tangent_report,
 )
-from .verify import VerifyConfig, VerifyOutcome, run_battery
 from .weyl import canonical_reduced_word, is_reduced, parse_word, word_to_element
 
 SCHEMA_VERSION = 2
@@ -192,11 +191,13 @@ def _cmd_cominuscule(args) -> int:
     return 0
 
 
-def _outcome_payload(outcome: VerifyOutcome) -> dict:
+def _outcome_payload(outcome) -> dict:  # a verify.VerifyOutcome
     return {"suite": outcome.suite, "cases": outcome.cases, "failures": outcome.failures}
 
 
 def _cmd_verify(args) -> int:
+    from .verify import VerifyConfig, run_battery  # only this subcommand pays for the import
+
     config = VerifyConfig(
         group_order_guard=args.max_rank_guard,
         random_cases=args.random_cases,

@@ -33,12 +33,17 @@ from .tangent import (
 )
 from .weyl import (
     GroupTable,
+    _bits,
     bruhat_leq,
     canonical_reduced_word,
     gamma_sequence,
     group_table,
+    inverse,
     inversion_set_of_inverse,
     is_min_coset_rep,
+    multiply,
+    right_descents,
+    right_multiply_simple,
     word_to_element,
 )
 
@@ -81,21 +86,15 @@ def _finish(out: VerifyOutcome, t0: float) -> VerifyOutcome:
     return out
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _random_reduced_word(gt: GroupTable, idx: int, rng: random.Random):
+    """A reduced word of x from random left descents, peeled as right descents of x^{-1}."""
+    rs = gt.rs
+    y = inverse(rs, gt.elements[idx])
     word = []
-    cur = idx
-    while gt.length[cur] > 0:
-        descents = [i for i in range(1, gt.rs.rank + 1) if gt.length[gt.lmult[i - 1][cur]] < gt.length[cur]]
-        i = rng.choice(descents)
+    while y.length:
+        i = rng.choice(sorted(right_descents(rs, y)))
         word.append(i)
-        cur = gt.lmult[i - 1][cur]
+        y = right_multiply_simple(rs, y, i)
     return tuple(word)
 
 
@@ -139,12 +138,12 @@ def _indecomposable_memo(rs: RootSystem, gt: GroupTable):
 
 
 def _subword_products(gt: GroupTable, word) -> set:
-    """(product of the subword, its length) over all 2^|word| subwords: the brute-force oracle."""
-    achievable = set()
-    for mask in range(1 << len(word)):
-        sub = tuple(word[i] for i in range(len(word)) if (mask >> i) & 1)
-        achievable.add((gt.product_fold(sub), len(sub)))
-    return achievable
+    """(product of the subword, its length) over all 2^|word| subwords, letter by letter: the brute-force oracle."""
+    table = [(gt.identity, 0)]
+    for letter in word:
+        row = gt.rmult[letter - 1]
+        table += [(row[p], n + 1) for p, n in table]
+    return set(table)
 
 
 def euler_identity_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) -> VerifyOutcome:
@@ -511,8 +510,6 @@ def weyl_basics_suite(rs: RootSystem) -> VerifyOutcome:
             fast = bruhat_leq(rs, gt.elements[u_id], gt.elements[v_id])
             if oracle != fast:
                 out.record(check="bruhat", u=gt.word_of(u_id), v=word, oracle=oracle, got=fast)
-
-    from .weyl import inverse, multiply
 
     for idx, x in enumerate(gt.elements):
         out.cases += 1

@@ -59,6 +59,14 @@ def _first_descent(point: tuple[int, ...]) -> int:
     return -1
 
 
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _peel(point: tuple[int, ...], weight_links):
     """Yield the least right descent, 0-based, and strip it, until the point is rho.
 
@@ -407,28 +415,19 @@ def enumerate_weyl_group(rs: RootSystem, guard: int = _GROUP_GUARD) -> list[Weyl
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
-    cur = identity_element(rs)
-    progress = True
-    while progress:
-        progress = False
-        for i in range(1, rs.rank + 1):
-            if has_right_ascent(cur, i):
-                cur = right_multiply_simple(rs, cur, i)
-                progress = True
-                break
-    if cur.length != len(rs.positive_roots):
-        raise AssertionError(f"longest element has length {cur.length}, not |Phi+|")
-    return cur
+    """w0, of length |Phi^+|: its point w0^{-1}(rho) = w0(rho) is -rho."""
+    dyn = rs.dynkin
+    return WeylElement(tuple(-c for c in dyn.rho), len(rs.positive_roots), dyn)
 
 
 class GroupTable:
-    """Id-indexed multiplication tables for a whole (small) Weyl group.
+    """Id-indexed right multiplication for a whole (small) Weyl group.
 
-    Used by the exhaustive verification suites: elements become integers,
-    right/left multiplication and 0-Hecke products become list lookups, and
-    Bruhat order becomes a bitmask test.  Built lazily, once per root system.
-    Left multiplication comes from right multiplication through the inverse
-    table: s_i x = (x^{-1} s_i)^{-1}.
+    Used by the exhaustive verification suites: elements become integers and
+    ``rmult[i][x]`` (the id of x*s_{i+1}) is the one multiplication table;
+    Demazure folds step it keeping the longer element.  Bruhat order becomes a
+    bitmask test, built by the lifting property.  Left descents need no table:
+    they are the negative coordinates of x(rho).  Built lazily, once per root system.
     """
 
     def __init__(self, rs: RootSystem, guard: int = _GROUP_GUARD) -> None:
@@ -436,37 +435,29 @@ class GroupTable:
         self.elements = enumerate_weyl_group(rs, guard)
         self.index = {x.point: i for i, x in enumerate(self.elements)}
         self.length = [x.length for x in self.elements]
-        dyn = rs.dynkin
-        links, index, length = dyn.weight_links, self.index, self.length
+        links, index = rs.dynkin.weight_links, self.index
         self.rmult = [[index[reflect_weight(x.point, i, links)] for x in self.elements] for i in range(rs.rank)]
-        self.hecke = [
-            [r if length[r] > length[idx] else idx for idx, r in enumerate(row)] for row in self.rmult
-        ]
-        inv = [index[_inverse_point(x.point, dyn)] for x in self.elements]
-        self.lmult = [[inv[row[inv[idx]]] for idx in range(len(inv))] for row in self.rmult]
-        self.identity = index[dyn.rho]
+        self.identity = index[rs.dynkin.rho]
         self._leq: list[int] | None = None
 
     def leq_masks(self) -> list[int]:
-        """leq_masks()[v] has bit u set iff u <= v in Bruhat order."""
+        """leq_masks()[v] has bit u set iff u <= v in Bruhat order.
+
+        For a right descent s of v, [e, v] = [e, vs] | [e, vs]*s (the lifting
+        property), and vs comes first because the elements are sorted by length.
+        """
         if self._leq is not None:
             return self._leq
-        size = len(self.elements)
-        masks = [0] * size
+        masks = [0] * len(self.elements)
         masks[self.identity] = 1 << self.identity
-        for v in range(size):  # elements are sorted by length, shortest first
-            if self.length[v] == 0:
+        for v, x in enumerate(self.elements):
+            if x.length == 0:
                 continue
-            s = next(i for i in range(self.rs.rank) if self.length[self.rmult[i][v]] < self.length[v])
-            smaller = masks[self.rmult[s][v]]
-            rm = self.rmult[s]
-            lv = self.length
-            mask = 0
-            for u in range(size):
-                us = rm[u]
-                ok = (smaller >> us) & 1 if lv[us] < lv[u] else (smaller >> u) & 1
-                if ok:
-                    mask |= 1 << u
+            rm = self.rmult[_first_descent(x.point)]
+            smaller = masks[rm[v]]
+            mask = smaller
+            for u in _bits(smaller):
+                mask |= 1 << rm[u]
             masks[v] = mask
         self._leq = masks
         return masks
@@ -478,9 +469,11 @@ class GroupTable:
         return canonical_reduced_word(self.rs, self.elements[idx])
 
     def demazure_fold(self, letters) -> int:
-        cur = self.identity
+        cur, length = self.identity, self.length
         for letter in letters:
-            cur = self.hecke[letter - 1][cur]
+            nxt = self.rmult[letter - 1][cur]
+            if length[nxt] > length[cur]:
+                cur = nxt
         return cur
 
     def product_fold(self, letters) -> int:

@@ -19,6 +19,7 @@ from kltangent import (
     word_to_element,
 )
 from kltangent.rootsys import solve_rational
+from kltangent.weyl import has_right_ascent, right_multiply_simple
 
 
 def brute_hecke_subwords(rs, w, s):
@@ -211,6 +212,16 @@ def matrix_inversions(rs, m):
 
 def matrix_length(rs, m):
     return len(matrix_inversions(rs, m))
+
+
+def longest_element_by_ascents(rs):
+    """w0 by climbing: multiply by the least right ascent until none is left."""
+    cur = identity_element(rs)
+    while True:
+        ascents = [i for i in range(1, rs.rank + 1) if has_right_ascent(cur, i)]
+        if not ascents:
+            return cur
+        cur = right_multiply_simple(rs, cur, ascents[0])
 
 
 def matrix_right_descents(rs, m):

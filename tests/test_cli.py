@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,9 +137,7 @@ def test_verify_several_types(capsys, monkeypatch):
     singles = [run(capsys, "verify", label, "--random-cases", "50", "--json")[1] for label in ("A2", "G2")]
     assert out.splitlines(keepends=True) == singles  # one line per type, as if run alone
 
-    import kltangent.cli as cli
-
-    real_battery = cli.run_battery
+    real_battery = verify.run_battery
 
     def battery_failing_on_g2(label, config):
         outcomes = real_battery(label, config)
@@ -144,10 +145,20 @@ def test_verify_several_types(capsys, monkeypatch):
             outcomes[0].record(note="injected failure")
         return outcomes
 
-    monkeypatch.setattr(cli, "run_battery", battery_failing_on_g2)
+    monkeypatch.setattr(verify, "run_battery", battery_failing_on_g2)
     code, out, _ = run(capsys, "verify", "A2", "G2", "--random-cases", "50", "--json")
     assert code == 1
     assert [json.loads(line)["ok"] for line in out.splitlines()] == [True, False]
+
+
+def test_cli_import_leaves_verify_unloaded():
+    # only `kltangent verify` needs the battery, so the other subcommands skip its import
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = "import sys, kltangent.cli; print('kltangent.verify' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_verify_rejects_huge_group(capsys):

@@ -2,6 +2,10 @@
 
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from kltangent import (
     all_reduced_words,
     bruhat_leq,
@@ -36,17 +40,43 @@ def test_folds_match_public_ops():
             assert gt.elements[gt.demazure_fold(word)] == demazure_element(rs, word)
 
 
-def test_leq_masks_match_bruhat(b3):
-    gt = group_table(b3)
-    for u_id, u in enumerate(gt.elements):
-        for v_id, v in enumerate(gt.elements):
-            assert gt.leq(u_id, v_id) == bruhat_leq(b3, u, v)
+@pytest.mark.parametrize("label", ["D4", "F4"])
+def test_folds_match_point_form_products(label):
+    rs = build_root_system(label)
+    gt = group_table(rs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, rs.rank), max_size=30))
+    def check(letters):
+        word = tuple(letters)
+        assert gt.elements[gt.product_fold(word)] == word_to_element(rs, word)
+        assert gt.elements[gt.demazure_fold(word)] == demazure_element(rs, word)
+
+    check()
 
 
-def test_hecke_table_absorbs_descents(a3):
-    gt = group_table(a3)
-    for idx in range(len(gt.elements)):
-        for i in range(a3.rank):
-            image = gt.hecke[i][idx]
-            assert gt.length[image] >= gt.length[idx]
-            assert image in (idx, gt.rmult[i][idx])
+def test_leq_masks_match_bruhat():
+    for label in ("B3", "A4", "D4", "G2"):
+        rs = build_root_system(label)
+        gt = group_table(rs)
+        for u_id, u in enumerate(gt.elements):
+            for v_id, v in enumerate(gt.elements):
+                assert gt.leq(u_id, v_id) == bruhat_leq(rs, u, v)
+    rs = build_root_system("F4")
+    gt = group_table(rs)
+    rng = random.Random(4)
+    for _ in range(20_000):
+        u_id, v_id = rng.randrange(len(gt.elements)), rng.randrange(len(gt.elements))
+        assert gt.leq(u_id, v_id) == bruhat_leq(rs, gt.elements[u_id], gt.elements[v_id])
+
+
+def test_hecke_table_absorbs_descents():
+    # a Demazure step keeps the longer of x and x*s_i
+    for label in ("A3", "B3"):
+        gt = group_table(build_root_system(label))
+        for idx in range(len(gt.elements)):
+            word = gt.word_of(idx)
+            for i in range(1, gt.rs.rank + 1):
+                longer = gt.rmult[i - 1][idx]
+                expected = longer if gt.length[longer] > gt.length[idx] else idx
+                assert gt.demazure_fold(word + (i,)) == expected

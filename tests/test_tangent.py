@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kltangent import (
     ExponentOutsideCone,
@@ -12,6 +14,7 @@ from kltangent import (
     all_reduced_words,
     build_root_system,
     cominuscule_witness,
+    demazure_element,
     element_to_permutation,
     enumerate_weyl_group,
     gamma_sequence,
@@ -31,6 +34,7 @@ from kltangent import (
     type_a_tangent_oracle,
     word_to_element,
 )
+from kltangent.weyl import has_right_ascent, right_descents, right_multiply_simple
 
 A1, A2_, A12 = (1, 0), (0, 1), (1, 1)
 
@@ -183,6 +187,43 @@ def test_report_independent_of_reduced_word(a3, b3):
                 first = verdicts_by_gamma(rs, w, words[0])
                 for word in words[1:]:
                     assert verdicts_by_gamma(rs, w, word) == first
+
+
+@st.composite
+def _x_w_and_second_word(draw, label):
+    """x from a random reduced word of at most 20 letters, w the Demazure product of a
+    random subword of it, and a second reduced word of x from random right descents."""
+    rs = build_root_system(label)
+    word, x = (), identity_element(rs)
+    for letter in draw(st.lists(st.integers(1, rs.rank), min_size=20, max_size=80)):
+        if len(word) < 20 and has_right_ascent(x, letter):
+            word, x = word + (letter,), right_multiply_simple(rs, x, letter)
+    keep = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    w = demazure_element(rs, tuple(letter for letter, k in zip(word, keep) if k))
+    peeled, y = [], x
+    while y.length:
+        i = draw(st.sampled_from(sorted(right_descents(rs, y))))
+        peeled.append(i)
+        y = right_multiply_simple(rs, y, i)
+    return rs, x, w, tuple(reversed(peeled))
+
+
+@pytest.mark.parametrize("label", ["E6", "E7"])
+def test_verdicts_do_not_depend_on_the_reduced_word(label):
+    # the verdicts belong to (w, x): any reduced word gives the report's, weight by weight
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_x_w_and_second_word(label))
+    def check(case):
+        rs, x, w, other = case
+        by_gamma = {status.gamma: status for status in kl_tangent_report(rs, w, x).statuses}
+        assert sorted(by_gamma) == sorted(gamma_sequence(rs, other).gammas)
+        for j in range(1, len(other) + 1):
+            status = kl_tangent_membership(rs, j, w, other, include_cone_coefficient=False)
+            expected = by_gamma[status.gamma]
+            assert status.verdict is expected.verdict
+            assert status.evidence.ordinary_product_ok == expected.evidence.ordinary_product_ok
+
+    check()
 
 
 def test_te_curve_weights_examples(a2):

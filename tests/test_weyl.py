@@ -24,7 +24,7 @@ from kltangent import (
     weyl_group_order,
     word_to_element,
 )
-from oracles import bruhat_oracle
+from oracles import bruhat_oracle, longest_element_by_ascents
 
 
 def test_parse_word():
@@ -175,6 +175,24 @@ def test_length_complement_w0(label):
     assert w0.length == len(rs.positive_roots)
     for x in enumerate_weyl_group(rs):
         assert x.length + multiply(rs, inverse(rs, x), w0).length == w0.length
+
+
+LONGEST_LABELS = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{family}{n}" for family in "BC" for n in range(2, 7)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", LONGEST_LABELS)
+def test_longest_element_is_minus_rho(label):
+    # w0(rho) = -rho; the ascent search climbs to the same element
+    rs = build_root_system(label)
+    w0 = longest_element(rs)
+    reference = longest_element_by_ascents(rs)
+    assert w0 == reference
+    assert w0.length == reference.length == len(rs.positive_roots)
 
 
 def test_inverse(a3):
