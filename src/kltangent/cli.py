@@ -9,7 +9,6 @@ stderr only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -69,7 +68,12 @@ def _report_payload(rs: RootSystem, report: TangentReport) -> dict:
                 "position": st.position,
                 "gamma": _root_json(rs, st.gamma),
                 "status": st.verdict.value,
-                "evidence": dataclasses.asdict(st.evidence),
+                "evidence": {
+                    "indecomposable": st.evidence.indecomposable,
+                    "demazure_ok": st.evidence.demazure_ok,
+                    "ordinary_product_ok": st.evidence.ordinary_product_ok,
+                    "cone_coefficient": st.evidence.cone_coefficient,
+                },
             }
             for st in report.statuses
         ],

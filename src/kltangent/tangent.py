@@ -20,6 +20,20 @@ verdict is Undetermined and all the evidence is surfaced instead.  In type A
 the ordinary product s_1...s^_j...s_l >= w decides every position (the
 classical type-A tangent criterion) and can be opted into explicitly.
 
+No position folds its punctured word from scratch.  Write v <| s for vs when
+s is a right descent of v and for v otherwise, and u * s for the 0-Hecke
+product (the longer of u and us).  The lifting property gives
+
+    w <= u * s   iff   w <| s <= u
+
+(proof in ``_position_flags``).  A prefix u_{j-1} = s_1...s_{j-1} of a
+reduced word is its own Demazure product, so
+delta(s \\ j) = u_{j-1} * s_{j+1} * ... * s_l, and with r_l = w,
+r_{j-1} = r_j <| s_j the criterion delta(s \\ j) >= w reads r_j <= u_{j-1}.
+One prefix fold and one downward suffix fold of w serve every position, with
+one Bruhat walk each; the ordinary product, which is at most the Demazure
+product, is folded only where the Demazure criterion holds.
+
 The Schubert variety at the same fixed point adds the fixed weight set
 -(Phi^+ \\ I(x^{-1})) to whatever the Kazhdan-Lusztig verdicts give, and the
 G/P case reduces to G/B once both elements are minimal coset representatives.
@@ -41,8 +55,7 @@ from .errors import (
     NotReduced,
     WrongType,
 )
-from .hecke import demazure_element
-from .rootsys import Root, RootSystem, height, negate
+from .rootsys import Root, RootSystem, height, negate, reflect_weight
 from .rt_ring import LaurentPoly, TruncatedSeries, WeightVector, _spread, in_nonneg_integer_span
 from .subword import _check_word, hecke_subwords
 from .weyl import (
@@ -55,6 +68,7 @@ from .weyl import (
     gamma_sequence,
     has_right_ascent,
     identity_element,
+    inverse,
     inversion_set_of_inverse,
     is_min_coset_rep,
     right_multiply_simple,
@@ -109,8 +123,87 @@ class TangentReport:
     parabolic: frozenset[int] | None = None
 
 
-def _puncture(s: Word, j: int) -> Word:
-    return s[: j - 1] + s[j:]
+def _fold(point: tuple[int, ...], length: int, letters, links) -> tuple[tuple[int, ...], int]:
+    """The point and length of x * s_{letters}, given those of x (letters 1-based)."""
+    for letter in letters:
+        length += 1 if point[letter - 1] > 0 else -1
+        point = reflect_weight(point, letter - 1, links)
+    return point, length
+
+
+def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[tuple[bool, bool]]:
+    """(delta(s \\ j) >= w, s_1...s^_j...s_l >= w) for each j in positions, in order.
+
+    s is a reduced word of some x, its letters already validated, and the
+    positions ascend.  Write v <| t for vt when t is a right descent of v (a
+    negative coordinate of its point) and for v otherwise, and u * t for the
+    longer of u and ut.
+
+    Lemma: w <= u * t iff w <| t <= u.  Deodhar's Z-property, a consequence
+    of the lifting property (Bjorner-Brenti, Prop. 2.2.7), says: if vt < v
+    and w't < w', then w' <= v iff w't <= vt iff w't <= v.  If wt < w, take
+    v = u * t (then vt < v) and w' = w: w <= u * t iff wt <= u, read off the
+    first equivalence when u * t = ut and off the second when u * t = u.  If
+    wt > w, then w <| t = w; when u * t = u there is nothing to prove, and
+    when u * t = ut take w' = wt, v = ut: w <= ut iff w <= u by the last
+    equivalence.
+
+    The prefix u_{j-1} = s_1...s_{j-1} is reduced, so it is its own
+    Demazure product and delta(s \\ j) = u_{j-1} * s_{j+1} * ... * s_l.
+    Peeling the suffix off w, r_l = w and r_{j-1} = r_j <| s_j, the lemma
+    applied l - j times turns delta(s \\ j) >= w into r_j <= u_{j-1}.  So
+    one prefix fold, one downward fold of w and one Bruhat walk per position
+    decide every Demazure flag; a single position costs l - 1 steps.
+
+    The ordinary product pi_j = s_1...s^_j...s_l is at most the Demazure
+    product, so its flag is False wherever the Demazure flag is.  Elsewhere
+    pi_j is folded from the shorter side: u_{j-1} * s_{j+1}...s_l, or (for a
+    sweep over several positions) the once-folded suffix inverse
+    s_l...s_{j+1} times s_{j-1}...s_1, which is pi_j^{-1} and is compared with
+    w^{-1}.  If pi_j has length l - 1, the punctured word is reduced, pi_j is
+    delta(s \\ j) >= w and no walk is needed; otherwise one walk decides.
+    """
+    positions = tuple(positions)
+    if not positions:
+        return []
+    dyn = rs.dynkin
+    links = dyn.weight_links
+    l = len(s)
+    lo, hi = positions[0], positions[-1]
+    prefix = [dyn.rho]  # prefix[k] is the point of u_k, of length k
+    for letter in s[: hi - 1]:
+        prefix.append(reflect_weight(prefix[-1], letter - 1, links))
+    peeled = [w]  # peeled[l - j] is r_j
+    r = w
+    for letter in reversed(s[lo:]):
+        if r.point[letter - 1] < 0:
+            r = WeylElement(reflect_weight(r.point, letter - 1, links), r.length - 1, dyn)
+        peeled.append(r)
+    # Folding the suffix inverse pays off only when several positions share it:
+    # for one position it costs l - 1 steps against l - j forward.
+    sweep = len(positions) > 1
+    w_inv = None
+    back, back_at = dyn.rho, l  # the point of s_l...s_{back_at + 1}, of length l - back_at
+    flags = []
+    for j in reversed(positions):
+        demazure_ok = bruhat_leq(rs, peeled[l - j], WeylElement(prefix[j - 1], j - 1, dyn))
+        ordinary_ok = False
+        if demazure_ok:
+            if sweep and j - 1 < l - j:
+                while back_at > j:
+                    back = reflect_weight(back, s[back_at - 1] - 1, links)
+                    back_at -= 1
+                point, length = _fold(back, l - j, reversed(s[: j - 1]), links)
+                if w_inv is None:
+                    w_inv = inverse(rs, w)
+                target = w_inv
+            else:
+                point, length = _fold(prefix[j - 1], j - 1, s[j:], links)
+                target = w
+            ordinary_ok = length == l - 1 or bruhat_leq(rs, target, WeylElement(point, length, dyn))
+        flags.append((demazure_ok, ordinary_ok))
+    flags.reverse()
+    return flags
 
 
 def _validate_pair(rs: RootSystem, w: WeylElement, s: Word) -> WeylElement:
@@ -223,14 +316,15 @@ def kclass_restrictions(rs: RootSystem, s: Word) -> dict[WeylElement, LaurentPol
 def is_explicit_factor(rs: RootSystem, j: int, w: WeylElement, s: Word, method: str = "demazure") -> bool:
     """Does 1 - e^{-gamma_j} appear in every summand of P_{w,s}?
 
-    ``method="demazure"`` evaluates NOT(delta(s \\ j) >= w), one 0-Hecke fold;
+    ``method="demazure"`` evaluates NOT(delta(s \\ j) >= w) by ``_position_flags``,
+    l - 1 steps and one Bruhat walk;
     ``method="enumerate"`` checks j in t for every Hecke subword t, and exists
     as the slow verification oracle for the fast path.
     """
     _validate_position(s, j)
     _validate_pair(rs, w, s)
     if method == "demazure":
-        return not bruhat_leq(rs, w, demazure_element(rs, _puncture(s, j)))
+        return not _position_flags(rs, w, s, (j,))[0][0]
     if method == "enumerate":
         return all(j in sub.indices for sub in hecke_subwords(rs, w, s))
     raise ValueError(f"unknown method {method!r}")
@@ -310,18 +404,15 @@ def tangent_cone_coefficient(rs: RootSystem, lam: WeightVector, w: WeylElement, 
 def _status_for_position(
     rs: RootSystem,
     j: int,
-    w: WeylElement,
-    s: Word,
+    flags: tuple[bool, bool],
     gammas: tuple[Root, ...],
     indecomposables: frozenset[Root],
     series: TruncatedSeries | None,
     use_type_a_oracle: bool,
 ) -> WeightStatus:
-    """Verdict and evidence at j; ``series``, when given, holds the cone coefficients."""
+    """Verdict and evidence at j from its ``_position_flags``; ``series``, when given, holds the cone coefficients."""
     gamma_j = gammas[j - 1]
-    punctured = _puncture(s, j)
-    demazure_ok = bruhat_leq(rs, w, demazure_element(rs, punctured))
-    ordinary_ok = bruhat_leq(rs, w, word_to_element(rs, punctured))
+    demazure_ok, ordinary_ok = flags
     indecomposable = gamma_j in indecomposables
     cone_coeff = None
     if indecomposable:
@@ -361,7 +452,8 @@ def kl_tangent_membership(
     series = None
     if include_cone_coefficient and gammas[j - 1] not in indecomposables:
         series = _cone_series(rs, w, s, gammas, height(gammas[j - 1]))
-    return _status_for_position(rs, j, w, s, gammas, indecomposables, series, use_type_a_oracle=False)
+    (flags,) = _position_flags(rs, w, s, (j,))
+    return _status_for_position(rs, j, flags, gammas, indecomposables, series, use_type_a_oracle=False)
 
 
 def te_curve_weights(rs: RootSystem, w: WeylElement, s: Word) -> frozenset[Root]:
@@ -371,11 +463,8 @@ def te_curve_weights(rs: RootSystem, w: WeylElement, s: Word) -> frozenset[Root]
     always a subset of the tangent weights.
     """
     gammas = _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas
-    out = []
-    for j in range(1, len(s) + 1):
-        if bruhat_leq(rs, w, word_to_element(rs, _puncture(s, j))):
-            out.append(gammas[j - 1])
-    return frozenset(out)
+    flags = _position_flags(rs, w, s, range(1, len(s) + 1))
+    return frozenset(gamma for gamma, (_, ordinary_ok) in zip(gammas, flags) if ordinary_ok)
 
 
 def type_a_tangent_oracle(rs: RootSystem, j: int, w: WeylElement, s: Word) -> bool:
@@ -389,7 +478,7 @@ def type_a_tangent_oracle(rs: RootSystem, j: int, w: WeylElement, s: Word) -> bo
         raise WrongType(f"type-A oracle called on {rs.cartan_type}")
     _validate_position(s, j)
     _validate_pair(rs, w, s)
-    return bruhat_leq(rs, w, word_to_element(rs, _puncture(s, j)))
+    return _position_flags(rs, w, s, (j,))[0][1]
 
 
 def kl_tangent_report(
@@ -423,9 +512,10 @@ def kl_tangent_report(
         bound = max((height(g) for g in gamma.gammas if g not in indecomposables), default=None)
         if bound is not None:
             series = _cone_series(rs, w, s, gamma.gammas, bound)
+    positions = range(1, len(s) + 1)
     statuses = tuple(
-        _status_for_position(rs, j, w, s, gamma.gammas, indecomposables, series, use_type_a_oracle)
-        for j in range(1, len(s) + 1)
+        _status_for_position(rs, j, flags, gamma.gammas, indecomposables, series, use_type_a_oracle)
+        for j, flags in zip(positions, _position_flags(rs, w, s, positions))
     )
     kl_weights = frozenset(st.gamma for st in statuses if st.verdict is Verdict.IN)
     extra = frozenset(negate(beta) for beta in rs.positive_roots if beta not in inversions)

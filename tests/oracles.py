@@ -11,6 +11,8 @@ from itertools import combinations, combinations_with_replacement
 from kltangent import (
     LaurentPoly,
     TruncatedSeries,
+    bruhat_leq,
+    demazure_element,
     gamma_sequence,
     hecke_mult,
     identity_element,
@@ -90,6 +92,16 @@ def brute_subword_complex(rs, w, s):
         if not any(tuple(sorted(r + (j,))) in face_set for j in positions if j not in r)
     ]
     return sorted(faces), sorted(facets), deltas
+
+
+def position_flags_by_folding(rs, w, s):
+    """(delta(s \\ j) >= w, s_1...s^_j...s_l >= w) for every position j, each punctured word folded anew."""
+    out = []
+    for j in range(1, len(s) + 1):
+        punctured = s[: j - 1] + s[j:]
+        demazure_ok = bruhat_leq(rs, w, demazure_element(rs, punctured))
+        out.append((demazure_ok, bruhat_leq(rs, w, word_to_element(rs, punctured))))
+    return out
 
 
 def brute_reduced_subwords(rs, w, s):

@@ -19,6 +19,7 @@ from kltangent import (
     enumerate_weyl_group,
     gamma_sequence,
     gp_tangent_report,
+    hecke_subwords,
     identity_element,
     inversion_set_of_inverse,
     is_cominuscule_element,
@@ -87,8 +88,12 @@ def test_explicit_factor_fast_equals_slow_exhaustive(label):
                     fast = [is_explicit_factor(rs, j, w, s) for j in range(1, len(s) + 1)]
                 except NotBelow:
                     continue
-                slow = [is_explicit_factor(rs, j, w, s, method="enumerate") for j in range(1, len(s) + 1)]
+                # one enumeration answers every j; the public oracle is asked about one j per (w, s)
+                subwords = hecke_subwords(rs, w, s)
+                slow = [all(j in sub.indices for sub in subwords) for j in range(1, len(s) + 1)]
                 assert fast == slow
+                j = 1 + w.length % len(s)
+                assert is_explicit_factor(rs, j, w, s, method="enumerate") == slow[j - 1]
 
 
 def test_indecomposable_examples():
