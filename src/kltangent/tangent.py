@@ -55,7 +55,7 @@ from .errors import (
     NotReduced,
     WrongType,
 )
-from .rootsys import Root, RootSystem, height, negate, reflect_weight
+from .rootsys import Root, RootSystem, height, negate
 from .rt_ring import LaurentPoly, TruncatedSeries, WeightVector, _spread, in_nonneg_integer_span
 from .subword import _check_word, hecke_subwords
 from .weyl import (
@@ -63,12 +63,12 @@ from .weyl import (
     WeylElement,
     Word,
     _gamma_sequence,
+    _times_word,
     bruhat_leq,
     canonical_reduced_word,
     gamma_sequence,
     has_right_ascent,
     identity_element,
-    inverse,
     inversion_set_of_inverse,
     is_min_coset_rep,
     right_multiply_simple,
@@ -123,21 +123,12 @@ class TangentReport:
     parabolic: frozenset[int] | None = None
 
 
-def _fold(point: tuple[int, ...], length: int, letters, links) -> tuple[tuple[int, ...], int]:
-    """The point and length of x * s_{letters}, given those of x (letters 1-based)."""
-    for letter in letters:
-        length += 1 if point[letter - 1] > 0 else -1
-        point = reflect_weight(point, letter - 1, links)
-    return point, length
-
-
 def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[tuple[bool, bool]]:
     """(delta(s \\ j) >= w, s_1...s^_j...s_l >= w) for each j in positions, in order.
 
     s is a reduced word of some x, its letters already validated, and the
-    positions ascend.  Write v <| t for vt when t is a right descent of v (a
-    negative coordinate of its point) and for v otherwise, and u * t for the
-    longer of u and ut.
+    positions ascend.  Write v <| t for vt when t is a right descent of v and
+    for v otherwise, and u * t for the longer of u and ut.
 
     Lemma: w <= u * t iff w <| t <= u.  Deodhar's Z-property, a consequence
     of the lifting property (Bjorner-Brenti, Prop. 2.2.7), says: if vt < v
@@ -157,52 +148,31 @@ def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[
 
     The ordinary product pi_j = s_1...s^_j...s_l is at most the Demazure
     product, so its flag is False wherever the Demazure flag is.  Elsewhere
-    pi_j is folded from the shorter side: u_{j-1} * s_{j+1}...s_l, or (for a
-    sweep over several positions) the once-folded suffix inverse
-    s_l...s_{j+1} times s_{j-1}...s_1, which is pi_j^{-1} and is compared with
-    w^{-1}.  If pi_j has length l - 1, the punctured word is reduced, pi_j is
-    delta(s \\ j) >= w and no walk is needed; otherwise one walk decides.
+    pi_j is folded forward from u_{j-1} along s_{j+1}...s_l.  If it has
+    length l - 1, the punctured word is reduced, so pi_j is delta(s \\ j),
+    already known to be >= w, and no walk is needed; otherwise one walk
+    decides.
     """
     positions = tuple(positions)
     if not positions:
         return []
-    dyn = rs.dynkin
-    links = dyn.weight_links
     l = len(s)
-    lo, hi = positions[0], positions[-1]
-    prefix = [dyn.rho]  # prefix[k] is the point of u_k, of length k
-    for letter in s[: hi - 1]:
-        prefix.append(reflect_weight(prefix[-1], letter - 1, links))
+    prefix = [identity_element(rs)]  # prefix[k] is u_k
+    for letter in s[: positions[-1] - 1]:
+        prefix.append(right_multiply_simple(rs, prefix[-1], letter))
     peeled = [w]  # peeled[l - j] is r_j
-    r = w
-    for letter in reversed(s[lo:]):
-        if r.point[letter - 1] < 0:
-            r = WeylElement(reflect_weight(r.point, letter - 1, links), r.length - 1, dyn)
-        peeled.append(r)
-    # Folding the suffix inverse pays off only when several positions share it:
-    # for one position it costs l - 1 steps against l - j forward.
-    sweep = len(positions) > 1
-    w_inv = None
-    back, back_at = dyn.rho, l  # the point of s_l...s_{back_at + 1}, of length l - back_at
+    for letter in reversed(s[positions[0] :]):
+        r = peeled[-1]
+        peeled.append(r if has_right_ascent(r, letter) else right_multiply_simple(rs, r, letter))
     flags = []
-    for j in reversed(positions):
-        demazure_ok = bruhat_leq(rs, peeled[l - j], WeylElement(prefix[j - 1], j - 1, dyn))
+    for j in positions:
+        u = prefix[j - 1]
+        demazure_ok = bruhat_leq(rs, peeled[l - j], u)
         ordinary_ok = False
         if demazure_ok:
-            if sweep and j - 1 < l - j:
-                while back_at > j:
-                    back = reflect_weight(back, s[back_at - 1] - 1, links)
-                    back_at -= 1
-                point, length = _fold(back, l - j, reversed(s[: j - 1]), links)
-                if w_inv is None:
-                    w_inv = inverse(rs, w)
-                target = w_inv
-            else:
-                point, length = _fold(prefix[j - 1], j - 1, s[j:], links)
-                target = w
-            ordinary_ok = length == l - 1 or bruhat_leq(rs, target, WeylElement(point, length, dyn))
+            pi = _times_word(u, s[j:])
+            ordinary_ok = pi.length == l - 1 or bruhat_leq(rs, w, pi)
         flags.append((demazure_ok, ordinary_ok))
-    flags.reverse()
     return flags
 
 

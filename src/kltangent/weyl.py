@@ -88,6 +88,14 @@ def _inverse_point(point: tuple[int, ...], dyn: Dynkin) -> tuple[int, ...]:
     return out
 
 
+def _fold(point: tuple[int, ...], length: int, indices, weight_links) -> tuple[tuple[int, ...], int]:
+    """Point and length of x * s_{i_1} ... s_{i_k} from those of x (0-based, already checked)."""
+    for i in indices:
+        length += 1 if point[i] > 0 else -1
+        point = reflect_weight(point, i, weight_links)
+    return point, length
+
+
 def _columns_times(columns: list, i: int, root_links) -> list:
     """Columns x(alpha_j) of x*s_i from those of x: column i and its neighbours change."""
     ci = columns[i]
@@ -213,23 +221,22 @@ def multiply(rs: RootSystem, x: WeylElement, y: WeylElement) -> WeylElement:
     """x*y: x times a reduced word of y, read off y's peel."""
     dyn = x.dynkin
     links = dyn.weight_links
-    point, length = x.point, x.length
-    for i in reversed(list(_peel(y.point, links))):
-        length += 1 if point[i] > 0 else -1
-        point = reflect_weight(point, i, links)
+    point, length = _fold(x.point, x.length, reversed(list(_peel(y.point, links))), links)
+    return WeylElement(point, length, dyn)
+
+
+def _times_word(x: WeylElement, letters) -> WeylElement:
+    """x * s_{a_1} ... s_{a_k}, length counted along the way; letters already checked."""
+    dyn = x.dynkin
+    point, length = _fold(x.point, x.length, [a - 1 for a in letters], dyn.weight_links)
     return WeylElement(point, length, dyn)
 
 
 def word_to_element(rs: RootSystem, w: Word) -> WeylElement:
     """Left-to-right product of simple reflections; length counted along the way."""
-    dyn = rs.dynkin
-    links = dyn.weight_links
-    point, length = dyn.rho, 0
     for letter in w:
         _check_letter(rs, letter)
-        length += 1 if point[letter - 1] > 0 else -1
-        point = reflect_weight(point, letter - 1, links)
-    return WeylElement(point, length, dyn)
+    return _times_word(identity_element(rs), w)
 
 
 def is_reduced(rs: RootSystem, w: Word) -> bool:
