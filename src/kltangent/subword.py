@@ -8,10 +8,11 @@ with delta(s \\ r) strictly above w, and the interior reduced Euler
 characteristic equals (-1)^dim.  The signed sum over all Hecke subwords for
 w (index sets t with delta(s at t) = w, signed by (-1)^{excess}) is always 1.
 
-The module keeps no table between calls.  What Delta(s, w) needs of s alone
-(the 2^l Demazure products and the lexicographic order of the masks) is
-built by ``_word_tables``; a caller with many targets for one word builds it
-once and derives each complex with ``_target_complex``.
+The module keeps no table between calls: ``build_complex`` builds the 2^l
+Demazure products of s, one Bruhat test per distinct product and the
+lexicographic order of the masks for every complex it returns.  It is the
+slow oracle of the verification battery's ball-sphere check, which works on
+bitsets over the masks instead of face tuples (``kltangent.verify``).
 """
 
 from __future__ import annotations
@@ -97,53 +98,35 @@ class SubwordComplex:
         return len(self.word) - self.target.length - 1
 
 
-class _WordTables(NamedTuple):
-    """The part of Delta(s, w) that depends on the word s alone, shared by every target w."""
+def build_complex(rs: RootSystem, w: WeylElement, s: Word) -> SubwordComplex:
+    """Enumerate Delta(s, w); raises TargetNotContained when w is not <= delta(s).
 
-    word: Word
-    complements: list[WeylElement]  # delta(s \ r) for every position mask r
-    products: dict  # point -> element, one entry per distinct complement
-    indices: list[IndexSequence]  # the positions in every mask
-    lex_order: list[int]  # the masks in lexicographic order of their positions
-
-
-def _word_tables(rs: RootSystem, s: Word) -> _WordTables:
-    """Demazure products of all complements and the lexicographic mask order of s.
-
-    The index sets are built position by position, like the Demazure table.
+    One Bruhat test per distinct Demazure product of a complement.  The index
+    sets are built position by position, like the Demazure table, and the
+    masks are read in lexicographic order of their positions, so faces and
+    facets come out sorted.
     """
     _check_word(rs, s)
     complements = _subword_deltas(rs, s)[::-1]  # mask r <-> subword at full ^ r
+    if not bruhat_leq(rs, w, complements[0]):  # the empty face's complement: delta(s)
+        raise TargetNotContained(f"{s} has no reduced subword for the target")
+    products = {d.point: d for d in complements}
+    above = {p: bruhat_leq(rs, w, d) for p, d in products.items()}
+    is_face = [above[d.point] for d in complements]
     indices: list[IndexSequence] = [()]
     for k in range(1, len(s) + 1):
         indices += [t + (k,) for t in indices]
-    lex_order = sorted(range(len(complements)), key=indices.__getitem__)
-    return _WordTables(s, complements, {d.point: d for d in complements}, indices, lex_order)
-
-
-def _target_complex(rs: RootSystem, w: WeylElement, t: _WordTables) -> SubwordComplex:
-    """Delta(s, w) from the word's tables, with one Bruhat test per distinct complement product."""
-    above = {p: bruhat_leq(rs, w, d) for p, d in t.products.items()}
-    is_face = [above[d.point] for d in t.complements]
-    bits = [1 << j for j in range(len(t.word))]
+    bits = [1 << j for j in range(len(s))]
     faces, facets, delta_by_face = [], [], {}
-    for r in t.lex_order:  # faces and facets come out sorted
+    for r in sorted(range(len(complements)), key=indices.__getitem__):
         if not is_face[r]:
             continue
-        face = t.indices[r]
+        face = indices[r]
         faces.append(face)
-        delta_by_face[face] = t.complements[r]
+        delta_by_face[face] = complements[r]
         if all(r & b or not is_face[r | b] for b in bits):
             facets.append(face)
-    return SubwordComplex(rs, t.word, w, tuple(faces), tuple(facets), delta_by_face)
-
-
-def build_complex(rs: RootSystem, w: WeylElement, s: Word) -> SubwordComplex:
-    """Enumerate Delta(s, w); raises TargetNotContained when w is not <= delta(s)."""
-    tables = _word_tables(rs, s)
-    if not bruhat_leq(rs, w, tables.complements[0]):  # the empty face's complement: delta(s)
-        raise TargetNotContained(f"{s} has no reduced subword for the target")
-    return _target_complex(rs, w, tables)
+    return SubwordComplex(rs, s, w, tuple(faces), tuple(facets), delta_by_face)
 
 
 def boundary_faces(c: SubwordComplex) -> list[IndexSequence]:

@@ -317,22 +317,24 @@ def is_integrally_indecomposable(alpha: Root, phi) -> bool:
     return not in_nonneg_integer_span(others, alpha)
 
 
-def _indecomposable_inversions(inversions: frozenset[Root]) -> frozenset[Root]:
-    """The integrally indecomposable roots of an inversion set I = I(x^{-1}).
+def _is_indecomposable_in(gamma: Root, inversions: frozenset[Root]) -> bool:
+    """Is gamma, a root of the inversion set I = I(x^{-1}), integrally indecomposable in I?
 
-    Same answer as ``is_integrally_indecomposable(g, inversions)`` for every g,
-    in O(|I|^2) instead of a search.  If a root alpha is a sum of k >= 2
+    Same answer as ``is_integrally_indecomposable(gamma, inversions)``, in one
+    pass over I instead of a search.  If a root alpha is a sum of k >= 2
     positive roots beta_i, then (alpha, alpha) = sum (alpha, beta_i) > 0, so some
     (alpha, beta_i) > 0 and alpha - beta_i is a positive root, the sum of the
     other beta's.  I holds every positive root in its nonnegative span (one
     Weyl group element sends every root of I, hence every positive root of
-    the span, to a negative root), so gamma in I is decomposable over
-    I \\ {gamma} iff gamma = beta + beta' with beta, beta' in I.
+    the span, to a negative root), so gamma is decomposable over
+    I \\ {gamma} iff gamma - beta lies in I for some beta in I.
     """
-    return frozenset(
-        gamma for gamma in inversions
-        if not any(tuple(g - b for g, b in zip(gamma, beta)) in inversions for beta in inversions)
-    )
+    return not any(tuple(g - b for g, b in zip(gamma, beta)) in inversions for beta in inversions)
+
+
+def _indecomposable_inversions(inversions: frozenset[Root]) -> frozenset[Root]:
+    """The integrally indecomposable roots of an inversion set I = I(x^{-1}), in O(|I|^2)."""
+    return frozenset(gamma for gamma in inversions if _is_indecomposable_in(gamma, inversions))
 
 
 def _cone_series(
@@ -376,14 +378,13 @@ def _status_for_position(
     j: int,
     flags: tuple[bool, bool],
     gammas: tuple[Root, ...],
-    indecomposables: frozenset[Root],
+    indecomposable: bool,
     series: TruncatedSeries | None,
     use_type_a_oracle: bool,
 ) -> WeightStatus:
     """Verdict and evidence at j from its ``_position_flags``; ``series``, when given, holds the cone coefficients."""
     gamma_j = gammas[j - 1]
     demazure_ok, ordinary_ok = flags
-    indecomposable = gamma_j in indecomposables
     cone_coeff = None
     if indecomposable:
         verdict = Verdict.IN if demazure_ok else Verdict.OUT
@@ -418,12 +419,12 @@ def kl_tangent_membership(
     """
     _validate_position(s, j)
     gammas = _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas
-    indecomposables = _indecomposable_inversions(frozenset(gammas))  # the gammas list I(x^{-1})
+    indecomposable = _is_indecomposable_in(gammas[j - 1], frozenset(gammas))  # the gammas list I(x^{-1})
     series = None
-    if include_cone_coefficient and gammas[j - 1] not in indecomposables:
+    if include_cone_coefficient and not indecomposable:
         series = _cone_series(rs, w, s, gammas, height(gammas[j - 1]))
     (flags,) = _position_flags(rs, w, s, (j,))
-    return _status_for_position(rs, j, flags, gammas, indecomposables, series, use_type_a_oracle=False)
+    return _status_for_position(rs, j, flags, gammas, indecomposable, series, use_type_a_oracle=False)
 
 
 def te_curve_weights(rs: RootSystem, w: WeylElement, s: Word) -> frozenset[Root]:
@@ -484,7 +485,9 @@ def kl_tangent_report(
             series = _cone_series(rs, w, s, gamma.gammas, bound)
     positions = range(1, len(s) + 1)
     statuses = tuple(
-        _status_for_position(rs, j, flags, gamma.gammas, indecomposables, series, use_type_a_oracle)
+        _status_for_position(
+            rs, j, flags, gamma.gammas, gamma.gammas[j - 1] in indecomposables, series, use_type_a_oracle
+        )
         for j, flags in zip(positions, _position_flags(rs, w, s, positions))
     )
     kl_weights = frozenset(st.gamma for st in statuses if st.verdict is Verdict.IN)

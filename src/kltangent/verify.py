@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .hecke import demazure_signed_counts
 from .rootsys import RootSystem, build_root_system, cominuscule_nodes, height, negate, root_from_epsilon
 from .rt_ring import LaurentPoly
-from .subword import _ENUM_LETTERS_BOUND, _target_complex, _word_tables, euler_characteristics
+from .subword import _ENUM_LETTERS_BOUND
 from .tangent import (
     Verdict,
     element_to_permutation,
@@ -146,6 +147,75 @@ def _subword_products(gt: GroupTable, word) -> set:
     return set(table)
 
 
+def _demazure_steps(gt: GroupTable) -> list[list[int]]:
+    """steps[i][p]: the Demazure product p * s_{i+1}, the longer of p and p*s_{i+1}."""
+    length = gt.length
+    return [[q if length[q] > length[p] else p for p, q in enumerate(row)] for row in gt.rmult]
+
+
+def _mask_shape(n: int) -> tuple[list[int], list[int]]:
+    """The size of every position mask below 2^n, and clear[b]: the 2^n-bit set of the masks with bit b clear.
+
+    ``int(text, 2)`` reads its first character as the top bit, so the masks
+    run from 2^n - 1 down to 0 along the text.
+    """
+    sizes = [0]
+    for _ in range(n):
+        sizes += [k + 1 for k in sizes]
+    clear = [int(("0" * (1 << b) + "1" * (1 << b)) * (1 << (n - b - 1)), 2) for b in range(n)]
+    return sizes, clear
+
+
+class _WordComplexes:
+    """Delta(s, w) of one word s for every target w, as 2^l-bit sets over the position masks r.
+
+    Bit r of a set stands for the position set r (bit b for position b + 1).
+    Built once per word from the group table, with no ``WeylElement``:
+    ``table[t]`` is the id of delta(s at t), one Demazure step per mask, and
+    for every product d the signed count of the complements r with
+    delta(s \\ r) = d, sum (-1)^{|r|+1}, and the number of reduced subwords
+    for d (|t| = l(d)).  The faces of Delta(s, w) are the r with
+    w <= delta(s \\ r) = table[r ^ (2^l - 1)]; the interior faces are those with
+    delta(s \\ r) = w, so the signed count at w is the interior Euler
+    characteristic.
+
+    Purity is read off one count.  A face r has |s \\ r| >= l(delta(s \\ r)) >= l(w),
+    so no face has more than m = l(s) - l(w) positions, and every face of
+    size m is a facet.  A face of size m has a complement t of l(w) letters
+    with delta(s at t) >= w, so delta(s at t) = w and t is a reduced subword
+    for w; conversely each reduced subword gives a face of size m.  So the
+    facets of size m are exactly the complements of the reduced subwords for
+    w, and every facet has size m iff #facets = #reduced subwords for w.
+    """
+
+    def __init__(self, gt: GroupTable, steps: list[list[int]], word, shape: tuple[list[int], list[int]]) -> None:
+        table = [gt.identity]
+        for letter in word:
+            table += list(map(steps[letter - 1].__getitem__, table))
+        sizes, self.clear = shape
+        n = len(word)
+        self.table = table
+        self.signed: dict[int, int] = {}  # one key per product of the word
+        self.reduced: dict[int, int] = {}
+        for (d, k), count in Counter(zip(table, sizes)).items():
+            self.signed[d] = self.signed.get(d, 0) + (count if (n - k) % 2 else -count)  # |r| = n - k
+            if k == gt.length[d]:
+                self.reduced[d] = count
+
+    def target(self, masks: list[int], w: int) -> tuple[int, int, int, int]:
+        """(faces, facets, interior Euler characteristic, reduced subwords) of Delta(s, w), w a group id.
+
+        One bit test per product of the word, one C-level conversion to the
+        face set, and one shift per position for the faces that lie in a larger face.
+        """
+        above = {d: 49 if masks[d] >> w & 1 else 48 for d in self.signed}  # ASCII "1" / "0"
+        faces = int(bytes(map(above.__getitem__, self.table)), 2)  # mask t lands on bit 2^l - 1 - t
+        covered = 0
+        for b, clear in enumerate(self.clear):
+            covered |= (faces >> (1 << b)) & clear  # r with bit b clear and r + 2^b a face
+        return faces, faces & ~covered, self.signed.get(w, 0), self.reduced.get(w, 0)
+
+
 def euler_identity_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) -> VerifyOutcome:
     """Signed Hecke-subword sum equals 1 for every (x, reduced word, w <= x).
 
@@ -169,27 +239,28 @@ def euler_identity_suite(rs: RootSystem, sample: int | None = None, seed: int = 
 def ball_sphere_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) -> VerifyOutcome:
     """Interior Euler characteristic (-1)^dim and facet purity for Delta(s, w).
 
-    The Demazure table and mask order of each word are built once for all its targets.
+    Each word's subword table and counts are built once for all its targets
+    (:class:`_WordComplexes`); a target then costs a few big-integer operations.
     """
     t0 = time.perf_counter()
     out = VerifyOutcome(f"ball-sphere[{rs.cartan_type}]")
     gt = group_table(rs)
+    masks = gt.leq_masks()
+    steps = _demazure_steps(gt)
+    shapes: dict[int, tuple[list[int], list[int]]] = {}
     for _, word, w_ids in _cases(gt, sample, seed):
-        tables = _word_tables(rs, word)
+        n = len(word)
+        if n not in shapes:
+            shapes[n] = _mask_shape(n)
+        complexes = _WordComplexes(gt, steps, word, shapes[n])
         for w_id in w_ids:
             out.cases += 1
-            w = gt.elements[w_id]
-            size = len(word) - w.length
-            try:
-                complex_ = _target_complex(rs, w, tables)
-                _, interior = euler_characteristics(complex_)
-            except AssertionError as exc:
-                out.record(word=word, w=gt.word_of(w_id), got=repr(exc))
-                continue
+            size = n - gt.length[w_id]
+            _, facets, interior, reduced = complexes.target(masks, w_id)
             if interior != (-1) ** ((size - 1) % 2):
                 out.record(word=word, w=gt.word_of(w_id), expected=(-1) ** ((size - 1) % 2), got=interior)
-            bad = [f for f in complex_.facets if len(f) != size]
-            if bad:
+            if facets.bit_count() != reduced:
+                bad = sorted(tuple(b + 1 for b in _bits(r)) for r in _bits(facets) if r.bit_count() != size)
                 out.record(word=word, w=gt.word_of(w_id), expected=f"facets of size {size}", got=bad)
     return _finish(out, t0)
 

@@ -19,6 +19,7 @@ from kltangent import (
     enumerate_weyl_group,
     gamma_sequence,
     gp_tangent_report,
+    group_table,
     hecke_subwords,
     identity_element,
     inversion_set_of_inverse,
@@ -35,7 +36,7 @@ from kltangent import (
     type_a_tangent_oracle,
     word_to_element,
 )
-from kltangent.weyl import has_right_ascent, right_descents, right_multiply_simple
+from kltangent.weyl import _bits, has_right_ascent, right_descents, right_multiply_simple
 
 A1, A2_, A12 = (1, 0), (0, 1), (1, 1)
 
@@ -192,6 +193,21 @@ def test_report_independent_of_reduced_word(a3, b3):
                 first = verdicts_by_gamma(rs, w, words[0])
                 for word in words[1:]:
                     assert verdicts_by_gamma(rs, w, word) == first
+
+
+@pytest.mark.parametrize("label", ["B3", "A4"])
+def test_membership_equals_report_at_every_position(label):
+    # a position decided alone (one pass over I for its gamma) gets the report's status
+    rs = build_root_system(label)
+    gt = group_table(rs)
+    masks = gt.leq_masks()
+    for x_id, x in enumerate(gt.elements):
+        for w_id in _bits(masks[x_id]):
+            w = gt.elements[w_id]
+            report = kl_tangent_report(rs, w, x)
+            for status in report.statuses:
+                single = kl_tangent_membership(rs, status.position, w, report.x_word, include_cone_coefficient=False)
+                assert single == status, (label, report.x_word, w_id, status.position)
 
 
 @st.composite
