@@ -9,14 +9,27 @@ Quotients by products prod (1 - e^{-beta}) with beta of positive height are
 handled through height-truncated series: grading exponents -mu by the height
 of mu makes every denominator factor shift the grade by at least one, so all
 coefficients up to the truncation bound are exact.
+
+Inside the expansion (and inside the signed pass of ``kltangent.tangent``) an
+exponent -nu with nu >= 0 is one packed int, the digits nu_k of a fixed width
+topped by height(nu) (:class:`_Packing`): multiplying by e^{-beta} is one
+integer addition, the height bound is one comparison, and no tuple is built.
+A :class:`TruncatedSeries` keeps its terms packed, answers ``coefficient`` by
+packing the query, and decodes its terms to exponent tuples only when
+``items``, ``==``, ``hash``, ``+`` or ``*`` need them.
 """
 
 from __future__ import annotations
+
+import struct
+from operator import neg
 
 from .errors import BeyondTruncation, ExponentOutsideCone
 from .rootsys import Root, height
 
 WeightVector = tuple[int, ...]
+
+_DIGIT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes, standard sizes
 
 
 def _vadd(a: WeightVector, b: WeightVector) -> WeightVector:
@@ -184,13 +197,64 @@ def in_nonneg_integer_span(vectors, target: WeightVector) -> bool:
     return _span_search(vectors)(target)
 
 
-class TruncatedSeries:
-    """Exact series coefficients on exponents -mu with height(mu) <= bound."""
+class _Packing:
+    """Exponents -nu of one rank, nu >= 0 with every nu_k <= limit, as single ints.
 
-    __slots__ = ("_terms", "bound")
+    P(nu) = sum_k nu_k << k*W + height(nu) << r*W, where r is the rank and the
+    digit width W is the least of 8, 16, 32, 64, ... bits that holds limit.
+    While every component stays <= limit no digit carries, so
+    P(nu + beta) = P(nu) + P(beta) and P is injective.  The height is the top
+    digit, so height(nu) <= bound iff P(nu) < cap(bound) for such nu.  A sum
+    whose components pass the limit may carry, but only upwards: its packed
+    value is still at least height << r*W, so a caller that keeps only values
+    below cap(bound) with bound <= limit never keeps a carried one.  Widths of
+    8 to 64 bits decode through ``struct``, many values per C call.
+    """
+
+    __slots__ = ("rank", "width", "top", "_low", "_digits")
+
+    def __init__(self, rank: int, limit: int) -> None:
+        width = 8
+        while limit >> width:
+            width *= 2
+        self.rank, self.width, self.top = rank, width, rank * width
+        self._low = (1 << self.top) - 1
+        code = _DIGIT_CODES.get(width)
+        self._digits = struct.Struct(f"<{rank}{code}").iter_unpack if code else None
+
+    def pack(self, nu) -> int:
+        """P(nu) for a vector nu >= 0."""
+        p = sum(nu) << self.top
+        for k, c in enumerate(nu):
+            p += c << k * self.width
+        return p
+
+    def cap(self, bound: int) -> int:
+        """P of the least vector of height bound + 1; packed values below it have height <= bound."""
+        return (bound + 1) << self.top
+
+    def exponents(self, packed) -> list[WeightVector]:
+        """The exponents -nu of the packed values P(nu), in order."""
+        low = self._low
+        if self._digits is None:
+            mask, shifts = (1 << self.width) - 1, range(0, self.top, self.width)
+            return [tuple(-((p & low) >> k & mask) for k in shifts) for p in packed]
+        size = self.top // 8
+        data = b"".join([(p & low).to_bytes(size, "little") for p in packed])
+        return [tuple(map(neg, nu)) for nu in self._digits(data)]
+
+
+class TruncatedSeries:
+    """Exact series coefficients on exponents -mu with height(mu) <= bound.
+
+    The terms are held packed (:class:`_Packing`): ``coefficient`` packs its
+    query, and ``items``, ``==``, ``hash``, ``+`` and ``*`` decode the terms
+    once, on first use.
+    """
+
+    __slots__ = ("bound", "_packing", "_packed", "_decoded")
 
     def __init__(self, terms, bound: int) -> None:
-        self.bound = bound
         data: dict[WeightVector, int] = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for exponent, coeff in items:
@@ -201,7 +265,26 @@ class TruncatedSeries:
             if height(mu) > bound or coeff == 0:
                 continue
             data[exponent] = data.get(exponent, 0) + coeff
-        self._terms = {e: c for e, c in data.items() if c}
+        data = {e: c for e, c in data.items() if c}
+        packing = _Packing(len(next(iter(data), ())), max((-min(e) for e in data), default=0))
+        self.bound = bound
+        self._packing = packing
+        self._packed = {packing.pack(_vneg(e)): c for e, c in data.items()}
+        self._decoded = data
+
+    @classmethod
+    def _from_packed(cls, packing: _Packing, packed: dict[int, int], bound: int) -> "TruncatedSeries":
+        """The series of packed terms, all of height <= bound and nonzero."""
+        series = cls.__new__(cls)
+        series.bound, series._packing, series._packed, series._decoded = bound, packing, packed, None
+        return series
+
+    @property
+    def _terms(self) -> dict[WeightVector, int]:
+        if self._decoded is None:
+            packed = self._packed
+            self._decoded = dict(zip(self._packing.exponents(packed), packed.values()))
+        return self._decoded
 
     def items(self) -> list[tuple[WeightVector, int]]:
         return sorted(self._terms.items())
@@ -214,7 +297,13 @@ class TruncatedSeries:
             return 0  # support lies in the negative cone, exactly zero
         if height(mu) > self.bound:
             raise BeyondTruncation(f"height {height(mu)} exceeds the bound {self.bound}")
-        return self._terms.get(exponent, 0)
+        packing = self._packing
+        if len(mu) != packing.rank:
+            return 0
+        # Every term's digits fit the width.  A query digit that does not
+        # carries, which takes 2^W - 1 off the digit sum per carry while the
+        # top digit keeps the full height, so the query matches no term.
+        return self._packed.get(packing.pack(mu), 0)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         bound = min(self.bound, other.bound)
@@ -269,22 +358,30 @@ def char_series(numerator: LaurentPoly, denominator_weights, bound: int) -> Trun
     for exponent, _ in numerator.items():
         if not in_cone(_vneg(exponent)):
             raise ExponentOutsideCone(f"numerator exponent {exponent} outside the span")
-    return _spread(numerator, weights, bound)
+    packing = _Packing(len(weights[0]), max(bound, 0))
+    terms = {packing.pack(_vneg(e)): c for e, c in numerator.items() if -sum(e) <= bound}
+    return _packed_spread(packing, terms, weights, bound)
 
 
-def _spread(numerator: LaurentPoly, weights, bound: int) -> TruncatedSeries:
-    """:func:`char_series` without its checks, for exponents in the cone by construction."""
-    terms = {e: c for e, c in numerator.items() if height(_vneg(e)) <= bound}
+def _packed_spread(packing: _Packing, terms: dict[int, int], weights, bound: int) -> TruncatedSeries:
+    """terms / prod (1 - e^{-beta}) up to the height bound, on packed exponents.
+
+    The packing's limit must be >= bound, the terms must be nonzero and every
+    weight must have positive height; terms at or past the cap are dropped.
+    This is :func:`char_series` without its checks, for exponents in the cone
+    by construction.
+    """
+    cap = packing.cap(bound)
+    terms = {p: c for p, c in terms.items() if p < cap}
     for beta in weights:
         # Multiplying by sum_k e^{-k beta} spreads each term e^{-mu} along
         # e^{-mu - beta}, e^{-mu - 2 beta}, ... while the height stays <= bound.
-        step = height(beta)
-        nxt: dict[WeightVector, int] = {}
-        for e, c in terms.items():
-            h = -height(e)
-            while h <= bound:
-                nxt[e] = nxt.get(e, 0) + c
-                e = tuple(x - b for x, b in zip(e, beta))
-                h += step
-        terms = {e: c for e, c in nxt.items() if c}
-    return TruncatedSeries(terms, bound)
+        step = packing.pack(beta)
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for p, c in terms.items():
+            while p < cap:
+                nxt[p] = get(p, 0) + c
+                p += step
+        terms = {p: c for p, c in nxt.items() if c}
+    return TruncatedSeries._from_packed(packing, terms, bound)

@@ -44,7 +44,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 
 from .errors import (
     ExponentOutsideCone,
@@ -56,7 +55,7 @@ from .errors import (
     WrongType,
 )
 from .rootsys import Root, RootSystem, height, negate
-from .rt_ring import LaurentPoly, TruncatedSeries, WeightVector, _spread, in_nonneg_integer_span
+from .rt_ring import LaurentPoly, TruncatedSeries, WeightVector, _packed_spread, _Packing, in_nonneg_integer_span
 from .subword import _check_word, hecke_subwords
 from .weyl import (
     GammaSequence,
@@ -190,7 +189,7 @@ def _validate_position(s: Word, j: int) -> None:
         raise LetterOutOfRange(f"position {j} out of range for a word of length {len(s)}")
 
 
-def _add_into(acc: dict[WeightVector, int], poly: dict[WeightVector, int], sign: int = 1) -> None:
+def _add_into(acc: dict[int, int], poly: dict[int, int], sign: int = 1) -> None:
     for e, c in poly.items():
         c2 = acc.get(e, 0) + sign * c
         if c2:
@@ -200,23 +199,35 @@ def _add_into(acc: dict[WeightVector, int], poly: dict[WeightVector, int], sign:
 
 
 def _signed_states(
-    rs: RootSystem, s: Word, gammas: tuple[Root, ...], w: WeylElement | None = None
-) -> dict[WeylElement, dict[WeightVector, int]]:
+    rs: RootSystem, s: Word, gammas: tuple[Root, ...], packing: _Packing, cap: int, w: WeylElement | None = None
+) -> dict[WeylElement, dict[int, int]]:
     """u -> sum over the subsequences t of s with delta(t) = u of prod_{i in t} -(1 - e^{-gamma_i}).
 
     The signed-count pass of :func:`kltangent.hecke.demazure_signed_counts`
-    with a Laurent polynomial (exponent -> coefficient) on every state:
-    taking letter k moves u to H_u H_{s_k} and multiplies by e^{-gamma_k} - 1,
-    skipping it keeps both.  Then P_{u,s} = (-1)^{l(u)} state[u].  Given w,
-    only states v <= w are kept: Demazure products only grow along a word,
-    so no other state reaches w.  Letters must already be validated.
+    with a Laurent polynomial on every state: taking letter k moves u to
+    H_u H_{s_k} and multiplies by e^{-gamma_k} - 1, skipping it keeps both.
+    Then P_{u,s} = (-1)^{l(u)} state[u].  Each polynomial maps the packed
+    exponents P(nu) of ``packing`` to coefficients, so multiplying by
+    e^{-gamma_k} adds P(gamma_k) to every key; terms that reach ``cap`` are
+    dropped, which is exact for a cap(bound) with bound <= packing.limit
+    because exponents only go down.  Letters must already be validated.
+
+    Given w, only states v <= w are kept: Demazure products only grow along
+    a word, so no other state reaches w.  A new state v = u s_k comes from a
+    kept state u <= w with s_k an ascent of u.  If s_k is a right descent of
+    w, then v <= w with no Bruhat walk: u != w, since s_k is an ascent of u,
+    so u < w, and the lifting property (Bjorner-Brenti, Prop. 2.2.7) says
+    that u < w with s a right descent of w and not of u gives us <= w.
+    Otherwise one walk decides, memoised per state.
     """
     one = identity_element(rs)
     element = {one.point: one}  # the pass keys its states by point, a plain tuple
-    states: dict[tuple[int, ...], dict[WeightVector, int]] = {one.point: {(0,) * rs.rank: 1}}
+    states: dict[tuple[int, ...], dict[int, int]] = {one.point: {0: 1}}
     below: dict[tuple[int, ...], bool] = {}
     for letter, gamma in zip(s, gammas):
-        nxt: dict[tuple[int, ...], dict[WeightVector, int]] = {}
+        g = packing.pack(gamma)
+        walk = w is not None and has_right_ascent(w, letter)  # else every new state is <= w
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
         for p, poly in states.items():
             u = element[p]
             if has_right_ascent(u, letter):
@@ -225,19 +236,19 @@ def _signed_states(
                 nxt[p] = poly
                 v = right_multiply_simple(rs, u, letter)
                 key = v.point
-                if w is not None:
+                if walk:
                     keep = below.get(key)
                     if keep is None:
                         keep = below[key] = v.length <= w.length and bruhat_leq(rs, v, w)
                     if not keep:
                         continue
                 element[key] = v
-                moved = {tuple(map(sub, e, gamma)): c for e, c in poly.items()}
+                moved = {q: c for e, c in poly.items() if (q := e + g) < cap}
                 _add_into(moved, poly, -1)
             else:
                 # H_u H_{s_k} = H_u: skipping plus taking leaves poly * e^{-gamma}.
                 key = p
-                moved = {tuple(map(sub, e, gamma)): c for e, c in poly.items()}
+                moved = {q: c for e, c in poly.items() if (q := e + g) < cap}
             target = nxt.get(key)
             if target is None:
                 nxt[key] = moved
@@ -247,15 +258,18 @@ def _signed_states(
     return {element[p]: poly for p, poly in states.items()}
 
 
-def _signed_class(u: WeylElement, state: dict[WeightVector, int]) -> LaurentPoly:
+def _exact_packing(rs: RootSystem, gammas: tuple[Root, ...]) -> tuple[_Packing, int]:
+    """A packing that holds every exponent of the pass over gammas, and a cap none of them reaches.
+
+    Every exponent of the pass is minus the sum of a subset of the gammas.
+    """
+    packing = _Packing(rs.rank, max(map(sum, zip(*gammas)), default=0))
+    return packing, packing.cap(sum(map(height, gammas)))
+
+
+def _signed_class(u: WeylElement, state: dict[int, int], packing: _Packing) -> LaurentPoly:
     sign = -1 if u.length % 2 else 1
-    return LaurentPoly({e: sign * c for e, c in state.items()})
-
-
-def _kclass(rs: RootSystem, w: WeylElement, s: Word, gammas: tuple[Root, ...]) -> LaurentPoly:
-    _check_word(rs, s)
-    state = _signed_states(rs, s, gammas, w).get(w)
-    return _signed_class(w, state) if state else LaurentPoly.zero()
+    return LaurentPoly(zip(packing.exponents(state), [sign * c for c in state.values()]))
 
 
 def kclass_restriction(rs: RootSystem, w: WeylElement, s: Word) -> LaurentPoly:
@@ -268,7 +282,11 @@ def kclass_restriction(rs: RootSystem, w: WeylElement, s: Word) -> LaurentPoly:
     Laurent polynomials.  Words longer than 20 letters are refused
     (LengthBoundExceeded).
     """
-    return _kclass(rs, w, s, _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas)
+    gammas = _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas
+    _check_word(rs, s)
+    packing, cap = _exact_packing(rs, gammas)
+    state = _signed_states(rs, s, gammas, packing, cap, w).get(w)  # only w is decoded
+    return _signed_class(w, state, packing) if state else LaurentPoly.zero()
 
 
 def kclass_restrictions(rs: RootSystem, s: Word) -> dict[WeylElement, LaurentPoly]:
@@ -279,8 +297,9 @@ def kclass_restrictions(rs: RootSystem, s: Word) -> dict[WeylElement, LaurentPol
     """
     gammas = gamma_sequence(rs, s).gammas  # raises NotReduced
     _check_word(rs, s)
-    states = _signed_states(rs, s, gammas)
-    return {u: _signed_class(u, state) for u, state in states.items()}
+    packing, cap = _exact_packing(rs, gammas)
+    states = _signed_states(rs, s, gammas, packing, cap)
+    return {u: _signed_class(u, state, packing) for u, state in states.items()}
 
 
 def is_explicit_factor(rs: RootSystem, j: int, w: WeylElement, s: Word, method: str = "demazure") -> bool:
@@ -340,9 +359,18 @@ def _indecomposable_inversions(inversions: frozenset[Root]) -> frozenset[Root]:
 def _cone_series(
     rs: RootSystem, w: WeylElement, s: Word, gammas: tuple[Root, ...], bound: int
 ) -> TruncatedSeries:
+    """P_{w,s} / prod_i (1 - e^{-gamma_i}) up to the height bound, from the packed state of w.
+
+    The pass drops every term past the bound, which the series would drop anyway.
+    """
     if not gammas:
         raise ValueError("denominator weight list must be nonempty")
-    return _spread(_kclass(rs, w, s, gammas), gammas, bound)
+    _check_word(rs, s)
+    packing = _Packing(rs.rank, max(bound, 0))
+    state = _signed_states(rs, s, gammas, packing, packing.cap(bound), w).get(w, {})
+    if w.length % 2:
+        state = {p: -c for p, c in state.items()}
+    return _packed_spread(packing, state, gammas, bound)
 
 
 def tangent_cone_series(rs: RootSystem, w: WeylElement, s: Word, bound: int) -> TruncatedSeries:

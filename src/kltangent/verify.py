@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .hecke import demazure_signed_counts
@@ -153,17 +152,13 @@ def _demazure_steps(gt: GroupTable) -> list[list[int]]:
     return [[q if length[q] > length[p] else p for p, q in enumerate(row)] for row in gt.rmult]
 
 
-def _mask_shape(n: int) -> tuple[list[int], list[int]]:
-    """The size of every position mask below 2^n, and clear[b]: the 2^n-bit set of the masks with bit b clear.
+def _clear_masks(n: int) -> list[int]:
+    """clear[b]: the 2^n-bit set of the position masks below 2^n with bit b clear.
 
     ``int(text, 2)`` reads its first character as the top bit, so the masks
     run from 2^n - 1 down to 0 along the text.
     """
-    sizes = [0]
-    for _ in range(n):
-        sizes += [k + 1 for k in sizes]
-    clear = [int(("0" * (1 << b) + "1" * (1 << b)) * (1 << (n - b - 1)), 2) for b in range(n)]
-    return sizes, clear
+    return [int(("0" * (1 << b) + "1" * (1 << b)) * (1 << (n - b - 1)), 2) for b in range(n)]
 
 
 class _WordComplexes:
@@ -171,10 +166,11 @@ class _WordComplexes:
 
     Bit r of a set stands for the position set r (bit b for position b + 1).
     Built once per word from the group table, with no ``WeylElement``:
-    ``table[t]`` is the id of delta(s at t), one Demazure step per mask, and
-    for every product d the signed count of the complements r with
-    delta(s \\ r) = d, sum (-1)^{|r|+1}, and the number of reduced subwords
-    for d (|t| = l(d)).  The faces of Delta(s, w) are the r with
+    ``table[t]`` is the id of delta(s at t), one Demazure step per mask.
+    For every product d, one pass over the letters, stepping product ids as
+    :func:`kltangent.hecke.demazure_signed_counts` steps elements, counts the
+    complements r with delta(s \\ r) = d signed by (-1)^{|r|+1}, and the
+    reduced subwords for d (|t| = l(d)).  The faces of Delta(s, w) are the r with
     w <= delta(s \\ r) = table[r ^ (2^l - 1)]; the interior faces are those with
     delta(s \\ r) = w, so the signed count at w is the interior Euler
     characteristic.
@@ -188,19 +184,29 @@ class _WordComplexes:
     w, and every facet has size m iff #facets = #reduced subwords for w.
     """
 
-    def __init__(self, gt: GroupTable, steps: list[list[int]], word, shape: tuple[list[int], list[int]]) -> None:
+    def __init__(self, gt: GroupTable, steps: list[list[int]], word, clear: list[int]) -> None:
         table = [gt.identity]
+        signed = {gt.identity: 1}  # d -> sum (-1)^{|t|} over the t read so far with delta(t) = d
+        reduced = {gt.identity: 1}  # d -> the number of those t with |t| = l(d)
         for letter in word:
-            table += list(map(steps[letter - 1].__getitem__, table))
-        sizes, self.clear = shape
-        n = len(word)
+            step = steps[letter - 1]
+            table += list(map(step.__getitem__, table))
+            nxt = dict(signed)
+            for d, c in signed.items():  # taking the letter flips the sign and steps d
+                e = step[d]
+                nxt[e] = nxt.get(e, 0) - c
+            signed = nxt
+            nxt = dict(reduced)
+            for d, c in reduced.items():  # t stays reduced iff the letter is an ascent of d
+                e = step[d]
+                if e != d:
+                    nxt[e] = nxt.get(e, 0) + c
+            reduced = nxt
+        sign = 1 if len(word) % 2 else -1  # (-1)^{|r|+1} = (-1)^{l+1} (-1)^{|t|}
         self.table = table
-        self.signed: dict[int, int] = {}  # one key per product of the word
-        self.reduced: dict[int, int] = {}
-        for (d, k), count in Counter(zip(table, sizes)).items():
-            self.signed[d] = self.signed.get(d, 0) + (count if (n - k) % 2 else -count)  # |r| = n - k
-            if k == gt.length[d]:
-                self.reduced[d] = count
+        self.clear = clear
+        self.signed = {d: sign * c for d, c in signed.items()}  # one key per product of the word
+        self.reduced = reduced
 
     def target(self, masks: list[int], w: int) -> tuple[int, int, int, int]:
         """(faces, facets, interior Euler characteristic, reduced subwords) of Delta(s, w), w a group id.
@@ -247,12 +253,12 @@ def ball_sphere_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) 
     gt = group_table(rs)
     masks = gt.leq_masks()
     steps = _demazure_steps(gt)
-    shapes: dict[int, tuple[list[int], list[int]]] = {}
+    clear: dict[int, list[int]] = {}
     for _, word, w_ids in _cases(gt, sample, seed):
         n = len(word)
-        if n not in shapes:
-            shapes[n] = _mask_shape(n)
-        complexes = _WordComplexes(gt, steps, word, shapes[n])
+        if n not in clear:
+            clear[n] = _clear_masks(n)
+        complexes = _WordComplexes(gt, steps, word, clear[n])
         for w_id in w_ids:
             out.cases += 1
             size = n - gt.length[w_id]

@@ -177,6 +177,27 @@ def char_series_by_orthant(numerator, weights, bound):
     return TruncatedSeries(terms, bound)
 
 
+def oracle_spread(numerator, weights, bound):
+    """numerator / prod (1 - e^{-beta}) up to the height bound, on exponent tuples: the reference spread.
+
+    Multiplying by sum_k e^{-k beta} spreads each term e^{-mu} along
+    e^{-mu - beta}, e^{-mu - 2 beta}, ... while the height stays <= bound.
+    The numerator's exponents must lie in the negative cone of the weights.
+    """
+    terms = {e: c for e, c in numerator.items() if -sum(e) <= bound}
+    for beta in weights:
+        step = sum(beta)
+        nxt = {}
+        for e, c in terms.items():
+            h = -sum(e)
+            while h <= bound:
+                nxt[e] = nxt.get(e, 0) + c
+                e = tuple(x - b for x, b in zip(e, beta))
+                h += step
+        terms = {e: c for e, c in nxt.items() if c}
+    return TruncatedSeries(terms, bound)
+
+
 # -- Weyl group elements as integer matrices on the root lattice ------------
 # A matrix m has rows[i][j] = coefficient of alpha_i in x(alpha_j), in the
 # simple-root basis; only rootsys data (Cartan matrix, positive roots) is used.

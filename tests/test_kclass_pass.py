@@ -2,8 +2,11 @@
 
 ``kclass_restriction``, ``kclass_restrictions`` and ``tangent_cone_series``
 compute P_{w,s} by a single signed pass over the Hecke states of s; the
-oracle ``kclasses_by_enumeration`` sums all subwords of s term by term, once per word.
+oracle ``kclasses_by_enumeration`` sums all subwords of s term by term, once
+per word, and ``oracle_spread`` expands a class on exponent tuples.
 """
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +19,6 @@ from kltangent import (
     bruhat_leq,
     build_complex,
     build_root_system,
-    char_series,
     demazure_element,
     gamma_sequence,
     group_table,
@@ -27,8 +29,9 @@ from kltangent import (
     tangent_cone_series,
     word_to_element,
 )
-from kltangent.rootsys import negate
-from oracles import brute_subword_complex, kclasses_by_enumeration
+from kltangent.tangent import _exact_packing, _signed_states
+from kltangent.weyl import has_right_ascent
+from oracles import brute_subword_complex, kclasses_by_enumeration, oracle_spread
 
 
 def _cases(label, all_words=True):
@@ -61,23 +64,51 @@ def test_kclass_pass_matches_enumeration(label, all_words):
     assert count > 0
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_pass_keeps_only_states_below_w():
+    """The states the pass keeps for w, with a Bruhat walk or by the lifting property, are all <= w."""
+    for rs, _, word, below in _cases("B3", all_words=False):
+        gammas = gamma_sequence(rs, word).gammas
+        packing, cap = _exact_packing(rs, gammas)
+        for w in below:
+            states = _signed_states(rs, word, gammas, packing, cap, w)
+            assert all(bruhat_leq(rs, u, w) for u in states), (word, w)
+            assert w in states
+
+
+def _random_e8_cases(count=12, seed=8):
+    """(rs, x, reduced word of 10-12 letters, targets) in E8: targets e, x and Demazure products of random subwords."""
+    rs = build_root_system("E8")
+    rng = random.Random(seed)
+    for _ in range(count):
+        word, x = (), identity_element(rs)
+        size = rng.randint(10, 12)
+        while len(word) < size:
+            letter = rng.randint(1, rs.rank)
+            if has_right_ascent(x, letter):
+                word, x = word + (letter,), word_to_element(rs, word + (letter,))
+        subwords = [tuple(a for a in word if rng.random() < 0.6) for _ in range(4)]
+        yield rs, x, word, [identity_element(rs), x] + [demazure_element(rs, t) for t in subwords]
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "E8"])
 def test_tangent_cone_series_matches_enumeration(label):
-    for rs, _, word, below in _cases(label, all_words=False):
+    """The packed pass and spread give the tuple spread of the enumerated class, as whole series.
+
+    Canonical words and every w <= x over whole groups; in E8, random words of 10-12 letters.
+    """
+    cases = _random_e8_cases() if label == "E8" else _cases(label, all_words=False)
+    count = 0
+    for rs, _, word, below in cases:
         gammas = gamma_sequence(rs, word).gammas
         if not gammas:
             continue
-        heights = sorted({height(g) for g in gammas})
-        classes = kclasses_by_enumeration(rs, word)
+        bound = max(height(g) for g in gammas) + 1
+        classes = kclasses_by_enumeration(rs, word, set(below))
         for w in below:
-            series = tangent_cone_series(rs, w, word, heights[-1])
-            oracle = classes.get(w, LaurentPoly.zero())
-            for h in heights:
-                expected = char_series(oracle, gammas, h)
-                for gamma in gammas:
-                    if height(gamma) == h:
-                        lam = negate(gamma)
-                        assert series.coefficient(lam) == expected.coefficient(lam), (word, w, gamma)
+            count += 1
+            expected = oracle_spread(classes.get(w, LaurentPoly.zero()), gammas, bound)
+            assert tangent_cone_series(rs, w, word, bound) == expected, (word, w)
+    assert count > 0
 
 
 def test_kclass_validation():

@@ -1,0 +1,102 @@
+"""Edges of the packed exponents behind the signed pass and the series spread.
+
+The pass and the spread keep every exponent -nu as one int with digits of a
+fixed width (``rt_ring._Packing``); a series built that way must behave
+exactly like one built from exponent tuples.
+"""
+
+import pytest
+
+from kltangent import (
+    BeyondTruncation,
+    LaurentPoly,
+    TruncatedSeries,
+    build_root_system,
+    char_series,
+    gamma_sequence,
+    identity_element,
+    kclass_restriction,
+    kclass_restrictions,
+    tangent_cone_series,
+    word_to_element,
+)
+from kltangent.rt_ring import _Packing
+from oracles import kclasses_by_enumeration, oracle_spread
+
+
+def test_packing_round_trip_and_widths():
+    for limit, width in ((0, 8), (255, 8), (256, 16), (65_535, 16), (65_536, 32), (2**40, 64), (2**64, 128)):
+        packing = _Packing(3, limit)
+        assert packing.width == width
+        nu = (limit, 0, limit // 3)
+        assert packing.exponents([packing.pack(nu), 0]) == [(-limit, 0, -(limit // 3)), (0, 0, 0)]
+        assert packing.pack(nu) < packing.cap(sum(nu)) <= packing.pack((0, 0, sum(nu) + 1))
+
+
+@pytest.mark.parametrize("label,word,bound", [("A1", (1,), 300), ("A2", (2, 1), 256)])
+def test_cone_series_past_one_byte(label, word, bound):
+    """Bounds of 256 and more need digits of 16 bits; every w <= x, w = e and w = x among them."""
+    rs = build_root_system(label)
+    gammas = gamma_sequence(rs, word).gammas
+    x = word_to_element(rs, word)
+    classes = kclasses_by_enumeration(rs, word)
+    assert identity_element(rs) in classes and x in classes
+    for w, poly in classes.items():
+        series = tangent_cone_series(rs, w, word, bound)
+        assert series._packing.width == 16
+        assert series == oracle_spread(poly, gammas, bound)
+    assert tangent_cone_series(rs, x, word, bound).items() == [((0,) * rs.rank, 1)]
+
+
+def test_char_series_past_one_byte():
+    weights = [(1, 0), (1, 1)]
+    numerator = LaurentPoly({(0, 0): 1, (-1, 0): -2, (-5, -3): 5, (-300, 0): 7, (-301, 0): 1})
+    series = char_series(numerator, weights, 300)
+    assert series._packing.width == 16
+    assert series == oracle_spread(numerator, weights, 300)
+
+
+def test_empty_word():
+    rs = build_root_system("A2")
+    e = identity_element(rs)
+    assert kclass_restriction(rs, e, ()) == LaurentPoly.one(2)
+    assert kclass_restrictions(rs, ()) == {e: LaurentPoly.one(2)}
+    with pytest.raises(ValueError, match="nonempty"):
+        tangent_cone_series(rs, e, (), 3)
+
+
+def test_packed_and_tuple_series_agree():
+    rs = build_root_system("B3")
+    word = (1, 2, 3, 2, 1)
+    w = word_to_element(rs, (2, 3))
+    packed = tangent_cone_series(rs, w, word, 4)
+    assert packed._decoded is None  # packed terms, not decoded yet
+    plain = TruncatedSeries(dict(packed.items()), 4)
+    assert packed == plain and plain == packed
+    assert hash(packed) == hash(plain)
+    assert packed.items() == plain.items()
+    other = tangent_cone_series(rs, identity_element(rs), word, 3)
+    assert packed + other == plain + TruncatedSeries(dict(other.items()), 3)
+    assert packed * other == plain * TruncatedSeries(dict(other.items()), 3)
+    assert (packed * other).bound == 3
+    assert packed != tangent_cone_series(rs, w, word, 3)
+
+
+def test_coefficient_edges():
+    rs = build_root_system("A2")
+    word = (1, 2, 1)
+    series = tangent_cone_series(rs, identity_element(rs), word, 3)
+    plain = TruncatedSeries(dict(series.items()), 3)
+    for s in (series, plain):
+        assert s.coefficient((-1, -1)) == plain.coefficient((-1, -1)) != 0
+        assert s.coefficient((1, -2)) == 0  # outside the negative cone
+        with pytest.raises(BeyondTruncation):
+            s.coefficient((-2, -2))  # height 4 past the bound 3
+        assert s.coefficient((-256, 255)) == 0  # wide, but outside the cone
+    # Height 300 within the bound, and a component wider than the 8-bit digits:
+    # 300 = 44 + 256 carries onto the digits of the stored (44, 1), whose
+    # height 45 the top digit still tells apart.
+    narrow = TruncatedSeries({(-44, -1): 3, (-1, 0): 2}, 1000)
+    assert narrow._packing.width == 8
+    assert narrow.coefficient((-300, 0)) == 0
+    assert narrow.coefficient((-44, -1)) == 3 and narrow.coefficient((-1, 0)) == 2
