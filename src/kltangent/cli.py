@@ -202,11 +202,8 @@ def _outcome_payload(outcome) -> dict:  # a verify.VerifyOutcome
 def _cmd_verify(args) -> int:
     from .verify import VerifyConfig, run_battery  # only this subcommand pays for the import
 
-    config = VerifyConfig(
-        group_order_guard=args.max_rank_guard,
-        random_cases=args.random_cases,
-        seed=args.seed,
-    )
+    given = {"random_cases": args.random_cases, "seed": args.seed}
+    config = VerifyConfig(**{name: value for name, value in given.items() if value is not None})
     all_ok = True
     for label in args.type:
         outcomes = run_battery(label, config)
@@ -282,10 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the exhaustive verification battery")
     p.add_argument("type", nargs="+", help="one or more Cartan types, checked in order")
-    p.add_argument("--max-rank-guard", type=int, default=400_000,
-                   help="refuse to enumerate Weyl groups larger than this")
-    p.add_argument("--random-cases", type=int, default=500)
-    p.add_argument("--seed", type=int, default=2_718_281)
+    # Omitted values fall back to VerifyConfig's defaults.
+    p.add_argument("--random-cases", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
     return parser

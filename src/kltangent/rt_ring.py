@@ -14,9 +14,9 @@ Inside the expansion (and inside the signed pass of ``kltangent.tangent``) an
 exponent -nu with nu >= 0 is one packed int, the digits nu_k of a fixed width
 topped by height(nu) (:class:`_Packing`): multiplying by e^{-beta} is one
 integer addition, the height bound is one comparison, and no tuple is built.
-A :class:`TruncatedSeries` keeps its terms packed, answers ``coefficient`` by
-packing the query, and decodes its terms to exponent tuples only when
-``items``, ``==``, ``hash``, ``+`` or ``*`` need them.
+Packed ints never leave the pass and the spread: each decodes its result
+once, and a :class:`LaurentPoly` or :class:`TruncatedSeries` holds one dict
+keyed by exponent tuples.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import struct
 from operator import neg
 
 from .errors import BeyondTruncation, ExponentOutsideCone
-from .rootsys import Root, height
+from .rootsys import Root, height, negate
 
 WeightVector = tuple[int, ...]
 
@@ -34,10 +34,6 @@ _DIGIT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes, standard siz
 
 def _vadd(a: WeightVector, b: WeightVector) -> WeightVector:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _vneg(a: WeightVector) -> WeightVector:
-    return tuple(-x for x in a)
 
 
 class LaurentPoly:
@@ -56,6 +52,13 @@ class LaurentPoly:
             else:
                 data.pop(exponent, None)
         self._terms = data
+
+    @classmethod
+    def _of(cls, terms: dict[WeightVector, int]) -> "LaurentPoly":
+        """The polynomial of terms already keyed by distinct exponent tuples, with nonzero coefficients."""
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        return poly
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -87,14 +90,10 @@ class LaurentPoly:
                 out[e] = c2
             else:
                 out.pop(e, None)
-        poly = LaurentPoly.__new__(LaurentPoly)
-        poly._terms = out
-        return poly
+        return LaurentPoly._of(out)
 
     def __neg__(self) -> "LaurentPoly":
-        poly = LaurentPoly.__new__(LaurentPoly)
-        poly._terms = {e: -c for e, c in self._terms.items()}
-        return poly
+        return LaurentPoly._of({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -109,16 +108,12 @@ class LaurentPoly:
                     out[e] = c
                 else:
                     out.pop(e, None)
-        poly = LaurentPoly.__new__(LaurentPoly)
-        poly._terms = out
-        return poly
+        return LaurentPoly._of(out)
 
     def scale(self, c: int) -> "LaurentPoly":
         if c == 0:
             return LaurentPoly.zero()
-        poly = LaurentPoly.__new__(LaurentPoly)
-        poly._terms = {e: c * v for e, v in self._terms.items()}
-        return poly
+        return LaurentPoly._of({e: c * v for e, v in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self._terms == other._terms
@@ -132,7 +127,7 @@ class LaurentPoly:
 
 def one_minus_e(alpha: Root) -> LaurentPoly:
     """The factor 1 - e^{-alpha}."""
-    return LaurentPoly({(0,) * len(alpha): 1, _vneg(alpha): -1})
+    return LaurentPoly({(0,) * len(alpha): 1, negate(alpha): -1})
 
 
 def lambda_minus_one(weights) -> LaurentPoly:
@@ -211,13 +206,13 @@ class _Packing:
     8 to 64 bits decode through ``struct``, many values per C call.
     """
 
-    __slots__ = ("rank", "width", "top", "_low", "_digits")
+    __slots__ = ("width", "top", "_low", "_digits")
 
     def __init__(self, rank: int, limit: int) -> None:
         width = 8
         while limit >> width:
             width *= 2
-        self.rank, self.width, self.top = rank, width, rank * width
+        self.width, self.top = width, rank * width
         self._low = (1 << self.top) - 1
         code = _DIGIT_CODES.get(width)
         self._digits = struct.Struct(f"<{rank}{code}").iter_unpack if code else None
@@ -245,46 +240,30 @@ class _Packing:
 
 
 class TruncatedSeries:
-    """Exact series coefficients on exponents -mu with height(mu) <= bound.
+    """Exact series coefficients on exponents -mu with height(mu) <= bound."""
 
-    The terms are held packed (:class:`_Packing`): ``coefficient`` packs its
-    query, and ``items``, ``==``, ``hash``, ``+`` and ``*`` decode the terms
-    once, on first use.
-    """
-
-    __slots__ = ("bound", "_packing", "_packed", "_decoded")
+    __slots__ = ("bound", "_terms")
 
     def __init__(self, terms, bound: int) -> None:
         data: dict[WeightVector, int] = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for exponent, coeff in items:
             exponent = tuple(exponent)
-            mu = _vneg(exponent)
+            mu = negate(exponent)
             if min(mu) < 0:
                 raise AssertionError(f"series exponent {exponent} outside -cone")
             if height(mu) > bound or coeff == 0:
                 continue
             data[exponent] = data.get(exponent, 0) + coeff
-        data = {e: c for e, c in data.items() if c}
-        packing = _Packing(len(next(iter(data), ())), max((-min(e) for e in data), default=0))
         self.bound = bound
-        self._packing = packing
-        self._packed = {packing.pack(_vneg(e)): c for e, c in data.items()}
-        self._decoded = data
+        self._terms = {e: c for e, c in data.items() if c}
 
     @classmethod
-    def _from_packed(cls, packing: _Packing, packed: dict[int, int], bound: int) -> "TruncatedSeries":
-        """The series of packed terms, all of height <= bound and nonzero."""
+    def _of(cls, terms: dict[WeightVector, int], bound: int) -> "TruncatedSeries":
+        """The series of terms already keyed by distinct exponents -mu, height(mu) <= bound, nonzero."""
         series = cls.__new__(cls)
-        series.bound, series._packing, series._packed, series._decoded = bound, packing, packed, None
+        series.bound, series._terms = bound, terms
         return series
-
-    @property
-    def _terms(self) -> dict[WeightVector, int]:
-        if self._decoded is None:
-            packed = self._packed
-            self._decoded = dict(zip(self._packing.exponents(packed), packed.values()))
-        return self._decoded
 
     def items(self) -> list[tuple[WeightVector, int]]:
         return sorted(self._terms.items())
@@ -292,18 +271,12 @@ class TruncatedSeries:
     def coefficient(self, exponent: WeightVector) -> int:
         """Exact coefficient of e^{exponent}; BeyondTruncation past the bound."""
         exponent = tuple(exponent)
-        mu = _vneg(exponent)
+        mu = negate(exponent)
         if min(mu) < 0:
             return 0  # support lies in the negative cone, exactly zero
         if height(mu) > self.bound:
             raise BeyondTruncation(f"height {height(mu)} exceeds the bound {self.bound}")
-        packing = self._packing
-        if len(mu) != packing.rank:
-            return 0
-        # Every term's digits fit the width.  A query digit that does not
-        # carries, which takes 2^W - 1 off the digit sum per carry while the
-        # top digit keeps the full height, so the query matches no term.
-        return self._packed.get(packing.pack(mu), 0)
+        return self._terms.get(exponent, 0)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         bound = min(self.bound, other.bound)
@@ -316,12 +289,12 @@ class TruncatedSeries:
         bound = min(self.bound, other.bound)
         out: dict[WeightVector, int] = {}
         for e1, c1 in self._terms.items():
-            h1 = height(_vneg(e1))
+            h1 = -height(e1)
             if h1 > bound:
                 continue
             for e2, c2 in other._terms.items():
                 e = _vadd(e1, e2)
-                if h1 + height(_vneg(e2)) > bound:
+                if h1 - height(e2) > bound:
                     continue
                 out[e] = out.get(e, 0) + c1 * c2
         return TruncatedSeries(out, bound)
@@ -356,23 +329,22 @@ def char_series(numerator: LaurentPoly, denominator_weights, bound: int) -> Trun
         raise ValueError("denominator weights must be positive roots")
     in_cone = _span_search(weights)
     for exponent, _ in numerator.items():
-        if not in_cone(_vneg(exponent)):
+        if not in_cone(negate(exponent)):
             raise ExponentOutsideCone(f"numerator exponent {exponent} outside the span")
     packing = _Packing(len(weights[0]), max(bound, 0))
-    terms = {packing.pack(_vneg(e)): c for e, c in numerator.items() if -sum(e) <= bound}
+    terms = {packing.pack(negate(e)): c for e, c in numerator.items() if -sum(e) <= bound}
     return _packed_spread(packing, terms, weights, bound)
 
 
 def _packed_spread(packing: _Packing, terms: dict[int, int], weights, bound: int) -> TruncatedSeries:
     """terms / prod (1 - e^{-beta}) up to the height bound, on packed exponents.
 
-    The packing's limit must be >= bound, the terms must be nonzero and every
-    weight must have positive height; terms at or past the cap are dropped.
-    This is :func:`char_series` without its checks, for exponents in the cone
-    by construction.
+    The packing's limit must be >= bound, the terms must be nonzero and the
+    weights nonempty, each of positive height; terms at or past the cap are
+    dropped by the first weight's walk.  This is :func:`char_series` without
+    its checks, for exponents in the cone by construction.
     """
     cap = packing.cap(bound)
-    terms = {p: c for p, c in terms.items() if p < cap}
     for beta in weights:
         # Multiplying by sum_k e^{-k beta} spreads each term e^{-mu} along
         # e^{-mu - beta}, e^{-mu - 2 beta}, ... while the height stays <= bound.
@@ -384,4 +356,4 @@ def _packed_spread(packing: _Packing, terms: dict[int, int], weights, bound: int
                 nxt[p] = get(p, 0) + c
                 p += step
         terms = {p: c for p, c in nxt.items() if c}
-    return TruncatedSeries._from_packed(packing, terms, bound)
+    return TruncatedSeries._of(dict(zip(packing.exponents(terms), terms.values())), bound)

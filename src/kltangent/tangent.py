@@ -199,18 +199,19 @@ def _add_into(acc: dict[int, int], poly: dict[int, int], sign: int = 1) -> None:
 
 
 def _signed_states(
-    rs: RootSystem, s: Word, gammas: tuple[Root, ...], packing: _Packing, cap: int, w: WeylElement | None = None
-) -> dict[WeylElement, dict[int, int]]:
-    """u -> sum over the subsequences t of s with delta(t) = u of prod_{i in t} -(1 - e^{-gamma_i}).
+    rs: RootSystem, s: Word, gammas: tuple[Root, ...], bound: int, w: WeylElement | None = None
+) -> tuple[_Packing, dict[WeylElement, dict[int, int]]]:
+    """(packing, u -> sum over the subsequences t of s with delta(t) = u of prod_{i in t} -(1 - e^{-gamma_i})).
 
     The signed-count pass of :func:`kltangent.hecke.demazure_signed_counts`
     with a Laurent polynomial on every state: taking letter k moves u to
     H_u H_{s_k} and multiplies by e^{-gamma_k} - 1, skipping it keeps both.
     Then P_{u,s} = (-1)^{l(u)} state[u].  Each polynomial maps the packed
-    exponents P(nu) of ``packing`` to coefficients, so multiplying by
-    e^{-gamma_k} adds P(gamma_k) to every key; terms that reach ``cap`` are
-    dropped, which is exact for a cap(bound) with bound <= packing.limit
-    because exponents only go down.  Letters must already be validated.
+    exponents P(nu) of ``_Packing(rank, bound)`` to coefficients, so
+    multiplying by e^{-gamma_k} adds P(gamma_k) to every key; terms of
+    height past the bound are dropped, which is exact below the bound
+    because exponents only go down.  With bound = sum_i height(gamma_i) no
+    term is dropped.  Letters must already be validated.
 
     Given w, only states v <= w are kept: Demazure products only grow along
     a word, so no other state reaches w.  A new state v = u s_k comes from a
@@ -220,6 +221,8 @@ def _signed_states(
     that u < w with s a right descent of w and not of u gives us <= w.
     Otherwise one walk decides, memoised per state.
     """
+    packing = _Packing(rs.rank, max(bound, 0))
+    cap = packing.cap(bound)
     one = identity_element(rs)
     element = {one.point: one}  # the pass keys its states by point, a plain tuple
     states: dict[tuple[int, ...], dict[int, int]] = {one.point: {0: 1}}
@@ -255,21 +258,12 @@ def _signed_states(
             else:
                 _add_into(target, moved)
         states = {p: poly for p, poly in nxt.items() if poly}
-    return {element[p]: poly for p, poly in states.items()}
-
-
-def _exact_packing(rs: RootSystem, gammas: tuple[Root, ...]) -> tuple[_Packing, int]:
-    """A packing that holds every exponent of the pass over gammas, and a cap none of them reaches.
-
-    Every exponent of the pass is minus the sum of a subset of the gammas.
-    """
-    packing = _Packing(rs.rank, max(map(sum, zip(*gammas)), default=0))
-    return packing, packing.cap(sum(map(height, gammas)))
+    return packing, {element[p]: poly for p, poly in states.items()}
 
 
 def _signed_class(u: WeylElement, state: dict[int, int], packing: _Packing) -> LaurentPoly:
     sign = -1 if u.length % 2 else 1
-    return LaurentPoly(zip(packing.exponents(state), [sign * c for c in state.values()]))
+    return LaurentPoly._of(dict(zip(packing.exponents(state), [sign * c for c in state.values()])))
 
 
 def kclass_restriction(rs: RootSystem, w: WeylElement, s: Word) -> LaurentPoly:
@@ -284,8 +278,8 @@ def kclass_restriction(rs: RootSystem, w: WeylElement, s: Word) -> LaurentPoly:
     """
     gammas = _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas
     _check_word(rs, s)
-    packing, cap = _exact_packing(rs, gammas)
-    state = _signed_states(rs, s, gammas, packing, cap, w).get(w)  # only w is decoded
+    packing, states = _signed_states(rs, s, gammas, sum(map(height, gammas)), w)
+    state = states.get(w)  # only w is decoded
     return _signed_class(w, state, packing) if state else LaurentPoly.zero()
 
 
@@ -297,8 +291,7 @@ def kclass_restrictions(rs: RootSystem, s: Word) -> dict[WeylElement, LaurentPol
     """
     gammas = gamma_sequence(rs, s).gammas  # raises NotReduced
     _check_word(rs, s)
-    packing, cap = _exact_packing(rs, gammas)
-    states = _signed_states(rs, s, gammas, packing, cap)
+    packing, states = _signed_states(rs, s, gammas, sum(map(height, gammas)))
     return {u: _signed_class(u, state, packing) for u, state in states.items()}
 
 
@@ -366,8 +359,8 @@ def _cone_series(
     if not gammas:
         raise ValueError("denominator weight list must be nonempty")
     _check_word(rs, s)
-    packing = _Packing(rs.rank, max(bound, 0))
-    state = _signed_states(rs, s, gammas, packing, packing.cap(bound), w).get(w, {})
+    packing, states = _signed_states(rs, s, gammas, bound, w)
+    state = states.get(w, {})
     if w.length % 2:
         state = {p: -c for p, c in state.items()}
     return _packed_spread(packing, state, gammas, bound)
@@ -396,7 +389,7 @@ def tangent_cone_coefficient(rs: RootSystem, lam: WeightVector, w: WeylElement, 
     """
     gammas = _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas
     mu = negate(tuple(lam))
-    if min(mu) < 0 or not in_nonneg_integer_span(gammas, mu):
+    if len(mu) != rs.rank or min(mu) < 0 or not in_nonneg_integer_span(gammas, mu):
         raise ExponentOutsideCone(f"-({lam}) is outside the cone of the ambient weights")
     return _cone_series(rs, w, s, gammas, height(mu)).coefficient(tuple(lam))
 

@@ -58,7 +58,6 @@ _WORD_LENGTH_MAX = 6  # words swept by the weyl-basics and hecke-subword suites
 class VerifyConfig:
     """Knobs for the battery orchestrator (`kltangent verify <type>`)."""
 
-    group_order_guard: int = 400_000
     random_cases: int = 500
     seed: int = 2_718_281
 
@@ -636,7 +635,7 @@ def hecke_subword_suite(rs: RootSystem) -> VerifyOutcome:
 def run_battery(label: str, config: VerifyConfig = VerifyConfig()) -> list[VerifyOutcome]:
     """All suites applicable to one Cartan type, exhaustive where desk-scale."""
     rs = build_root_system(label)
-    gt = group_table(rs, config.group_order_guard)  # raises GroupTooLarge early
+    gt = group_table(rs)  # raises GroupTooLarge early
     order = len(gt.elements)
     sample = None if order <= _EXHAUSTIVE_ORDER_MAX else _SAMPLED_CASES
     outcomes = [root_basics_suite(rs)]

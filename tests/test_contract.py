@@ -139,3 +139,26 @@ def test_word_functions_error_contract(case):
     w = word_to_element(rs, w_word)
     got = {name: _outcome(lambda call=call: call(rs, w, s, j)) for name, call in CALLS.items()}
     assert got == {name: overrides.get(name, default) for name in CALLS}
+
+
+_A3_W0 = canonical_reduced_word(build_root_system("A3"), longest_element(build_root_system("A3")))
+
+# (id, type, word of w, s, lambda, outcome of tangent_cone_coefficient): lambda must have rank coordinates.
+LAMBDA_CASES = [
+    (
+        "lambda shorter than the rank", "A3", (), _A3_W0, (-1, -1),
+        (ExponentOutsideCone, "-((-1, -1)) is outside the cone of the ambient weights"),
+    ),
+    (
+        "lambda longer than the rank", "A3", (), _A3_W0, (-1, -1, 0, 0),
+        (ExponentOutsideCone, "-((-1, -1, 0, 0)) is outside the cone of the ambient weights"),
+    ),
+]
+
+
+@pytest.mark.parametrize("case", LAMBDA_CASES, ids=[case[0] for case in LAMBDA_CASES])
+def test_cone_coefficient_exponent_contract(case):
+    _, label, w_word, s, lam, outcome = case
+    rs = build_root_system(label)
+    w = word_to_element(rs, w_word)
+    assert _outcome(lambda: tangent_cone_coefficient(rs, lam, w, s)) == outcome

@@ -29,7 +29,7 @@ from kltangent import (
     tangent_cone_series,
     word_to_element,
 )
-from kltangent.tangent import _exact_packing, _signed_states
+from kltangent.tangent import _signed_states
 from kltangent.weyl import has_right_ascent
 from oracles import brute_subword_complex, kclasses_by_enumeration, oracle_spread
 
@@ -68,9 +68,8 @@ def test_pass_keeps_only_states_below_w():
     """The states the pass keeps for w, with a Bruhat walk or by the lifting property, are all <= w."""
     for rs, _, word, below in _cases("B3", all_words=False):
         gammas = gamma_sequence(rs, word).gammas
-        packing, cap = _exact_packing(rs, gammas)
         for w in below:
-            states = _signed_states(rs, word, gammas, packing, cap, w)
+            _, states = _signed_states(rs, word, gammas, sum(map(height, gammas)), w)
             assert all(bruhat_leq(rs, u, w) for u in states), (word, w)
             assert w in states
 

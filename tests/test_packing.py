@@ -1,8 +1,8 @@
 """Edges of the packed exponents behind the signed pass and the series spread.
 
 The pass and the spread keep every exponent -nu as one int with digits of a
-fixed width (``rt_ring._Packing``); a series built that way must behave
-exactly like one built from exponent tuples.
+fixed width (``rt_ring._Packing``); the classes and series they decode must
+behave exactly like ones built from exponent tuples.
 """
 
 import pytest
@@ -14,6 +14,8 @@ from kltangent import (
     build_root_system,
     char_series,
     gamma_sequence,
+    group_table,
+    height,
     identity_element,
     kclass_restriction,
     kclass_restrictions,
@@ -43,7 +45,7 @@ def test_cone_series_past_one_byte(label, word, bound):
     assert identity_element(rs) in classes and x in classes
     for w, poly in classes.items():
         series = tangent_cone_series(rs, w, word, bound)
-        assert series._packing.width == 16
+        assert _Packing(rs.rank, bound).width == 16
         assert series == oracle_spread(poly, gammas, bound)
     assert tangent_cone_series(rs, x, word, bound).items() == [((0,) * rs.rank, 1)]
 
@@ -52,7 +54,7 @@ def test_char_series_past_one_byte():
     weights = [(1, 0), (1, 1)]
     numerator = LaurentPoly({(0, 0): 1, (-1, 0): -2, (-5, -3): 5, (-300, 0): 7, (-301, 0): 1})
     series = char_series(numerator, weights, 300)
-    assert series._packing.width == 16
+    assert _Packing(2, 300).width == 16
     assert series == oracle_spread(numerator, weights, 300)
 
 
@@ -65,16 +67,38 @@ def test_empty_word():
         tangent_cone_series(rs, e, (), 3)
 
 
+def _same_as_rebuilt(value, rebuilt):
+    assert value == rebuilt and rebuilt == value
+    assert hash(value) == hash(rebuilt)
+    assert value.items() == rebuilt.items()
+
+
 def test_packed_and_tuple_series_agree():
+    """Classes and series from the trusted constructors equal their rebuilds through the validating ones.
+
+    A stored zero coefficient or a key that is not an exponent tuple would
+    tell them apart.  Canonical words and every w <= x of A3, B3 and G2, the
+    series at the largest gamma height; then sums and products of series.
+    """
+    for label in ("A3", "B3", "G2"):
+        rs = build_root_system(label)
+        gt = group_table(rs)
+        masks = gt.leq_masks()
+        for idx in range(1, len(gt.elements)):  # x = e has no series
+            word = gt.word_of(idx)
+            for poly in kclass_restrictions(rs, word).values():
+                _same_as_rebuilt(poly, LaurentPoly(poly.items()))
+            bound = max(map(height, gamma_sequence(rs, word).gammas))
+            for w_id in range(len(gt.elements)):
+                if (masks[idx] >> w_id) & 1:
+                    series = tangent_cone_series(rs, gt.elements[w_id], word, bound)
+                    _same_as_rebuilt(series, TruncatedSeries(dict(series.items()), series.bound))
     rs = build_root_system("B3")
     word = (1, 2, 3, 2, 1)
     w = word_to_element(rs, (2, 3))
     packed = tangent_cone_series(rs, w, word, 4)
-    assert packed._decoded is None  # packed terms, not decoded yet
     plain = TruncatedSeries(dict(packed.items()), 4)
-    assert packed == plain and plain == packed
-    assert hash(packed) == hash(plain)
-    assert packed.items() == plain.items()
+    _same_as_rebuilt(packed, plain)
     other = tangent_cone_series(rs, identity_element(rs), word, 3)
     assert packed + other == plain + TruncatedSeries(dict(other.items()), 3)
     assert packed * other == plain * TruncatedSeries(dict(other.items()), 3)
@@ -93,10 +117,7 @@ def test_coefficient_edges():
         with pytest.raises(BeyondTruncation):
             s.coefficient((-2, -2))  # height 4 past the bound 3
         assert s.coefficient((-256, 255)) == 0  # wide, but outside the cone
-    # Height 300 within the bound, and a component wider than the 8-bit digits:
-    # 300 = 44 + 256 carries onto the digits of the stored (44, 1), whose
-    # height 45 the top digit still tells apart.
+    # Height 300 within the bound, with a component wider than one byte.
     narrow = TruncatedSeries({(-44, -1): 3, (-1, 0): 2}, 1000)
-    assert narrow._packing.width == 8
     assert narrow.coefficient((-300, 0)) == 0
     assert narrow.coefficient((-44, -1)) == 3 and narrow.coefficient((-1, 0)) == 2
