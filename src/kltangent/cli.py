@@ -235,12 +235,17 @@ def _node_list(text: str) -> frozenset[int]:
         raise argparse.ArgumentTypeError(f"expected node numbers like \"1,3\", got {text!r}") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kltangent",
-                                     description="Exact tangent-space weights of Schubert varieties")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _positive_int(text: str) -> int:
+    """Parse a count of at least 1."""
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
-    p = sub.add_parser("tangent", help="tangent-weight report at a fixed point")
+
+def _tangent_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("type")
     p.add_argument("--x", required=True, help='reduced word for x, e.g. "1 2 1" or "s1 s2 s1"')
     p.add_argument("--w", required=True, help="word for w")
@@ -251,45 +256,86 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cone-evidence", action="store_true",
                    help="attach tangent-cone coefficients to Undetermined positions")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_tangent)
 
-    p = sub.add_parser("kclass", help="localized structure-sheaf class P_{w,s}")
+
+def _kclass_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("type")
     p.add_argument("--x", required=True)
     p.add_argument("--w", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_kclass)
 
-    p = sub.add_parser("demazure", help="Demazure product and excess of a word")
+
+def _demazure_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("type")
     p.add_argument("word")
-    p.set_defaults(func=_cmd_demazure)
 
-    p = sub.add_parser("subword-complex", help="faces/facets/boundary/Euler data")
+
+def _subword_complex_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("type")
     p.add_argument("word")
     p.add_argument("target")
-    p.set_defaults(func=_cmd_subword_complex)
 
-    p = sub.add_parser("cominuscule", help="cominuscule test for a Weyl element")
+
+def _cominuscule_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("type")
     p.add_argument("--x", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_cominuscule)
 
-    p = sub.add_parser("verify", help="run the exhaustive verification battery")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("type", nargs="+", help="one or more Cartan types, checked in order")
     # Omitted values fall back to VerifyConfig's defaults.
-    p.add_argument("--random-cases", type=int)
+    p.add_argument("--random-cases", type=_positive_int)
     p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
+
+
+# name -> (help, adder of the subcommand's arguments, handler)
+_COMMANDS = {
+    "tangent": ("tangent-weight report at a fixed point", _tangent_args, _cmd_tangent),
+    "kclass": ("localized structure-sheaf class P_{w,s}", _kclass_args, _cmd_kclass),
+    "demazure": ("Demazure product and excess of a word", _demazure_args, _cmd_demazure),
+    "subword-complex": ("faces/facets/boundary/Euler data", _subword_complex_args, _cmd_subword_complex),
+    "cominuscule": ("cominuscule test for a Weyl element", _cominuscule_args, _cmd_cominuscule),
+    "verify": ("run the exhaustive verification battery", _verify_args, _cmd_verify),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="kltangent",
+                                     description="Exact tangent-space weights of Schubert varieties")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, building only the named subcommand's parser when it can.
+
+    The full tree hands everything after the command name to that
+    subcommand's parser through ``parse_known_args``, under the prog
+    ``kltangent <name>``, and then refuses any leftover argument itself.  A
+    standalone parser with the same prog and arguments therefore prints the
+    same help and the same errors; only leftovers are worded by the full
+    tree, so they go back to it.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        _, add_arguments, handler = command
+        parser = argparse.ArgumentParser(prog=f"kltangent {argv[0]}")
+        add_arguments(parser)
+        parser.set_defaults(command=argv[0], func=handler)
+        args, leftover = parser.parse_known_args(argv[1:])
+        if not leftover:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except KltangentError as exc:

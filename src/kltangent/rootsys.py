@@ -175,12 +175,17 @@ def reflect_weight(point: tuple[int, ...], i: int, weight_links) -> tuple[int, .
     return tuple(out)
 
 
-def reflect_root_in_place(v: list[int], i: int, root_links) -> None:
-    """s_i (0-based node i) applied in place to a vector in simple-root coordinates."""
+def _coroot_pairing(v, i: int, root_links) -> int:
+    """<v, alpha_i^vee> (0-based node i) for a vector v in simple-root coordinates."""
     pairing = 2 * v[i]
     for k, a in root_links[i]:
         pairing += v[k] * a
-    v[i] -= pairing
+    return pairing
+
+
+def reflect_root_in_place(v: list[int], i: int, root_links) -> None:
+    """s_i (0-based node i) applied in place to a vector in simple-root coordinates."""
+    v[i] -= _coroot_pairing(v, i, root_links)
 
 
 class RootSystem:
@@ -215,8 +220,9 @@ class RootSystem:
     def _close_positive_roots(self) -> tuple[Root, ...]:
         # Every positive root of height > 1 is s_i(beta) for a positive root
         # beta of smaller height, so walking up from the simple roots reaches
-        # them all.  s_i changes coordinate i only: an image whose coordinate i
-        # went up is positive.
+        # them all.  s_i(v) = v - <v, alpha_i^vee> alpha_i changes coordinate i
+        # only: an image whose coordinate i went up, a negative pairing, is
+        # positive, and only those images are built.
         root_links = self.dynkin.root_links
         seen = set(self.simple_roots)
         frontier = list(self.simple_roots)
@@ -224,12 +230,12 @@ class RootSystem:
             new = []
             for v in frontier:
                 for i in range(self.rank):
-                    image = list(v)
-                    reflect_root_in_place(image, i, root_links)
-                    w = tuple(image)
-                    if w[i] > v[i] and w not in seen:
-                        seen.add(w)
-                        new.append(w)
+                    pairing = _coroot_pairing(v, i, root_links)
+                    if pairing < 0:
+                        w = v[:i] + (v[i] - pairing,) + v[i + 1 :]
+                        if w not in seen:
+                            seen.add(w)
+                            new.append(w)
             frontier = new
         expected = _POSITIVE_COUNTS[self.cartan_type.family](self.rank)
         if len(seen) != expected:

@@ -16,7 +16,8 @@ topped by height(nu) (:class:`_Packing`): multiplying by e^{-beta} is one
 integer addition, the height bound is one comparison, and no tuple is built.
 Packed ints never leave the pass and the spread: each decodes its result
 once, and a :class:`LaurentPoly` or :class:`TruncatedSeries` holds one dict
-keyed by exponent tuples.
+keyed by exponent tuples.  The same packing, applied to roots, gives
+``kltangent.tangent`` its pair-sum test of indecomposability.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import struct
 from operator import neg
 
-from .errors import BeyondTruncation, ExponentOutsideCone
+from .errors import BeyondTruncation, ExponentOutsideCone, WrongType
 from .rootsys import Root, height, negate
 
 WeightVector = tuple[int, ...]
@@ -36,8 +37,23 @@ def _vadd(a: WeightVector, b: WeightVector) -> WeightVector:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _same_rank(a: WeightVector, b: WeightVector) -> None:
+    """WrongType unless the exponents a and b have the same number of coordinates."""
+    if len(a) != len(b):
+        raise WrongType(f"rank mismatch: {a} has {len(a)} coordinates, {b} has {len(b)}")
+
+
+def _check_ranks(x: dict, y: dict) -> None:
+    """WrongType unless two nonempty term dicts are keyed by exponents of one rank."""
+    if x and y:
+        _same_rank(next(iter(x)), next(iter(y)))
+
+
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial with root-lattice exponents."""
+    """Immutable sparse Laurent polynomial with root-lattice exponents.
+
+    The sum and product of two nonzero polynomials of different rank raise WrongType.
+    """
 
     __slots__ = ("_terms",)
 
@@ -83,6 +99,7 @@ class LaurentPoly:
         return not self._terms
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        _check_ranks(self._terms, other._terms)
         out = dict(self._terms)
         for e, c in other._terms.items():
             c2 = out.get(e, 0) + c
@@ -99,6 +116,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        _check_ranks(self._terms, other._terms)
         out: dict[WeightVector, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -269,8 +287,10 @@ class TruncatedSeries:
         return sorted(self._terms.items())
 
     def coefficient(self, exponent: WeightVector) -> int:
-        """Exact coefficient of e^{exponent}; BeyondTruncation past the bound."""
+        """Exact coefficient of e^{exponent}; BeyondTruncation past the bound, WrongType off the terms' rank."""
         exponent = tuple(exponent)
+        if self._terms:
+            _same_rank(next(iter(self._terms)), exponent)
         mu = negate(exponent)
         if min(mu) < 0:
             return 0  # support lies in the negative cone, exactly zero
@@ -316,7 +336,8 @@ class TruncatedSeries:
 def char_series(numerator: LaurentPoly, denominator_weights, bound: int) -> TruncatedSeries:
     """Expand numerator / prod (1 - e^{-beta}) as a height-truncated series.
 
-    Every denominator weight must have positive height, and every exponent of
+    Every denominator weight must have positive height, the weights and the
+    numerator's exponents one rank (WrongType otherwise), and every exponent of
     the numerator must lie in the negative of the integer cone spanned by the
     denominator weights (ExponentOutsideCone otherwise); under these
     hypotheses the expansion prod (1 + e^{-beta} + e^{-2 beta} + ...) has
@@ -327,6 +348,8 @@ def char_series(numerator: LaurentPoly, denominator_weights, bound: int) -> Trun
         raise ValueError("denominator weight list must be nonempty")
     if any(min(b) < 0 or height(b) < 1 for b in weights):
         raise ValueError("denominator weights must be positive roots")
+    for exponent in (*weights, *numerator._terms):
+        _same_rank(weights[0], exponent)
     in_cone = _span_search(weights)
     for exponent, _ in numerator.items():
         if not in_cone(negate(exponent)):

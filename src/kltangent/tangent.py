@@ -44,6 +44,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (
     ExponentOutsideCone,
@@ -332,21 +333,37 @@ def is_integrally_indecomposable(alpha: Root, phi) -> bool:
 def _is_indecomposable_in(gamma: Root, inversions: frozenset[Root]) -> bool:
     """Is gamma, a root of the inversion set I = I(x^{-1}), integrally indecomposable in I?
 
-    Same answer as ``is_integrally_indecomposable(gamma, inversions)``, in one
-    pass over I instead of a search.  If a root alpha is a sum of k >= 2
-    positive roots beta_i, then (alpha, alpha) = sum (alpha, beta_i) > 0, so some
-    (alpha, beta_i) > 0 and alpha - beta_i is a positive root, the sum of the
-    other beta's.  I holds every positive root in its nonnegative span (one
-    Weyl group element sends every root of I, hence every positive root of
-    the span, to a negative root), so gamma is decomposable over
-    I \\ {gamma} iff gamma - beta lies in I for some beta in I.
+    The test of :func:`_indecomposable_inversions` for one root: gamma is
+    decomposable iff gamma - beta lies in I for some beta in I, one pass over I.
     """
     return not any(tuple(g - b for g, b in zip(gamma, beta)) in inversions for beta in inversions)
 
 
 def _indecomposable_inversions(inversions: frozenset[Root]) -> frozenset[Root]:
-    """The integrally indecomposable roots of an inversion set I = I(x^{-1}), in O(|I|^2)."""
-    return frozenset(gamma for gamma in inversions if _is_indecomposable_in(gamma, inversions))
+    """The integrally indecomposable roots of an inversion set I = I(x^{-1}), in O(|I|^2) int additions.
+
+    Same answer as ``is_integrally_indecomposable(gamma, inversions)`` for
+    each gamma in I, with no search.  If a root alpha is a sum of k >= 2
+    positive roots beta_i, then (alpha, alpha) = sum (alpha, beta_i) > 0, so
+    some (alpha, beta_i) > 0 and alpha - beta_i is a positive root, the sum of
+    the other beta's.  I holds every positive root in its nonnegative span
+    (one Weyl group element sends every root of I, hence every positive root
+    of the span, to a negative root), so gamma is decomposable over
+    I \\ {gamma} iff gamma - beta lies in I for some beta in I, that is iff
+    gamma = beta + beta' for two roots of I, distinct because 2 beta is not a
+    root.
+
+    Each root is packed once (:class:`kltangent.rt_ring._Packing`) with a
+    limit of twice the largest coefficient in I, so no sum of two packed roots
+    carries: P(beta) + P(beta') = P(beta + beta'), and P is injective.  gamma
+    is decomposable iff P(gamma) is such a sum.
+    """
+    if not inversions:
+        return frozenset()
+    packing = _Packing(len(next(iter(inversions))), 2 * max(map(max, inversions)))
+    packed = {gamma: packing.pack(gamma) for gamma in inversions}
+    sums = {p + q for p, q in combinations(packed.values(), 2)}
+    return frozenset(gamma for gamma, p in packed.items() if p not in sums)
 
 
 def _cone_series(

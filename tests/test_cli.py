@@ -119,6 +119,10 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["tangent", "A2", "--x", "1 2", "--w", "", "--parabolic", "x"])
     assert info.value.code == 2
+    for count in ("-5", "0"):  # a battery of no random cases would pass vacuously
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "A2", "--random-cases", count])
+        assert info.value.code == 2
 
 
 def test_verify_cli_small(capsys):

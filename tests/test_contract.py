@@ -1,15 +1,16 @@
-"""The error contract of the public word-taking functions of ``tangent``.
+"""The error contract of the public word-taking functions of ``tangent`` and of the ring objects.
 
 Every function gets the same bad inputs; the table pins which exception each
 one raises, with its message, so the order of the checks (position, letter,
 reducedness, Bruhat order, the 20-letter guard, the cone of lambda) is part
-of the contract.
+of the contract.  A last table pins the rank checks of ``rt_ring``.
 """
 
 import pytest
 
 from kltangent import (
     ExponentOutsideCone,
+    LaurentPoly,
     LengthBoundExceeded,
     LetterOutOfRange,
     NotBelow,
@@ -17,6 +18,7 @@ from kltangent import (
     WrongType,
     build_root_system,
     canonical_reduced_word,
+    char_series,
     is_explicit_factor,
     kclass_restriction,
     kclass_restrictions,
@@ -162,3 +164,37 @@ def test_cone_coefficient_exponent_contract(case):
     rs = build_root_system(label)
     w = word_to_element(rs, w_word)
     assert _outcome(lambda: tangent_cone_coefficient(rs, lam, w, s)) == outcome
+
+
+_A2_SERIES = char_series(LaurentPoly({(-1, -1): 1}), [(1, 0), (0, 1)], 3)
+
+# (id, call, outcome): the ring objects refuse to mix ranks; the trusted _of paths are not checked.
+RANK_CASES = [
+    (
+        "char_series numerator shorter than the weights",
+        lambda: char_series(LaurentPoly({(-1, -1): 1}), [(1, 0, 0), (0, 1, 0)], 3),
+        (WrongType, "rank mismatch: (1, 0, 0) has 3 coordinates, (-1, -1) has 2"),
+    ),
+    (
+        "LaurentPoly sum of ranks 2 and 3",
+        lambda: LaurentPoly.one(2) + LaurentPoly.one(3),
+        (WrongType, "rank mismatch: (0, 0) has 2 coordinates, (0, 0, 0) has 3"),
+    ),
+    (
+        "LaurentPoly product of ranks 2 and 3",
+        lambda: LaurentPoly.one(2) * LaurentPoly.one(3),
+        (WrongType, "rank mismatch: (0, 0) has 2 coordinates, (0, 0, 0) has 3"),
+    ),
+    (
+        "TruncatedSeries coefficient of a rank-3 query",
+        lambda: _A2_SERIES.coefficient((-1, -1, 0)),
+        (WrongType, "rank mismatch: (-1, -1) has 2 coordinates, (-1, -1, 0) has 3"),
+    ),
+    ("the zero polynomial has no rank", lambda: LaurentPoly.zero() * LaurentPoly.one(3), None),
+]
+
+
+@pytest.mark.parametrize("case", RANK_CASES, ids=[case[0] for case in RANK_CASES])
+def test_ring_rank_contract(case):
+    _, call, outcome = case
+    assert _outcome(call) == outcome

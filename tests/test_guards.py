@@ -3,9 +3,11 @@
 The localized class and the tangent-cone series refuse words longer than 20
 letters with the same error everywhere; the per-word functions store nothing
 on a long-lived root system; and the correctness checks raise
-AssertionError explicitly, so they survive ``python -O``.
+AssertionError explicitly, so they survive ``python -O``: the package holds
+no ``assert`` statement.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -105,3 +107,14 @@ else:
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("raised ((1, 2),"), done.stdout
+
+
+def test_package_has_no_assert_statement():
+    # python -O strips assert statements; the package's checks raise explicitly instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "kltangent").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
