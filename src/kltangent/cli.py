@@ -55,6 +55,7 @@ def _poly_str(rs: RootSystem, p: LaurentPoly) -> str:
 
 
 def _report_payload(rs: RootSystem, report: TangentReport) -> dict:
+    gamma_json = {g: _root_json(rs, g) for g in report.gamma.gammas}  # each gamma formatted once
     return {
         "cartan_type": str(rs.cartan_type),
         "x_word": list(report.x_word),
@@ -62,11 +63,11 @@ def _report_payload(rs: RootSystem, report: TangentReport) -> dict:
         "w_word": list(canonical_reduced_word(rs, report.w)),
         "w_length": report.w.length,
         "parabolic": sorted(report.parabolic) if report.parabolic is not None else None,
-        "gamma": [_root_json(rs, g) for g in report.gamma.gammas],
+        "gamma": list(gamma_json.values()),
         "statuses": [
             {
                 "position": st.position,
-                "gamma": _root_json(rs, st.gamma),
+                "gamma": gamma_json[st.gamma],
                 "status": st.verdict.value,
                 "evidence": {
                     "indecomposable": st.evidence.indecomposable,
@@ -77,7 +78,7 @@ def _report_payload(rs: RootSystem, report: TangentReport) -> dict:
             }
             for st in report.statuses
         ],
-        "kl_tangent_weights": [_root_json(rs, v) for v in sorted(report.kl_tangent_weights)],
+        "kl_tangent_weights": [gamma_json[v] for v in sorted(report.kl_tangent_weights)],
         "schubert_extra_weights": [_root_json(rs, v) for v in sorted(report.schubert_extra_weights)],
         "complete": report.complete,
     }

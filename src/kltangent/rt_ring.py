@@ -52,7 +52,8 @@ def _check_ranks(x: dict, y: dict) -> None:
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with root-lattice exponents.
 
-    The sum and product of two nonzero polynomials of different rank raise WrongType.
+    Terms of different rank in one polynomial, and the sum and product of two
+    nonzero polynomials of different rank, raise WrongType.
     """
 
     __slots__ = ("_terms",)
@@ -60,8 +61,12 @@ class LaurentPoly:
     def __init__(self, terms=()) -> None:
         data: dict[WeightVector, int] = {}
         items = terms.items() if hasattr(terms, "items") else terms
+        first = None
         for exponent, coeff in items:
             exponent = tuple(exponent)
+            if first is None:
+                first = exponent
+            _same_rank(first, exponent)
             coeff = data.get(exponent, 0) + coeff
             if coeff:
                 data[exponent] = coeff
@@ -258,15 +263,23 @@ class _Packing:
 
 
 class TruncatedSeries:
-    """Exact series coefficients on exponents -mu with height(mu) <= bound."""
+    """Exact series coefficients on exponents -mu with height(mu) <= bound.
+
+    Like :class:`LaurentPoly`, a series refuses terms of mixed rank, and the
+    sum and product of two nonzero series of different rank, with WrongType.
+    """
 
     __slots__ = ("bound", "_terms")
 
     def __init__(self, terms, bound: int) -> None:
         data: dict[WeightVector, int] = {}
         items = terms.items() if hasattr(terms, "items") else terms
+        first = None
         for exponent, coeff in items:
             exponent = tuple(exponent)
+            if first is None:
+                first = exponent
+            _same_rank(first, exponent)
             mu = negate(exponent)
             if min(mu) < 0:
                 raise AssertionError(f"series exponent {exponent} outside -cone")
@@ -299,6 +312,7 @@ class TruncatedSeries:
         return self._terms.get(exponent, 0)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        _check_ranks(self._terms, other._terms)
         bound = min(self.bound, other.bound)
         out = dict(self._terms)
         for e, c in other._terms.items():
@@ -306,6 +320,7 @@ class TruncatedSeries:
         return TruncatedSeries(out, bound)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        _check_ranks(self._terms, other._terms)
         bound = min(self.bound, other.bound)
         out: dict[WeightVector, int] = {}
         for e1, c1 in self._terms.items():

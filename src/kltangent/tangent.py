@@ -200,7 +200,7 @@ def _add_into(acc: dict[int, int], poly: dict[int, int], sign: int = 1) -> None:
 
 
 def _signed_states(
-    rs: RootSystem, s: Word, gammas: tuple[Root, ...], bound: int, w: WeylElement | None = None
+    rs: RootSystem, s: Word, gammas: tuple[Root, ...], bound: int, targets: tuple[WeylElement, ...] | None = None
 ) -> tuple[_Packing, dict[WeylElement, dict[int, int]]]:
     """(packing, u -> sum over the subsequences t of s with delta(t) = u of prod_{i in t} -(1 - e^{-gamma_i})).
 
@@ -214,39 +214,55 @@ def _signed_states(
     because exponents only go down.  With bound = sum_i height(gamma_i) no
     term is dropped.  Letters must already be validated.
 
-    Given w, only states v <= w are kept: Demazure products only grow along
-    a word, so no other state reaches w.  A new state v = u s_k comes from a
-    kept state u <= w with s_k an ascent of u.  If s_k is a right descent of
-    w, then v <= w with no Bruhat walk: u != w, since s_k is an ascent of u,
-    so u < w, and the lifting property (Bjorner-Brenti, Prop. 2.2.7) says
-    that u < w with s a right descent of w and not of u gives us <= w.
-    Otherwise one walk decides, memoised per state.
+    ``targets`` None keeps every state.  Given a nonempty tuple of distinct
+    targets, only the states v <= t for some target t are kept: Demazure
+    products only grow along a word, so no other state reaches a target.  Each state
+    carries the bitmask of the targets above it, all of them at the
+    identity.  A new state v = u s_k comes from a kept state u with s_k an
+    ascent of u, so u < v, and every t >= v is >= u: the mask of v is a
+    subset of the mask of u.  For a target t of u's mask with s_k a right
+    descent of t, v <= t with no Bruhat walk: u != t, since s_k is an ascent
+    of u, so u < t, and the lifting property (Bjorner-Brenti, Prop. 2.2.7)
+    says that u < t with s a right descent of t and not of u gives us <= t.
+    Every other target of u's mask takes one walk.  By induction each mask
+    is exactly {t : v <= t}, a function of v, so it is computed once per new
+    point, and a state whose mask is 0 is dropped.
     """
     packing = _Packing(rs.rank, max(bound, 0))
     cap = packing.cap(bound)
     one = identity_element(rs)
-    element = {one.point: one}  # the pass keys its states by point, a plain tuple
+    # The pass keys its states by point, a plain tuple; each point holds its element and target mask.
+    element = {one.point: (one, (1 << len(targets)) - 1 if targets else 0)}
     states: dict[tuple[int, ...], dict[int, int]] = {one.point: {0: 1}}
-    below: dict[tuple[int, ...], bool] = {}
+    marks = [(1 << b, t) for b, t in enumerate(targets or ())]  # (mask bit, target)
     for letter, gamma in zip(s, gammas):
         g = packing.pack(gamma)
-        walk = w is not None and has_right_ascent(w, letter)  # else every new state is <= w
+        walkers = 0  # the targets with s_k an ascent: each needs a walk
+        for bit, t in marks:
+            if has_right_ascent(t, letter):
+                walkers |= bit
         nxt: dict[tuple[int, ...], dict[int, int]] = {}
         for p, poly in states.items():
-            u = element[p]
+            u, mask = element[p]
             if has_right_ascent(u, letter):
                 # Nothing moves onto an ascent state: u keeps poly,
                 # and poly * (e^{-gamma} - 1) moves on to u*s_k.
                 nxt[p] = poly
                 v = right_multiply_simple(rs, u, letter)
                 key = v.point
-                if walk:
-                    keep = below.get(key)
-                    if keep is None:
-                        keep = below[key] = v.length <= w.length and bruhat_leq(rs, v, w)
-                    if not keep:
+                todo = mask & walkers
+                if todo:
+                    seen = element.get(key)
+                    if seen is None:
+                        below = mask ^ todo
+                        for bit, t in marks:
+                            if todo & bit and v.length <= t.length and bruhat_leq(rs, v, t):
+                                below |= bit
+                        element[key] = seen = (v, below)
+                    if not seen[1]:
                         continue
-                element[key] = v
+                else:
+                    element[key] = (v, mask)
                 moved = {q: c for e, c in poly.items() if (q := e + g) < cap}
                 _add_into(moved, poly, -1)
             else:
@@ -259,12 +275,13 @@ def _signed_states(
             else:
                 _add_into(target, moved)
         states = {p: poly for p, poly in nxt.items() if poly}
-    return packing, {element[p]: poly for p, poly in states.items()}
+    return packing, {element[p][0]: poly for p, poly in states.items()}
 
 
-def _signed_class(u: WeylElement, state: dict[int, int], packing: _Packing) -> LaurentPoly:
+def _signed_class(u: WeylElement, state: dict[int, int], exponents) -> LaurentPoly:
+    """P_{u,s} from the pass's state of u; ``exponents`` gives the exponent tuple of each key of state, in order."""
     sign = -1 if u.length % 2 else 1
-    return LaurentPoly._of(dict(zip(packing.exponents(state), [sign * c for c in state.values()])))
+    return LaurentPoly._of(dict(zip(exponents, [sign * c for c in state.values()])))
 
 
 def kclass_restriction(rs: RootSystem, w: WeylElement, s: Word) -> LaurentPoly:
@@ -279,21 +296,24 @@ def kclass_restriction(rs: RootSystem, w: WeylElement, s: Word) -> LaurentPoly:
     """
     gammas = _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas
     _check_word(rs, s)
-    packing, states = _signed_states(rs, s, gammas, sum(map(height, gammas)), w)
+    packing, states = _signed_states(rs, s, gammas, sum(map(height, gammas)), (w,))
     state = states.get(w)  # only w is decoded
-    return _signed_class(w, state, packing) if state else LaurentPoly.zero()
+    return _signed_class(w, state, packing.exponents(state)) if state else LaurentPoly.zero()
 
 
 def kclass_restrictions(rs: RootSystem, s: Word) -> dict[WeylElement, LaurentPoly]:
     """{u: P_{u,s}} for every u <= delta(s) whose class is nonzero, from one pass over s.
 
     Same values as :func:`kclass_restriction` for each u; the word must be
-    reduced and at most 20 letters long.
+    reduced and at most 20 letters long.  The states share most of their
+    exponents, so the union of their keys is decoded once.
     """
     gammas = gamma_sequence(rs, s).gammas  # raises NotReduced
     _check_word(rs, s)
     packing, states = _signed_states(rs, s, gammas, sum(map(height, gammas)))
-    return {u: _signed_class(u, state, packing) for u, state in states.items()}
+    keys = set().union(*states.values())
+    exponent = dict(zip(keys, packing.exponents(keys)))
+    return {u: _signed_class(u, state, map(exponent.__getitem__, state)) for u, state in states.items()}
 
 
 def is_explicit_factor(rs: RootSystem, j: int, w: WeylElement, s: Word, method: str = "demazure") -> bool:
@@ -366,21 +386,32 @@ def _indecomposable_inversions(inversions: frozenset[Root]) -> frozenset[Root]:
     return frozenset(gamma for gamma, p in packed.items() if p not in sums)
 
 
-def _cone_series(
-    rs: RootSystem, w: WeylElement, s: Word, gammas: tuple[Root, ...], bound: int
-) -> TruncatedSeries:
-    """P_{w,s} / prod_i (1 - e^{-gamma_i}) up to the height bound, from the packed state of w.
+def _cone_series_by_target(
+    rs: RootSystem, targets: tuple[WeylElement, ...], s: Word, gammas: tuple[Root, ...], bound: int
+) -> dict[WeylElement, TruncatedSeries]:
+    """{w: P_{w,s} / prod_i (1 - e^{-gamma_i}) up to the height bound} for distinct targets w, from one pass.
 
-    The pass drops every term past the bound, which the series would drop anyway.
+    Each series is spread from the packed state of its target; the pass
+    drops every term past the bound, which the series would drop anyway.
     """
     if not gammas:
         raise ValueError("denominator weight list must be nonempty")
     _check_word(rs, s)
-    packing, states = _signed_states(rs, s, gammas, bound, w)
-    state = states.get(w, {})
-    if w.length % 2:
-        state = {p: -c for p, c in state.items()}
-    return _packed_spread(packing, state, gammas, bound)
+    packing, states = _signed_states(rs, s, gammas, bound, targets)
+    out = {}
+    for w in targets:
+        state = states.get(w, {})
+        if w.length % 2:
+            state = {p: -c for p, c in state.items()}
+        out[w] = _packed_spread(packing, state, gammas, bound)
+    return out
+
+
+def _cone_series(
+    rs: RootSystem, w: WeylElement, s: Word, gammas: tuple[Root, ...], bound: int
+) -> TruncatedSeries:
+    """P_{w,s} / prod_i (1 - e^{-gamma_i}) up to the height bound: the one-target :func:`_cone_series_by_target`."""
+    return _cone_series_by_target(rs, (w,), s, gammas, bound)[w]
 
 
 def tangent_cone_series(rs: RootSystem, w: WeylElement, s: Word, bound: int) -> TruncatedSeries:

@@ -19,6 +19,8 @@ from .rt_ring import LaurentPoly
 from .subword import _ENUM_LETTERS_BOUND
 from .tangent import (
     Verdict,
+    _cone_series_by_target,
+    _position_flags,
     element_to_permutation,
     is_cominuscule_element,
     is_explicit_factor,
@@ -27,7 +29,6 @@ from .tangent import (
     kclass_restrictions,
     kl_tangent_membership,
     kl_tangent_report,
-    tangent_cone_series,
     type_a_cominuscule_oracle,
     type_a_tangent_oracle,
 )
@@ -294,25 +295,34 @@ def cone_mechanism_suite(rs: RootSystem, sample: int | None = None, seed: int = 
     """Tangent-cone coefficient at -gamma_j is 0/1 and 0 iff explicit factor.
 
     Runs over canonical reduced words, all w <= x, and every integrally
-    indecomposable position j.
+    indecomposable position j.  The draws are grouped by (x, word); each
+    group takes its gammas, positions and bound once, one signed pass serves
+    all its distinct targets, and each target folds its Demazure flags once
+    (``is_explicit_factor`` is the negated flag).  Every draw still counts
+    and checks its own positions.
     """
     t0 = time.perf_counter()
     out = VerifyOutcome(f"cone-mechanism[{rs.cartan_type}]")
     gt = group_table(rs)
     indecomposable = _indecomposable_memo(rs, gt)
+    groups: dict[tuple, list[int]] = {}  # (x id, word) -> the target ids of its draws, in draw order
     for idx, word, w_ids in _cases(gt, sample, seed, all_words=False):
+        groups.setdefault((idx, word), []).extend(w_ids)
+    for (idx, word), w_ids in groups.items():
         gammas = gamma_sequence(rs, word).gammas
         positions = [j for j, gamma_j in enumerate(gammas, start=1) if gamma_j in indecomposable(idx)]
         if not positions:
             continue
         bound = max(height(gammas[j - 1]) for j in positions)
+        targets = tuple(gt.elements[w_id] for w_id in dict.fromkeys(w_ids))
+        series = _cone_series_by_target(rs, targets, word, gammas, bound)
+        flags = {w: _position_flags(rs, w, word, positions) for w in targets}
         for w_id in w_ids:
             w = gt.elements[w_id]
-            series = tangent_cone_series(rs, w, word, bound)
-            for j in positions:
+            for j, (demazure_ok, _) in zip(positions, flags[w]):
                 out.cases += 1
-                coeff = series.coefficient(negate(gammas[j - 1]))
-                explicit = is_explicit_factor(rs, j, w, word)
+                coeff = series[w].coefficient(negate(gammas[j - 1]))
+                explicit = not demazure_ok
                 if coeff not in (0, 1) or (coeff == 0) != explicit:
                     out.record(x=word, w=gt.word_of(w_id), j=j, explicit=explicit, got=coeff)
     return _finish(out, t0)

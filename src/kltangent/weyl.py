@@ -446,6 +446,7 @@ class GroupTable:
         self.rmult = [[index[reflect_weight(x.point, i, links)] for x in self.elements] for i in range(rs.rank)]
         self.identity = index[rs.dynkin.rho]
         self._leq: list[int] | None = None
+        self._words: list[Word] | None = None
 
     def leq_masks(self) -> list[int]:
         """leq_masks()[v] has bit u set iff u <= v in Bruhat order.
@@ -473,7 +474,10 @@ class GroupTable:
         return bool((self.leq_masks()[v] >> u) & 1)
 
     def word_of(self, idx: int) -> Word:
-        return canonical_reduced_word(self.rs, self.elements[idx])
+        """The canonical reduced word of the element with the given id, from a list built on first use."""
+        if self._words is None:
+            self._words = [canonical_reduced_word(self.rs, x) for x in self.elements]
+        return self._words[idx]
 
     def demazure_fold(self, letters) -> int:
         cur, length = self.identity, self.length

@@ -15,6 +15,7 @@ from kltangent import (
     LetterOutOfRange,
     NotBelow,
     NotReduced,
+    TruncatedSeries,
     WrongType,
     build_root_system,
     canonical_reduced_word,
@@ -190,7 +191,28 @@ RANK_CASES = [
         lambda: _A2_SERIES.coefficient((-1, -1, 0)),
         (WrongType, "rank mismatch: (-1, -1) has 2 coordinates, (-1, -1, 0) has 3"),
     ),
+    (
+        "TruncatedSeries sum of ranks 2 and 3",
+        lambda: TruncatedSeries({(-1, -1): 1}, 3) + TruncatedSeries({(-1, -1, 0): 1}, 3),
+        (WrongType, "rank mismatch: (-1, -1) has 2 coordinates, (-1, -1, 0) has 3"),
+    ),
+    (
+        "TruncatedSeries product of ranks 2 and 3",
+        lambda: TruncatedSeries({(-1, -1): 1}, 3) * TruncatedSeries({(-1, -1, 0): 1}, 3),
+        (WrongType, "rank mismatch: (-1, -1) has 2 coordinates, (-1, -1, 0) has 3"),
+    ),
+    (
+        "LaurentPoly terms of ranks 1 and 2",
+        lambda: LaurentPoly({(0,): 1, (0, 0): 2}),
+        (WrongType, "rank mismatch: (0,) has 1 coordinates, (0, 0) has 2"),
+    ),
+    (
+        "TruncatedSeries terms of ranks 2 and 3",
+        lambda: TruncatedSeries({(-1, -1): 1, (-1, -1, 0): 1}, 3),
+        (WrongType, "rank mismatch: (-1, -1) has 2 coordinates, (-1, -1, 0) has 3"),
+    ),
     ("the zero polynomial has no rank", lambda: LaurentPoly.zero() * LaurentPoly.one(3), None),
+    ("the empty series has no rank", lambda: TruncatedSeries({}, 3) * TruncatedSeries({(-1, -1, 0): 1}, 3), None),
 ]
 
 

@@ -10,6 +10,7 @@ from kltangent import (
     all_reduced_words,
     bruhat_leq,
     build_root_system,
+    canonical_reduced_word,
     demazure_element,
     word_to_element,
 )
@@ -80,3 +81,11 @@ def test_hecke_table_absorbs_descents():
                 longer = gt.rmult[i - 1][idx]
                 expected = longer if gt.length[longer] > gt.length[idx] else idx
                 assert gt.demazure_fold(word + (i,)) == expected
+
+
+@pytest.mark.parametrize("label", ["B3", "D4"])
+def test_word_of_reads_the_canonical_words(label):
+    rs = build_root_system(label)
+    gt = group_table(rs)
+    for idx, x in enumerate(gt.elements):
+        assert gt.word_of(idx) == canonical_reduced_word(rs, x)

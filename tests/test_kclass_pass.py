@@ -65,13 +65,40 @@ def test_kclass_pass_matches_enumeration(label, all_words):
 
 
 def test_pass_keeps_only_states_below_w():
-    """The states the pass keeps for w, with a Bruhat walk or by the lifting property, are all <= w."""
+    """The states the pass keeps, with a Bruhat walk or by the lifting property, are all <= some target."""
+    rng = random.Random(3)
     for rs, _, word, below in _cases("B3", all_words=False):
         gammas = gamma_sequence(rs, word).gammas
-        for w in below:
-            _, states = _signed_states(rs, word, gammas, sum(map(height, gammas)), w)
-            assert all(bruhat_leq(rs, u, w) for u in states), (word, w)
-            assert w in states
+        bound = sum(map(height, gammas))
+        for targets in [(w,) for w in below] + [tuple(below), tuple(rng.sample(below, (len(below) + 1) // 2))]:
+            _, states = _signed_states(rs, word, gammas, bound, targets)
+            assert all(any(bruhat_leq(rs, u, t) for t in targets) for u in states), (word, targets)
+            assert all(t in states for t in targets)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_multi_target_pass_matches_single_target(label):
+    """One pass over several targets gives each target the state of its own pass, and of the full pass.
+
+    Canonical words and every x over whole groups; the targets are all w <= x
+    as one tuple and random subsets of them.
+    """
+    rng = random.Random(5)
+    count = 0
+    for rs, _, word, below in _cases(label, all_words=False):
+        gammas = gamma_sequence(rs, word).gammas
+        bound = max(map(height, gammas), default=0) + 1
+        packing, full = _signed_states(rs, word, gammas, bound)
+        single = {w: _signed_states(rs, word, gammas, bound, (w,))[1].get(w) for w in below}
+        subsets = [tuple(below)] + [tuple(rng.sample(below, rng.randint(1, len(below)))) for _ in range(3)]
+        for targets in subsets:
+            multi_packing, states = _signed_states(rs, word, gammas, bound, targets)
+            assert multi_packing.width == packing.width
+            assert states == {u: s for u, s in full.items() if any(bruhat_leq(rs, u, t) for t in targets)}
+            for t in targets:
+                count += 1
+                assert states.get(t) == single[t], (word, t)
+    assert count > 0
 
 
 def _random_e8_cases(count=12, seed=8):

@@ -13,6 +13,7 @@ from kltangent.verify import (
     VerifyOutcome,
     _cases,
     cominuscule_complete_suite,
+    cone_mechanism_suite,
     run_battery,
     te_containment_suite,
     weyl_basics_suite,
@@ -90,6 +91,14 @@ def test_sampled_cases_are_pinned(label):
         triples = _sampled_triples(gt, all_words)
         assert len(triples) == _SAMPLED_CASES
         assert hashlib.sha256(repr(triples).encode()).hexdigest() == SAMPLED_DIGESTS[label, all_words]
+
+
+@pytest.mark.parametrize("label,cases", [("B3", 3151), ("D4", 4139), ("A5", 5140)])
+def test_sampled_cone_suite_case_counts(label, cases):
+    # the grouped suite counts every draw's positions, repeated (x, w) draws included
+    outcome = cone_mechanism_suite(build_root_system(label), sample=_SAMPLED_CASES, seed=VerifyConfig().seed)
+    assert outcome.ok
+    assert outcome.cases == cases
 
 
 def test_sampled_words_respect_the_subword_guard_on_f4():
