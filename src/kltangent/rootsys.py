@@ -18,10 +18,10 @@ apply s_i to a weight and to a root-lattice vector by reading them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import gcd
 
-from .errors import InvalidCartanType, WrongType
+from .errors import InvalidCartanType, LetterOutOfRange, WrongType
 
 # A root or root-lattice vector: integer coefficients over the simple roots.
 Root = tuple[int, ...]
@@ -137,6 +137,14 @@ class Dynkin:
     coordinate i.  ``norms[k]`` is a positive multiple of (alpha_k, alpha_k),
     so (lambda, beta) has the sign of sum_k lambda_k norms[k] beta_k.  ``rho``
     is the sum of the fundamental weights in fundamental-weight coordinates.
+
+    The norms are computed in integers: node 0 gets 6, and the walk from i
+    to a neighbour j multiplies by A[j][i] / A[i][j].  A connected Dynkin
+    diagram has at most one edge between roots of different lengths, and
+    across it the ratio is 2 or 3 one way, 1/2 or 1/3 the other; every other
+    edge has ratio 1.  So each norm is 6 or 6r for that one ratio r, and
+    each division is exact.  Dividing by the gcd leaves the least integer
+    norms: all 1 in the simply-laced types, 1 and 2 in B, C, F, 1 and 3 in G.
     """
 
     __slots__ = ("rank", "rho", "weight_links", "root_links", "norms")
@@ -153,16 +161,16 @@ class Dynkin:
         )
         # (alpha_i, alpha_j) = A[i][j] (alpha_j, alpha_j) / 2 is symmetric in i, j;
         # walk the (connected) Dynkin diagram from node 0.
-        norms = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        norms = [6] + [0] * (n - 1)
         stack = [0]
         while stack:
             i = stack.pop()
             for j, a in self.weight_links[i]:
                 if not norms[j]:
-                    norms[j] = norms[i] * cartan[j][i] / a
+                    norms[j] = norms[i] * cartan[j][i] // a
                     stack.append(j)
-        scale = lcm(*(q.denominator for q in norms))
-        self.norms = tuple(int(q * scale) for q in norms)
+        scale = gcd(*norms)
+        self.norms = tuple(q // scale for q in norms)
 
 
 def reflect_weight(point: tuple[int, ...], i: int, weight_links) -> tuple[int, ...]:
@@ -261,7 +269,7 @@ def reflect(rs: RootSystem, i: int, v: Root) -> Root:
     (1, 1)
     """
     if not 1 <= i <= rs.rank:
-        raise IndexError(f"simple index {i} out of range for {rs.cartan_type}")
+        raise LetterOutOfRange(f"simple index {i} out of range for {rs.cartan_type}")
     out = list(v)
     reflect_root_in_place(out, i - 1, rs.dynkin.root_links)
     return tuple(out)
@@ -314,62 +322,41 @@ def _epsilon_matrix(ct: CartanType) -> list[list[int]]:
 
 
 def root_to_epsilon(rs: RootSystem, v: Root) -> tuple[int, ...]:
-    """Rewrite a root-lattice vector in epsilon coordinates (families A--D)."""
+    """Rewrite a root-lattice vector in epsilon coordinates (families A--D); WrongType unless len(v) is the rank."""
     mat = _epsilon_matrix(rs.cartan_type)
+    if len(v) != rs.rank:
+        raise WrongType(f"expected a root-lattice vector of length {rs.rank}")
     dim = len(mat[0])
     return tuple(sum(v[i] * mat[i][j] for i in range(rs.rank)) for j in range(dim))
-
-
-def solve_rational(rows, rhs, unknowns: int) -> tuple[Fraction, ...] | None:
-    """One solution c of ``rows · c = rhs`` over the rationals, or None if there is none.
-
-    Exact Gauss-Jordan elimination; free unknowns are set to 0, so an empty
-    system gives the zero vector of length ``unknowns``.
-
-    >>> solve_rational([[1, 1], [1, -1]], [3, 1], 2)
-    (Fraction(2, 1), Fraction(1, 1))
-    >>> solve_rational([[1, 2], [1, 2]], [1, 0], 2) is None
-    True
-    """
-    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, rhs, strict=True)]
-    m, cols = len(aug), unknowns
-    pivots = []
-    r = 0
-    for col in range(cols):
-        piv = next((k for k in range(r, m) if aug[k][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        scale = aug[r][col]
-        aug[r] = [v / scale for v in aug[r]]
-        for k in range(m):
-            if k != r and aug[k][col] != 0:
-                factor = aug[k][col]
-                aug[k] = [a - factor * b for a, b in zip(aug[k], aug[r])]
-        pivots.append(col)
-        r += 1
-    if any(aug[k][-1] != 0 for k in range(r, m)):
-        return None
-    solution = [Fraction(0)] * cols
-    for k, col in enumerate(pivots):
-        solution[col] = aug[k][-1]
-    return tuple(solution)
 
 
 def root_from_epsilon(rs: RootSystem, eps: tuple[int, ...]) -> Root:
     """Inverse of :func:`root_to_epsilon`; raises if eps is not in the root lattice.
 
+    Below the last nodes alpha_i = eps_i - eps_{i+1}, so the coefficient of
+    alpha_i is the partial sum c_i = eps_1 + ... + eps_i for i <= n (Bourbaki,
+    Lie Groups and Lie Algebras, ch. VI, Plates I-IV).  In C, alpha_n = 2 eps_n
+    halves the last one; in D, alpha_{n-1} = eps_{n-1} - eps_n and
+    alpha_n = eps_{n-1} + eps_n give c_{n-1}, c_n = (c_{n-1} -+ eps_n) / 2.
+    The forward map decides membership: in A it fails when the entries do
+    not sum to 0, in C and D when a halved sum is odd.
+
     >>> rs = build_root_system("D4")
     >>> root_from_epsilon(rs, (1, 1, 0, 0))   # eps1 + eps2, the highest root
     (1, 2, 1, 1)
     """
-    mat = _epsilon_matrix(rs.cartan_type)
-    dim = len(mat[0])
+    dim = len(_epsilon_matrix(rs.cartan_type)[0])
     if len(eps) != dim:
         raise WrongType(f"expected an epsilon vector of length {dim}")
-    coeffs = solve_rational([[mat[i][j] for i in range(rs.rank)] for j in range(dim)], eps, rs.rank)
-    if coeffs is None:
-        raise WrongType(f"{eps} is not in the root lattice of {rs.cartan_type}")
-    if any(c.denominator != 1 for c in coeffs):
+    family = rs.cartan_type.family
+    coeffs = list(accumulate(eps[: rs.rank]))
+    if family == "C":
+        coeffs[-1] //= 2
+    elif family == "D":
+        coeffs[-2:] = (coeffs[-2] - eps[-1]) // 2, (coeffs[-2] + eps[-1]) // 2
+    root = tuple(coeffs)
+    if root_to_epsilon(rs, root) != tuple(eps):
+        if family == "A":
+            raise WrongType(f"{eps} is not in the root lattice of {rs.cartan_type}")
         raise WrongType(f"{eps} is not an integer root-lattice vector")
-    return tuple(int(c) for c in coeffs)
+    return root

@@ -170,14 +170,15 @@ def lambda_minus_one(weights) -> LaurentPoly:
 def _span_search(vectors):
     """A membership test for the nonnegative-integer span of the given vectors.
 
-    All vectors must have nonnegative coordinates and positive height, which
-    bounds the search: a vector of height h can be used at most
-    height(target) // h times.  One memo serves every target tested with the
-    returned function, so a batch of targets shares its partial searches.
+    All vectors must have nonnegative coordinates and positive height
+    (WrongType otherwise), which bounds the search: a vector of height h can
+    be used at most height(target) // h times.  One memo serves every target
+    tested with the returned function, so a batch of targets shares its
+    partial searches.
     """
     vecs = [tuple(v) for v in vectors]
     if not all(height(v) >= 1 and min(v) >= 0 for v in vecs):
-        raise AssertionError("span vectors must be positive")
+        raise WrongType("span vectors must be positive")
     memo: dict[tuple[int, WeightVector], bool] = {}
 
     def rec(idx: int, remaining: WeightVector) -> bool:
@@ -211,7 +212,17 @@ def _span_search(vectors):
 
 
 def in_nonneg_integer_span(vectors, target: WeightVector) -> bool:
-    """Is target a nonnegative-integer combination of the given (positive) vectors?"""
+    """Is target a nonnegative-integer combination of the given (positive) vectors?
+
+    WrongType for an empty target, a vector of another rank than the target,
+    or a vector that is not positive.
+    """
+    target = tuple(target)
+    if not target:
+        raise WrongType("span target must be nonempty")
+    vectors = [tuple(v) for v in vectors]
+    for v in vectors:
+        _same_rank(v, target)
     return _span_search(vectors)(target)
 
 
@@ -378,9 +389,10 @@ def _packed_spread(packing: _Packing, terms: dict[int, int], weights, bound: int
     """terms / prod (1 - e^{-beta}) up to the height bound, on packed exponents.
 
     The packing's limit must be >= bound, the terms must be nonzero and the
-    weights nonempty, each of positive height; terms at or past the cap are
-    dropped by the first weight's walk.  This is :func:`char_series` without
-    its checks, for exponents in the cone by construction.
+    weights of positive height; terms at or past the cap are dropped by the
+    first weight's walk, so with no weights every term must lie below the
+    cap.  This is :func:`char_series` without its checks, for exponents in
+    the cone by construction.
     """
     cap = packing.cap(bound)
     for beta in weights:

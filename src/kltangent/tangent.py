@@ -211,8 +211,9 @@ def _signed_states(
     exponents P(nu) of ``_Packing(rank, bound)`` to coefficients, so
     multiplying by e^{-gamma_k} adds P(gamma_k) to every key; terms of
     height past the bound are dropped, which is exact below the bound
-    because exponents only go down.  With bound = sum_i height(gamma_i) no
-    term is dropped.  Letters must already be validated.
+    because exponents only go down; a negative bound drops the identity's
+    term 1 as well.  With bound = sum_i height(gamma_i) no term is dropped.
+    Letters must already be validated.
 
     ``targets`` None keeps every state.  Given a nonempty tuple of distinct
     targets, only the states v <= t for some target t are kept: Demazure
@@ -233,7 +234,7 @@ def _signed_states(
     one = identity_element(rs)
     # The pass keys its states by point, a plain tuple; each point holds its element and target mask.
     element = {one.point: (one, (1 << len(targets)) - 1 if targets else 0)}
-    states: dict[tuple[int, ...], dict[int, int]] = {one.point: {0: 1}}
+    states: dict[tuple[int, ...], dict[int, int]] = {one.point: {0: 1} if bound >= 0 else {}}
     marks = [(1 << b, t) for b, t in enumerate(targets or ())]  # (mask bit, target)
     for letter, gamma in zip(s, gammas):
         g = packing.pack(gamma)
@@ -393,9 +394,9 @@ def _cone_series_by_target(
 
     Each series is spread from the packed state of its target; the pass
     drops every term past the bound, which the series would drop anyway.
+    The empty word (x = e) has no gammas: its series is the class 1 itself,
+    empty when the bound is negative.
     """
-    if not gammas:
-        raise ValueError("denominator weight list must be nonempty")
     _check_word(rs, s)
     packing, states = _signed_states(rs, s, gammas, bound, targets)
     out = {}

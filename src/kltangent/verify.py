@@ -146,12 +146,6 @@ def _subword_products(gt: GroupTable, word) -> set:
     return set(table)
 
 
-def _demazure_steps(gt: GroupTable) -> list[list[int]]:
-    """steps[i][p]: the Demazure product p * s_{i+1}, the longer of p and p*s_{i+1}."""
-    length = gt.length
-    return [[q if length[q] > length[p] else p for p, q in enumerate(row)] for row in gt.rmult]
-
-
 def _clear_masks(n: int) -> list[int]:
     """clear[b]: the 2^n-bit set of the position masks below 2^n with bit b clear.
 
@@ -166,7 +160,7 @@ class _WordComplexes:
 
     Bit r of a set stands for the position set r (bit b for position b + 1).
     Built once per word from the group table, with no ``WeylElement``:
-    ``table[t]`` is the id of delta(s at t), one Demazure step per mask.
+    ``table[t]`` is the id of delta(s at t), one ``gt.dmult`` step per mask.
     For every product d, one pass over the letters, stepping product ids as
     :func:`kltangent.hecke.demazure_signed_counts` steps elements, counts the
     complements r with delta(s \\ r) = d signed by (-1)^{|r|+1}, and the
@@ -184,12 +178,12 @@ class _WordComplexes:
     w, and every facet has size m iff #facets = #reduced subwords for w.
     """
 
-    def __init__(self, gt: GroupTable, steps: list[list[int]], word, clear: list[int]) -> None:
+    def __init__(self, gt: GroupTable, word, clear: list[int]) -> None:
         table = [gt.identity]
         signed = {gt.identity: 1}  # d -> sum (-1)^{|t|} over the t read so far with delta(t) = d
         reduced = {gt.identity: 1}  # d -> the number of those t with |t| = l(d)
         for letter in word:
-            step = steps[letter - 1]
+            step = gt.dmult[letter - 1]
             table += list(map(step.__getitem__, table))
             nxt = dict(signed)
             for d, c in signed.items():  # taking the letter flips the sign and steps d
@@ -252,13 +246,12 @@ def ball_sphere_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) 
     out = VerifyOutcome(f"ball-sphere[{rs.cartan_type}]")
     gt = group_table(rs)
     masks = gt.leq_masks()
-    steps = _demazure_steps(gt)
     clear: dict[int, list[int]] = {}
     for _, word, w_ids in _cases(gt, sample, seed):
         n = len(word)
         if n not in clear:
             clear[n] = _clear_masks(n)
-        complexes = _WordComplexes(gt, steps, word, clear[n])
+        complexes = _WordComplexes(gt, word, clear[n])
         for w_id in w_ids:
             out.cases += 1
             size = n - gt.length[w_id]

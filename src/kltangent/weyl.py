@@ -388,15 +388,21 @@ def weyl_group_order(rs: RootSystem) -> int:
     return {"E": {6: 51_840, 7: 2_903_040, 8: 696_729_600}, "F": {4: 1_152}, "G": {2: 12}}[f][n]
 
 
+def _guarded_order(rs: RootSystem, guard: int) -> int:
+    """|W|, or GroupTooLarge when it exceeds the guard."""
+    order = weyl_group_order(rs)
+    if order > guard:
+        raise GroupTooLarge(f"|W({rs.cartan_type})| = {order} exceeds the guard {guard}")
+    return order
+
+
 def enumerate_weyl_group(rs: RootSystem, guard: int = _GROUP_GUARD) -> list[WeylElement]:
     """All elements by breadth-first right multiplication, shortest first.
 
     Within one length the elements are sorted by their matrix ``rows``; the
     columns x(alpha_j) travel along the search, so no matrix is rebuilt.
     """
-    order = weyl_group_order(rs)
-    if order > guard:
-        raise GroupTooLarge(f"|W({rs.cartan_type})| = {order} exceeds the guard {guard}")
+    order = _guarded_order(rs, guard)
     dyn = rs.dynkin
     links, root_links = dyn.weight_links, dyn.root_links
     e = identity_element(rs)
@@ -431,8 +437,9 @@ class GroupTable:
     """Id-indexed right multiplication for a whole (small) Weyl group.
 
     Used by the exhaustive verification suites: elements become integers and
-    ``rmult[i][x]`` (the id of x*s_{i+1}) is the one multiplication table;
-    Demazure folds step it keeping the longer element.  Bruhat order becomes a
+    ``rmult[i][x]`` (the id of x*s_{i+1}) is the one multiplication table.
+    ``dmult[i][x]`` is the Demazure product x*s_{i+1}: the longer of x and
+    x*s_{i+1}, which Demazure folds step.  Bruhat order becomes a
     bitmask test, built by the lifting property.  Left descents need no table:
     they are the negative coordinates of x(rho).  Built lazily, once per root system.
     """
@@ -444,6 +451,8 @@ class GroupTable:
         self.length = [x.length for x in self.elements]
         links, index = rs.dynkin.weight_links, self.index
         self.rmult = [[index[reflect_weight(x.point, i, links)] for x in self.elements] for i in range(rs.rank)]
+        length = self.length
+        self.dmult = [[q if length[q] > length[p] else p for p, q in enumerate(row)] for row in self.rmult]
         self.identity = index[rs.dynkin.rho]
         self._leq: list[int] | None = None
         self._words: list[Word] | None = None
@@ -480,11 +489,9 @@ class GroupTable:
         return self._words[idx]
 
     def demazure_fold(self, letters) -> int:
-        cur, length = self.identity, self.length
+        cur = self.identity
         for letter in letters:
-            nxt = self.rmult[letter - 1][cur]
-            if length[nxt] > length[cur]:
-                cur = nxt
+            cur = self.dmult[letter - 1][cur]
         return cur
 
     def product_fold(self, letters) -> int:
@@ -499,6 +506,8 @@ class GroupTable:
 
 
 def group_table(rs: RootSystem, guard: int = _GROUP_GUARD) -> GroupTable:
+    """The group table of rs, built on first use; the guard applies on every call, cached or not."""
+    _guarded_order(rs, guard)
     table = rs._cache.get("group_table")
     if table is None:
         table = GroupTable(rs, guard)

@@ -6,6 +6,7 @@ simple-reflection matrices, exact rational elimination) without touching the
 package's fast paths, so a match is meaningful evidence.
 """
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from kltangent import (
@@ -20,7 +21,8 @@ from kltangent import (
     one_minus_e,
     word_to_element,
 )
-from kltangent.rootsys import solve_rational
+from kltangent.errors import WrongType
+from kltangent.rootsys import _epsilon_matrix
 from kltangent.weyl import has_right_ascent, right_multiply_simple
 
 
@@ -331,3 +333,58 @@ def witness_by_elimination(rs, word):
     """
     inversions = sorted(matrix_inversions(rs, matrix_of_word(rs, word)))
     return solve_rational(inversions, [-1] * len(inversions), rs.rank)
+
+
+def solve_rational(rows, rhs, unknowns: int) -> tuple[Fraction, ...] | None:
+    """One solution c of ``rows · c = rhs`` over the rationals, or None if there is none.
+
+    Exact Gauss-Jordan elimination; free unknowns are set to 0, so an empty
+    system gives the zero vector of length ``unknowns``.
+
+    >>> solve_rational([[1, 1], [1, -1]], [3, 1], 2)
+    (Fraction(2, 1), Fraction(1, 1))
+    >>> solve_rational([[1, 2], [1, 2]], [1, 0], 2) is None
+    True
+    """
+    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, rhs, strict=True)]
+    m, cols = len(aug), unknowns
+    pivots = []
+    r = 0
+    for col in range(cols):
+        piv = next((k for k in range(r, m) if aug[k][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        scale = aug[r][col]
+        aug[r] = [v / scale for v in aug[r]]
+        for k in range(m):
+            if k != r and aug[k][col] != 0:
+                factor = aug[k][col]
+                aug[k] = [a - factor * b for a, b in zip(aug[k], aug[r])]
+        pivots.append(col)
+        r += 1
+    if any(aug[k][-1] != 0 for k in range(r, m)):
+        return None
+    solution = [Fraction(0)] * cols
+    for k, col in enumerate(pivots):
+        solution[col] = aug[k][-1]
+    return tuple(solution)
+
+
+def root_from_epsilon_by_elimination(rs, eps):
+    """The simple-root coefficients of an epsilon vector, by solving the epsilon matrix's system.
+
+    The reference of ``rootsys.root_from_epsilon``: the same WrongType, with
+    the same messages, for a wrong length, a vector outside the rational span
+    of the roots, and a rational but non-integer solution.
+    """
+    mat = _epsilon_matrix(rs.cartan_type)
+    dim = len(mat[0])
+    if len(eps) != dim:
+        raise WrongType(f"expected an epsilon vector of length {dim}")
+    coeffs = solve_rational([[mat[i][j] for i in range(rs.rank)] for j in range(dim)], eps, rs.rank)
+    if coeffs is None:
+        raise WrongType(f"{eps} is not in the root lattice of {rs.cartan_type}")
+    if any(c.denominator != 1 for c in coeffs):
+        raise WrongType(f"{eps} is not an integer root-lattice vector")
+    return tuple(int(c) for c in coeffs)

@@ -3,7 +3,7 @@
 import pytest
 
 from kltangent import build_complex, build_root_system, euler_characteristics, group_table
-from kltangent.verify import _cases, _clear_masks, _demazure_steps, _WordComplexes, ball_sphere_suite
+from kltangent.verify import _cases, _clear_masks, _WordComplexes, ball_sphere_suite
 from kltangent.weyl import _bits
 
 
@@ -17,10 +17,9 @@ def test_word_complexes_match_build_complex(label, cases):
     rs = build_root_system(label)
     gt = group_table(rs)
     masks = gt.leq_masks()
-    steps = _demazure_steps(gt)
     seen = 0
     for _, word, w_ids in _cases(gt, None, 0):
-        complexes = _WordComplexes(gt, steps, word, _clear_masks(len(word)))
+        complexes = _WordComplexes(gt, word, _clear_masks(len(word)))
         for w_id in w_ids:
             seen += 1
             faces, facets, interior, reduced = complexes.target(masks, w_id)

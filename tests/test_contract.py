@@ -3,7 +3,8 @@
 Every function gets the same bad inputs; the table pins which exception each
 one raises, with its message, so the order of the checks (position, letter,
 reducedness, Bruhat order, the 20-letter guard, the cone of lambda) is part
-of the contract.  A last table pins the rank checks of ``rt_ring``.
+of the contract.  Further tables pin the rank checks of ``rt_ring`` and the
+vector checks of the root helpers.
 """
 
 import pytest
@@ -20,11 +21,14 @@ from kltangent import (
     build_root_system,
     canonical_reduced_word,
     char_series,
+    in_nonneg_integer_span,
     is_explicit_factor,
     kclass_restriction,
     kclass_restrictions,
     kl_tangent_membership,
     longest_element,
+    reflect,
+    root_to_epsilon,
     tangent_cone_coefficient,
     tangent_cone_series,
     te_curve_weights,
@@ -103,11 +107,7 @@ CASES = [
     ("order before the guard", "A7", (7,), _A7_PREFIX_21, 1, NOT_BELOW, {"kclass_restrictions": GUARD}),
     (
         "empty word", "A2", (), (), 1, None,
-        {
-            **{f: _position(1, 0) for f in POSITIONAL},
-            **{f: (ValueError, "denominator weight list must be nonempty") for f in CONE},
-            "tangent_cone_coefficient(+a1)": OUTSIDE_A2,
-        },
+        {**{f: _position(1, 0) for f in POSITIONAL}, "tangent_cone_coefficient(+a1)": OUTSIDE_A2},
     ),
     (
         "outside type A", "B2", (), (1, 2), 1, None,
@@ -218,5 +218,63 @@ RANK_CASES = [
 
 @pytest.mark.parametrize("case", RANK_CASES, ids=[case[0] for case in RANK_CASES])
 def test_ring_rank_contract(case):
+    _, call, outcome = case
+    assert _outcome(call) == outcome
+
+
+_D4 = build_root_system("D4")
+
+# (id, call, outcome): the vector inputs of the root helpers are checked, with typed errors.
+HELPER_CASES = [
+    (
+        "root_to_epsilon of a vector shorter than the rank",
+        lambda: root_to_epsilon(_D4, (1,)),
+        (WrongType, "expected a root-lattice vector of length 4"),
+    ),
+    (
+        "root_to_epsilon of a vector longer than the rank",
+        lambda: root_to_epsilon(_D4, (1, 0, 0, 0, 0)),
+        (WrongType, "expected a root-lattice vector of length 4"),
+    ),
+    (
+        "reflect by node 9",
+        lambda: reflect(_D4, 9, (1, 0, 0, 0)),
+        (LetterOutOfRange, "simple index 9 out of range for D4"),
+    ),
+    (
+        "reflect by node 0",
+        lambda: reflect(_D4, 0, (1, 0, 0, 0)),
+        (LetterOutOfRange, "simple index 0 out of range for D4"),
+    ),
+    (
+        "span of a vector of another rank",
+        lambda: in_nonneg_integer_span([(1, 0)], (1,)),
+        (WrongType, "rank mismatch: (1, 0) has 2 coordinates, (1,) has 1"),
+    ),
+    (
+        "span of an empty target",
+        lambda: in_nonneg_integer_span([(1, 0)], ()),
+        (WrongType, "span target must be nonempty"),
+    ),
+    (
+        "span with no vectors and an empty target",
+        lambda: in_nonneg_integer_span([], ()),
+        (WrongType, "span target must be nonempty"),
+    ),
+    (
+        "span of a non-positive vector",
+        lambda: in_nonneg_integer_span([(1, -1)], (1, 0)),
+        (WrongType, "span vectors must be positive"),
+    ),
+    (
+        "span of the zero vector",
+        lambda: in_nonneg_integer_span([(0, 0)], (1, 0)),
+        (WrongType, "span vectors must be positive"),
+    ),
+]
+
+
+@pytest.mark.parametrize("case", HELPER_CASES, ids=[case[0] for case in HELPER_CASES])
+def test_root_helper_vector_contract(case):
     _, call, outcome = case
     assert _outcome(call) == outcome

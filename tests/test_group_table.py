@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kltangent import (
+    GroupTooLarge,
     all_reduced_words,
     bruhat_leq,
     build_root_system,
     canonical_reduced_word,
     demazure_element,
+    hecke_mult,
     word_to_element,
 )
 from kltangent.weyl import group_table
@@ -72,8 +74,8 @@ def test_leq_masks_match_bruhat():
 
 
 def test_hecke_table_absorbs_descents():
-    # a Demazure step keeps the longer of x and x*s_i
-    for label in ("A3", "B3"):
+    # a Demazure step keeps the longer of x and x*s_i, as the 0-Hecke product does
+    for label in ("A3", "B3", "G2"):
         gt = group_table(build_root_system(label))
         for idx in range(len(gt.elements)):
             word = gt.word_of(idx)
@@ -81,6 +83,15 @@ def test_hecke_table_absorbs_descents():
                 longer = gt.rmult[i - 1][idx]
                 expected = longer if gt.length[longer] > gt.length[idx] else idx
                 assert gt.demazure_fold(word + (i,)) == expected
+                assert gt.dmult[i - 1][idx] == gt.index[hecke_mult(gt.rs, gt.elements[idx], i).point] == expected
+
+
+def test_group_table_guard_applies_on_every_call():
+    rs = build_root_system("A3")
+    assert len(group_table(rs).elements) == 24
+    with pytest.raises(GroupTooLarge, match=r"\|W\(A3\)\| = 24 exceeds the guard 1$"):
+        group_table(rs, guard=1)  # the table is cached, the guard still applies
+    assert group_table(rs, guard=24) is group_table(rs)
 
 
 @pytest.mark.parametrize("label", ["B3", "D4"])

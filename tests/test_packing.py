@@ -19,6 +19,7 @@ from kltangent import (
     identity_element,
     kclass_restriction,
     kclass_restrictions,
+    tangent_cone_coefficient,
     tangent_cone_series,
     word_to_element,
 )
@@ -63,8 +64,11 @@ def test_empty_word():
     e = identity_element(rs)
     assert kclass_restriction(rs, e, ()) == LaurentPoly.one(2)
     assert kclass_restrictions(rs, ()) == {e: LaurentPoly.one(2)}
-    with pytest.raises(ValueError, match="nonempty"):
-        tangent_cone_series(rs, e, (), 3)
+    for bound in (0, 3):  # the variety is a point: Char C = 1
+        assert tangent_cone_series(rs, e, (), bound) == TruncatedSeries({(0, 0): 1}, bound)
+    assert tangent_cone_coefficient(rs, (0, 0), e, ()) == 1
+    # a negative bound keeps no term, as for a nonempty word
+    assert tangent_cone_series(rs, e, (), -1) == tangent_cone_series(rs, e, (1,), -1) == TruncatedSeries({}, -1)
 
 
 def _same_as_rebuilt(value, rebuilt):

@@ -1,3 +1,6 @@
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +19,7 @@ from kltangent import (
     root_to_epsilon,
     simple_reflection,
 )
-from kltangent.rootsys import solve_rational
-from oracles import mat_act, simple_reflection_matrix
+from oracles import mat_act, root_from_epsilon_by_elimination, simple_reflection_matrix, solve_rational
 
 
 def test_parse_labels():
@@ -138,6 +140,34 @@ def test_epsilon_rejects_non_lattice(d4):
         root_from_epsilon(build_root_system("G2"), (1, 0))
 
 
+_EPSILON_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 8)] + [f"C{n}" for n in range(2, 8)]
+    + [f"D{n}" for n in range(4, 9)]
+)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # type and message are compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("label", _EPSILON_TYPES)
+def test_root_from_epsilon_matches_the_elimination(label):
+    # partial sums checked by the forward map against Gauss-Jordan on the epsilon matrix:
+    # every positive root, random integer vectors (mostly off the lattice), a vector one too long, ()
+    rs = build_root_system(label)
+    dim = len(root_to_epsilon(rs, rs.simple_roots[0]))
+    rng = random.Random(f"epsilon-{label}")
+    inputs = [root_to_epsilon(rs, v) for v in rs.positive_roots]
+    inputs += [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(800)]
+    inputs += [(1,) * (dim + 1), ()]
+    for eps in inputs:
+        expected = _outcome(lambda: root_from_epsilon_by_elimination(rs, eps))
+        assert _outcome(lambda: root_from_epsilon(rs, eps)) == expected, eps
+
+
 def test_format_root(d4):
     assert format_root(d4, (1, 2, 1, 1)) == "a1+2a2+a3+a4"
     assert format_root(d4, (-1, 0, 0, -2)) == "-a1-2a4"
@@ -188,6 +218,17 @@ def test_positive_roots_equal_the_oracle_closure(label):
         seen.update(frontier)
     assert set(rs.positive_roots) == seen
     assert len(rs.positive_roots) == len(seen)
+
+
+@pytest.mark.parametrize("label", _CLOSURE_TYPES)
+def test_norms_symmetrize_the_cartan_matrix(label):
+    # A[i][j] = <alpha_i, alpha_j^vee>, so (alpha_i, alpha_j) = A[i][j] (alpha_j, alpha_j) / 2 is symmetric
+    rs = build_root_system(label)
+    norms, a = rs.dynkin.norms, rs.cartan_matrix
+    assert all(type(q) is int and q > 0 for q in norms)
+    assert gcd(*norms) == 1
+    n = rs.rank
+    assert all(a[i][j] * norms[j] == a[j][i] * norms[i] for i in range(n) for j in range(n))
 
 
 @pytest.mark.parametrize("label", ["A4", "B4", "C4", "D5", "E6", "F4", "G2"])
