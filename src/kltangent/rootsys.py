@@ -261,6 +261,12 @@ def build_root_system(ct: CartanType | str) -> RootSystem:
     return RootSystem(ct)
 
 
+def _check_vector(rank: int, v) -> None:
+    """WrongType unless v has one coordinate per simple root."""
+    if len(v) != rank:
+        raise WrongType(f"expected a root-lattice vector of length {rank}")
+
+
 def reflect(rs: RootSystem, i: int, v: Root) -> Root:
     """Apply the simple reflection s_i to a root-lattice vector.
 
@@ -270,6 +276,7 @@ def reflect(rs: RootSystem, i: int, v: Root) -> Root:
     """
     if not 1 <= i <= rs.rank:
         raise LetterOutOfRange(f"simple index {i} out of range for {rs.cartan_type}")
+    _check_vector(rs.rank, v)
     out = list(v)
     reflect_root_in_place(out, i - 1, rs.dynkin.root_links)
     return tuple(out)
@@ -283,9 +290,12 @@ def cominuscule_nodes(rs: RootSystem) -> frozenset[int]:
 def format_root(rs: RootSystem, v: Root) -> str:
     """Human-readable form, e.g. ``a1+2a2`` or ``-a1-a2``; ``0`` for the zero vector.
 
+    WrongType unless len(v) is the rank.
+
     >>> format_root(build_root_system("D4"), (1, 2, 1, 1))
     'a1+2a2+a3+a4'
     """
+    _check_vector(rs.rank, v)
     parts = []
     for name, c in zip(rs.simple_root_names, v):
         if c == 0:
@@ -324,8 +334,7 @@ def _epsilon_matrix(ct: CartanType) -> list[list[int]]:
 def root_to_epsilon(rs: RootSystem, v: Root) -> tuple[int, ...]:
     """Rewrite a root-lattice vector in epsilon coordinates (families A--D); WrongType unless len(v) is the rank."""
     mat = _epsilon_matrix(rs.cartan_type)
-    if len(v) != rs.rank:
-        raise WrongType(f"expected a root-lattice vector of length {rs.rank}")
+    _check_vector(rs.rank, v)
     dim = len(mat[0])
     return tuple(sum(v[i] * mat[i][j] for i in range(rs.rank)) for j in range(dim))
 

@@ -123,6 +123,19 @@ class TangentReport:
     parabolic: frozenset[int] | None = None
 
 
+def _suffix_floors(rs: RootSystem, w: WeylElement, letters: Word) -> list[WeylElement]:
+    """[r_m, r_{m-1}, ..., r_0] for letters a_1..a_m: r_m = w and r_{k-1} = r_k <| a_k.
+
+    The downward fold of w along the letters read backwards.  By the lemma of
+    ``_position_flags``, w <= u * a_{k+1} * ... * a_m iff r_k <= u.
+    """
+    floors = [w]
+    for letter in reversed(letters):
+        r = floors[-1]
+        floors.append(r if has_right_ascent(r, letter) else right_multiply_simple(rs, r, letter))
+    return floors
+
+
 def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[tuple[bool, bool]]:
     """(delta(s \\ j) >= w, s_1...s^_j...s_l >= w) for each j in positions, in order.
 
@@ -160,10 +173,7 @@ def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[
     prefix = [identity_element(rs)]  # prefix[k] is u_k
     for letter in s[: positions[-1] - 1]:
         prefix.append(right_multiply_simple(rs, prefix[-1], letter))
-    peeled = [w]  # peeled[l - j] is r_j
-    for letter in reversed(s[positions[0] :]):
-        r = peeled[-1]
-        peeled.append(r if has_right_ascent(r, letter) else right_multiply_simple(rs, r, letter))
+    peeled = _suffix_floors(rs, w, s[positions[0] :])  # peeled[l - j] is r_j
     flags = []
     for j in positions:
         u = prefix[j - 1]
@@ -216,67 +226,101 @@ def _signed_states(
     Letters must already be validated.
 
     ``targets`` None keeps every state.  Given a nonempty tuple of distinct
-    targets, only the states v <= t for some target t are kept: Demazure
-    products only grow along a word, so no other state reaches a target.  Each state
-    carries the bitmask of the targets above it, all of them at the
-    identity.  A new state v = u s_k comes from a kept state u with s_k an
-    ascent of u, so u < v, and every t >= v is >= u: the mask of v is a
-    subset of the mask of u.  For a target t of u's mask with s_k a right
-    descent of t, v <= t with no Bruhat walk: u != t, since s_k is an ascent
-    of u, so u < t, and the lifting property (Bjorner-Brenti, Prop. 2.2.7)
-    says that u < t with s a right descent of t and not of u gives us <= t.
-    Every other target of u's mask takes one walk.  By induction each mask
-    is exactly {t : v <= t}, a function of v, so it is computed once per new
-    point, and a state whose mask is 0 is dropped.
+    targets w, a state is kept only while it can still reach one.  Write
+    r_l = w and r_{k-1} = r_k <| s_k (``_suffix_floors``).  The rest of the
+    word takes a state u after letter k to products u * t' with t' a subword
+    of s_{k+1}...s_l, each between u and u * s_{k+1} * ... * s_l; so u
+    reaches w only if u <= w and, by the lemma of ``_position_flags``,
+    r_k <= u.  Each state carries its live mask, the targets with
+    r_k <= u <= w, a function of (u, k), and is dropped when the mask is 0.
+    At the identity r_0 = e exactly when w <= delta(s); after the last letter
+    r_l = w, so the pass returns exactly the targets with a nonzero class.
+    At letter k, for w in the mask of u (r_{k-1} <= u <= w):
+
+      * s_k a descent of u (absorbed): u = u * s_k, and by the lemma
+        r_k <= u * s_k iff r_{k-1} <= u, so w stays live with no walk.
+      * s_k an ascent, moved state v = u s_k: r_k <= u * s_k = v by the
+        lemma.  If s_k is a right descent of w, v <= w by the lifting
+        property (Bjorner-Brenti, Prop. 2.2.7: u <= w with s a right descent
+        of w and not of u gives us <= w); otherwise one walk decides.  That
+        walk depends on v alone, so each point remembers the targets it was
+        walked against.
+      * s_k an ascent, the stay copy of u: u <= w still holds, and r_k <= u
+        holds when s_k is an ascent of r_k = r_{k-1}.  Only where s_k is a
+        right descent of r_k does r_k <= u take a walk: the lifting and
+        Z-properties need s_k to be a descent of the larger element, and it
+        is a descent of r_k, not of u.
+
+    A moved and an absorbed state can meet at one point and take the union
+    of their masks, both the live mask of that point by the first two cases.
+    A stay copy meets no other state: s_k is an ascent of it and a descent
+    of the others.
     """
     packing = _Packing(rs.rank, max(bound, 0))
     cap = packing.cap(bound)
     one = identity_element(rs)
-    # The pass keys its states by point, a plain tuple; each point holds its element and target mask.
-    element = {one.point: (one, (1 << len(targets)) - 1 if targets else 0)}
-    states: dict[tuple[int, ...], dict[int, int]] = {one.point: {0: 1} if bound >= 0 else {}}
-    marks = [(1 << b, t) for b, t in enumerate(targets or ())]  # (mask bit, target)
-    for letter, gamma in zip(s, gammas):
+    l = len(s)
+    targets = targets or ()
+    floors = [_suffix_floors(rs, t, s) for t in targets]  # floors[b][l - k] is r_k of target b
+    marks = [(1 << b, t) for b, t in enumerate(targets)]  # (mask bit, target)
+    upper: dict[tuple[int, ...], tuple[int, int]] = {}  # point -> (targets walked against, those above it)
+    # Each state is (element, polynomial, live mask); r_0 = e exactly for the targets <= delta(s).
+    start = sum(bit for (bit, _), fl in zip(marks, floors) if not fl[l].length)
+    states = [(one, {0: 1} if bound >= 0 else {}, start)] if start or not targets else []
+    for k, (letter, gamma) in enumerate(zip(s, gammas), start=1):
         g = packing.pack(gamma)
-        walkers = 0  # the targets with s_k an ascent: each needs a walk
-        for bit, t in marks:
+        walkers = 0  # the targets w with s_k an ascent of w: a moved state walks to stay below w
+        rising = 0  # the targets with s_k a descent of r_k: a stay copy walks to stay above r_k
+        risers = []  # (mask bit, r_k) for the rising targets
+        for (bit, t), fl in zip(marks, floors):
             if has_right_ascent(t, letter):
                 walkers |= bit
-        nxt: dict[tuple[int, ...], dict[int, int]] = {}
-        for p, poly in states.items():
-            u, mask = element[p]
+            r = fl[l - k]
+            if not has_right_ascent(r, letter):
+                rising |= bit
+                risers.append((bit, r))
+        nxt: dict[tuple[int, ...], list] = {}  # point -> [element, polynomial, live mask]
+        for u, poly, mask in states:
             if has_right_ascent(u, letter):
                 # Nothing moves onto an ascent state: u keeps poly,
                 # and poly * (e^{-gamma} - 1) moves on to u*s_k.
-                nxt[p] = poly
+                stay = mask
+                todo = mask & rising
+                if todo:
+                    for bit, r in risers:
+                        if todo & bit and not bruhat_leq(rs, r, u):
+                            stay ^= bit
+                if stay or not todo:
+                    nxt[u.point] = [u, poly, stay]
                 v = right_multiply_simple(rs, u, letter)
                 key = v.point
                 todo = mask & walkers
                 if todo:
-                    seen = element.get(key)
-                    if seen is None:
-                        below = mask ^ todo
+                    walked, above = upper.get(key, (0, 0))
+                    need = todo & ~walked
+                    if need:
                         for bit, t in marks:
-                            if todo & bit and v.length <= t.length and bruhat_leq(rs, v, t):
-                                below |= bit
-                        element[key] = seen = (v, below)
-                    if not seen[1]:
+                            if need & bit and v.length <= t.length and bruhat_leq(rs, v, t):
+                                above |= bit
+                        upper[key] = (walked | need, above)
+                    mask ^= todo & ~above
+                    if not mask:
                         continue
-                else:
-                    element[key] = (v, mask)
                 moved = {q: c for e, c in poly.items() if (q := e + g) < cap}
                 _add_into(moved, poly, -1)
             else:
                 # H_u H_{s_k} = H_u: skipping plus taking leaves poly * e^{-gamma}.
-                key = p
+                v = u
+                key = u.point
                 moved = {q: c for e, c in poly.items() if (q := e + g) < cap}
-            target = nxt.get(key)
-            if target is None:
-                nxt[key] = moved
+            entry = nxt.get(key)
+            if entry is None:
+                nxt[key] = [v, moved, mask]
             else:
-                _add_into(target, moved)
-        states = {p: poly for p, poly in nxt.items() if poly}
-    return packing, {element[p][0]: poly for p, poly in states.items()}
+                _add_into(entry[1], moved)
+                entry[2] |= mask
+        states = [entry for entry in nxt.values() if entry[1]]
+    return packing, {u: poly for u, poly, _ in states}
 
 
 def _signed_class(u: WeylElement, state: dict[int, int], exponents) -> LaurentPoly:
@@ -290,7 +334,8 @@ def kclass_restriction(rs: RootSystem, w: WeylElement, s: Word) -> LaurentPoly:
 
     Signed sum over all Hecke subwords for w inside s of the products
     prod_{i in t} (1 - e^{-gamma_i}), computed in one pass over s that keeps
-    a Laurent polynomial per Hecke state <= w (``_signed_states``).
+    a Laurent polynomial per Hecke state in [r_k(w), w] after letter k, the
+    states that can still reach w (``_signed_states``).
     Independent of the reduced word chosen for the same x, as an identity of
     Laurent polynomials.  Words longer than 20 letters are refused
     (LengthBoundExceeded).

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import GroupTooLarge, LengthBoundExceeded, LetterOutOfRange, NotReduced
-from .rootsys import Dynkin, Root, RootSystem, reflect_root_in_place, reflect_weight
+from .rootsys import Dynkin, Root, RootSystem, _check_vector, reflect_root_in_place, reflect_weight
 
 Word = tuple[int, ...]
 
@@ -178,8 +178,12 @@ def _check_letter(rs: RootSystem, i: int) -> None:
 
 
 def act_on_root(x: WeylElement, v: Root) -> Root:
-    """Image x(v) of a root-lattice vector: the peeled letters of x applied to v in turn."""
+    """Image x(v) of a root-lattice vector: the peeled letters of x applied to v in turn.
+
+    WrongType unless len(v) is the rank.
+    """
     dyn = x.dynkin
+    _check_vector(dyn.rank, v)
     out = list(v)
     for i in _peel(x.point, dyn.weight_links):
         reflect_root_in_place(out, i, dyn.root_links)

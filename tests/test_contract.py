@@ -18,9 +18,11 @@ from kltangent import (
     NotReduced,
     TruncatedSeries,
     WrongType,
+    act_on_root,
     build_root_system,
     canonical_reduced_word,
     char_series,
+    format_root,
     in_nonneg_integer_span,
     is_explicit_factor,
     kclass_restriction,
@@ -234,6 +236,36 @@ HELPER_CASES = [
     (
         "root_to_epsilon of a vector longer than the rank",
         lambda: root_to_epsilon(_D4, (1, 0, 0, 0, 0)),
+        (WrongType, "expected a root-lattice vector of length 4"),
+    ),
+    (
+        "format_root of a vector longer than the rank",
+        lambda: format_root(_D4, (1, 0, 0, 0, 5)),
+        (WrongType, "expected a root-lattice vector of length 4"),
+    ),
+    (
+        "format_root of a vector shorter than the rank",
+        lambda: format_root(_D4, (1,)),
+        (WrongType, "expected a root-lattice vector of length 4"),
+    ),
+    (
+        "act_on_root of a vector longer than the rank",
+        lambda: act_on_root(word_to_element(_D4, (1, 2)), (1, 0, 0, 0, 7)),
+        (WrongType, "expected a root-lattice vector of length 4"),
+    ),
+    (
+        "act_on_root of a vector shorter than the rank",
+        lambda: act_on_root(word_to_element(_D4, (1, 2)), (1,)),
+        (WrongType, "expected a root-lattice vector of length 4"),
+    ),
+    (
+        "reflect of a vector longer than the rank",
+        lambda: reflect(_D4, 1, (1, 0, 0, 0, 9)),
+        (WrongType, "expected a root-lattice vector of length 4"),
+    ),
+    (
+        "reflect of a vector shorter than the rank",
+        lambda: reflect(_D4, 1, (1,)),
         (WrongType, "expected a root-lattice vector of length 4"),
     ),
     (

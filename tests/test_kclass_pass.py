@@ -65,23 +65,29 @@ def test_kclass_pass_matches_enumeration(label, all_words):
 
 
 def test_pass_keeps_only_states_below_w():
-    """The states the pass keeps, with a Bruhat walk or by the lifting property, are all <= some target."""
+    """The pass returns exactly its targets, each with the state of the full pass.
+
+    The bound keeps every term and every w <= x has a nonzero class, so each
+    target is returned; no other state survives the last letter, where the
+    floor r_l of a target is the target itself.
+    """
     rng = random.Random(3)
     for rs, _, word, below in _cases("B3", all_words=False):
         gammas = gamma_sequence(rs, word).gammas
         bound = sum(map(height, gammas))
+        _, full = _signed_states(rs, word, gammas, bound)
         for targets in [(w,) for w in below] + [tuple(below), tuple(rng.sample(below, (len(below) + 1) // 2))]:
             _, states = _signed_states(rs, word, gammas, bound, targets)
-            assert all(any(bruhat_leq(rs, u, t) for t in targets) for u in states), (word, targets)
-            assert all(t in states for t in targets)
+            assert states == {t: full[t] for t in targets}, (word, targets)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
 def test_multi_target_pass_matches_single_target(label):
-    """One pass over several targets gives each target the state of its own pass, and of the full pass.
+    """One pass over several targets returns exactly the targets with a nonzero class, each with its full-pass state.
 
     Canonical words and every x over whole groups; the targets are all w <= x
-    as one tuple and random subsets of them.
+    as one tuple and random subsets of them.  The bound truncates, so some
+    classes vanish and their targets are missing from every pass alike.
     """
     rng = random.Random(5)
     count = 0
@@ -94,20 +100,20 @@ def test_multi_target_pass_matches_single_target(label):
         for targets in subsets:
             multi_packing, states = _signed_states(rs, word, gammas, bound, targets)
             assert multi_packing.width == packing.width
-            assert states == {u: s for u, s in full.items() if any(bruhat_leq(rs, u, t) for t in targets)}
+            assert states == {t: full[t] for t in targets if t in full}
             for t in targets:
                 count += 1
                 assert states.get(t) == single[t], (word, t)
     assert count > 0
 
 
-def _random_e8_cases(count=12, seed=8):
-    """(rs, x, reduced word of 10-12 letters, targets) in E8: targets e, x and Demazure products of random subwords."""
-    rs = build_root_system("E8")
+def _random_cases(label, count, seed, sizes):
+    """(rs, x, random reduced word with a length in sizes, targets): e, x and Demazure products of random subwords."""
+    rs = build_root_system(label)
     rng = random.Random(seed)
     for _ in range(count):
         word, x = (), identity_element(rs)
-        size = rng.randint(10, 12)
+        size = rng.randint(*sizes)
         while len(word) < size:
             letter = rng.randint(1, rs.rank)
             if has_right_ascent(x, letter):
@@ -122,7 +128,7 @@ def test_tangent_cone_series_matches_enumeration(label):
 
     Canonical words and every w <= x over whole groups; in E8, random words of 10-12 letters.
     """
-    cases = _random_e8_cases() if label == "E8" else _cases(label, all_words=False)
+    cases = _random_cases("E8", 12, 8, (10, 12)) if label == "E8" else _cases(label, all_words=False)
     count = 0
     for rs, _, word, below in cases:
         gammas = gamma_sequence(rs, word).gammas
@@ -135,6 +141,34 @@ def test_tangent_cone_series_matches_enumeration(label):
             expected = oracle_spread(classes.get(w, LaurentPoly.zero()), gammas, bound)
             assert tangent_cone_series(rs, w, word, bound) == expected, (word, w)
     assert count > 0
+
+
+@pytest.mark.parametrize("label,seed", [("E6", 6), ("E7", 7)])
+def test_pruned_pass_on_long_words(label, seed):
+    """On 12-16 letter words the pruned pass gives each target its full-pass class, and the series its spread.
+
+    The full pass (``kclass_restrictions``) keeps every state; the targets
+    are e, x and Demazure products of random subwords, so every class is
+    nonzero.  The series runs at the largest gamma height against the tuple
+    spread of the full-pass class.
+    """
+    for rs, _, word, targets in _random_cases(label, 2, seed, (12, 16)):
+        full = kclass_restrictions(rs, word)
+        gammas = gamma_sequence(rs, word).gammas
+        bound = max(map(height, gammas))
+        for w in targets:
+            assert kclass_restriction(rs, w, word) == full[w], (word, w)
+            assert tangent_cone_series(rs, w, word, bound) == oracle_spread(full[w], gammas, bound), (word, w)
+
+
+def test_pass_drops_targets_above_the_word():
+    """A target not below delta(s) is live nowhere: the pass returns no state for it."""
+    rs = build_root_system("B3")
+    word = (1, 2)
+    gammas = gamma_sequence(rs, word).gammas
+    above = word_to_element(rs, (2, 1))
+    _, states = _signed_states(rs, word, gammas, sum(map(height, gammas)), (above,))
+    assert states == {}
 
 
 def test_kclass_validation():
