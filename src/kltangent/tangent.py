@@ -62,7 +62,9 @@ from .weyl import (
     GammaSequence,
     WeylElement,
     Word,
+    _columns_times,
     _gamma_sequence,
+    _identity_columns,
     _times_word,
     bruhat_leq,
     canonical_reduced_word,
@@ -136,7 +138,9 @@ def _suffix_floors(rs: RootSystem, w: WeylElement, letters: Word) -> list[WeylEl
     return floors
 
 
-def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[tuple[bool, bool]]:
+def _position_flags(
+    rs: RootSystem, w: WeylElement, s: Word, positions, floors: list[WeylElement] | None = None
+) -> list[tuple[bool, bool]]:
     """(delta(s \\ j) >= w, s_1...s^_j...s_l >= w) for each j in positions, in order.
 
     s is a reduced word of some x, its letters already validated, and the
@@ -165,6 +169,9 @@ def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[
     length l - 1, the punctured word is reduced, so pi_j is delta(s \\ j),
     already known to be >= w, and no walk is needed; otherwise one walk
     decides.
+
+    ``floors``, when given, is ``_suffix_floors(rs, w, s)``, the fold over
+    the whole word, which a caller that also runs the signed pass shares.
     """
     positions = tuple(positions)
     if not positions:
@@ -173,7 +180,7 @@ def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[
     prefix = [identity_element(rs)]  # prefix[k] is u_k
     for letter in s[: positions[-1] - 1]:
         prefix.append(right_multiply_simple(rs, prefix[-1], letter))
-    peeled = _suffix_floors(rs, w, s[positions[0] :])  # peeled[l - j] is r_j
+    peeled = floors or _suffix_floors(rs, w, s[positions[0] :])  # peeled[l - j] is r_j
     flags = []
     for j in positions:
         u = prefix[j - 1]
@@ -209,15 +216,92 @@ def _add_into(acc: dict[int, int], poly: dict[int, int], sign: int = 1) -> None:
             del acc[e]
 
 
+def _signed_step(
+    rs: RootSystem,
+    states: list,
+    letter: int,
+    g: int,
+    cap: int,
+    walkers: int = 0,
+    risers=(),
+    marks=(),
+    upper: dict | None = None,
+) -> list:
+    """One letter s_k of the pass of :func:`_signed_states`: the states after s_k from those before it.
+
+    ``states`` lists (element, packed polynomial, live mask) triples, ``g``
+    is P(gamma_k) and ``cap`` the packed bound.  ``walkers`` is the mask of
+    the targets w with s_k an ascent of w, ``risers`` the (mask bit, r_k)
+    pairs of the targets with s_k a descent of r_k, ``marks`` the (mask bit,
+    target) pairs and ``upper`` the walk cache of the pass.  The defaults
+    step a pass with no targets, whose states carry mask 0.
+
+    The input list, its triples and their polynomials are left unchanged, so
+    words that share a prefix step on from its states alike.  A stay copy
+    keeps its polynomial by reference; the step writes only to polynomials
+    it builds itself, and never to a stay copy's, which meets no other state.
+    """
+    rising = 0  # the targets with s_k a descent of r_k: a stay copy walks to stay above r_k
+    for bit, _ in risers:
+        rising |= bit
+    nxt: dict[tuple[int, ...], list] = {}  # point -> [element, polynomial, live mask]
+    for u, poly, mask in states:
+        if has_right_ascent(u, letter):
+            # Nothing moves onto an ascent state: u keeps poly,
+            # and poly * (e^{-gamma} - 1) moves on to u*s_k.
+            stay = mask
+            todo = mask & rising
+            if todo:
+                for bit, r in risers:
+                    if todo & bit and not bruhat_leq(rs, r, u):
+                        stay ^= bit
+            if stay or not todo:
+                nxt[u.point] = [u, poly, stay]
+            v = right_multiply_simple(rs, u, letter)
+            key = v.point
+            todo = mask & walkers
+            if todo:
+                walked, above = upper.get(key, (0, 0))
+                need = todo & ~walked
+                if need:
+                    for bit, t in marks:
+                        if need & bit and v.length <= t.length and bruhat_leq(rs, v, t):
+                            above |= bit
+                    upper[key] = (walked | need, above)
+                mask ^= todo & ~above
+                if not mask:
+                    continue
+            moved = {q: c for e, c in poly.items() if (q := e + g) < cap}
+            _add_into(moved, poly, -1)
+        else:
+            # H_u H_{s_k} = H_u: skipping plus taking leaves poly * e^{-gamma}.
+            v = u
+            key = u.point
+            moved = {q: c for e, c in poly.items() if (q := e + g) < cap}
+        entry = nxt.get(key)
+        if entry is None:
+            nxt[key] = [v, moved, mask]
+        else:
+            _add_into(entry[1], moved)
+            entry[2] |= mask
+    return [entry for entry in nxt.values() if entry[1]]
+
+
 def _signed_states(
-    rs: RootSystem, s: Word, gammas: tuple[Root, ...], bound: int, targets: tuple[WeylElement, ...] | None = None
+    rs: RootSystem,
+    s: Word,
+    gammas: tuple[Root, ...],
+    bound: int,
+    targets: tuple[WeylElement, ...] | None = None,
+    floors: list | None = None,
 ) -> tuple[_Packing, dict[WeylElement, dict[int, int]]]:
     """(packing, u -> sum over the subsequences t of s with delta(t) = u of prod_{i in t} -(1 - e^{-gamma_i})).
 
     The signed-count pass of :func:`kltangent.hecke.demazure_signed_counts`
     with a Laurent polynomial on every state: taking letter k moves u to
     H_u H_{s_k} and multiplies by e^{-gamma_k} - 1, skipping it keeps both.
-    Then P_{u,s} = (-1)^{l(u)} state[u].  Each polynomial maps the packed
+    Then P_{u,s} = (-1)^{l(u)} state[u].  The pass folds :func:`_signed_step`
+    over the letters of s.  Each polynomial maps the packed
     exponents P(nu) of ``_Packing(rank, bound)`` to coefficients, so
     multiplying by e^{-gamma_k} adds P(gamma_k) to every key; terms of
     height past the bound are dropped, which is exact below the bound
@@ -255,72 +339,57 @@ def _signed_states(
     of their masks, both the live mask of that point by the first two cases.
     A stay copy meets no other state: s_k is an ascent of it and a descent
     of the others.
+
+    ``floors``, when given, holds ``_suffix_floors(rs, w, s)`` for each
+    target w in order, so a caller that has folded them already passes them in.
     """
     packing = _Packing(rs.rank, max(bound, 0))
     cap = packing.cap(bound)
-    one = identity_element(rs)
     l = len(s)
     targets = targets or ()
-    floors = [_suffix_floors(rs, t, s) for t in targets]  # floors[b][l - k] is r_k of target b
+    if floors is None:
+        floors = [_suffix_floors(rs, t, s) for t in targets]  # floors[b][l - k] is r_k of target b
     marks = [(1 << b, t) for b, t in enumerate(targets)]  # (mask bit, target)
     upper: dict[tuple[int, ...], tuple[int, int]] = {}  # point -> (targets walked against, those above it)
-    # Each state is (element, polynomial, live mask); r_0 = e exactly for the targets <= delta(s).
+    # r_0 = e exactly for the targets <= delta(s).
     start = sum(bit for (bit, _), fl in zip(marks, floors) if not fl[l].length)
-    states = [(one, {0: 1} if bound >= 0 else {}, start)] if start or not targets else []
+    states = [(identity_element(rs), {0: 1} if bound >= 0 else {}, start)] if start or not targets else []
     for k, (letter, gamma) in enumerate(zip(s, gammas), start=1):
-        g = packing.pack(gamma)
         walkers = 0  # the targets w with s_k an ascent of w: a moved state walks to stay below w
-        rising = 0  # the targets with s_k a descent of r_k: a stay copy walks to stay above r_k
-        risers = []  # (mask bit, r_k) for the rising targets
+        risers = []  # (mask bit, r_k) for the targets with s_k a descent of r_k
         for (bit, t), fl in zip(marks, floors):
             if has_right_ascent(t, letter):
                 walkers |= bit
             r = fl[l - k]
             if not has_right_ascent(r, letter):
-                rising |= bit
                 risers.append((bit, r))
-        nxt: dict[tuple[int, ...], list] = {}  # point -> [element, polynomial, live mask]
-        for u, poly, mask in states:
-            if has_right_ascent(u, letter):
-                # Nothing moves onto an ascent state: u keeps poly,
-                # and poly * (e^{-gamma} - 1) moves on to u*s_k.
-                stay = mask
-                todo = mask & rising
-                if todo:
-                    for bit, r in risers:
-                        if todo & bit and not bruhat_leq(rs, r, u):
-                            stay ^= bit
-                if stay or not todo:
-                    nxt[u.point] = [u, poly, stay]
-                v = right_multiply_simple(rs, u, letter)
-                key = v.point
-                todo = mask & walkers
-                if todo:
-                    walked, above = upper.get(key, (0, 0))
-                    need = todo & ~walked
-                    if need:
-                        for bit, t in marks:
-                            if need & bit and v.length <= t.length and bruhat_leq(rs, v, t):
-                                above |= bit
-                        upper[key] = (walked | need, above)
-                    mask ^= todo & ~above
-                    if not mask:
-                        continue
-                moved = {q: c for e, c in poly.items() if (q := e + g) < cap}
-                _add_into(moved, poly, -1)
-            else:
-                # H_u H_{s_k} = H_u: skipping plus taking leaves poly * e^{-gamma}.
-                v = u
-                key = u.point
-                moved = {q: c for e, c in poly.items() if (q := e + g) < cap}
-            entry = nxt.get(key)
-            if entry is None:
-                nxt[key] = [v, moved, mask]
-            else:
-                _add_into(entry[1], moved)
-                entry[2] |= mask
-        states = [entry for entry in nxt.values() if entry[1]]
+        states = _signed_step(rs, states, letter, packing.pack(gamma), cap, walkers, risers, marks, upper)
     return packing, {u: poly for u, poly, _ in states}
+
+
+def _class_fold(rs: RootSystem):
+    """(packing, start, step) of the signed K-class pass with no targets, shared by every reduced word of rs.
+
+    A state is (columns, pass states): the columns x(alpha_j) of the prefix
+    x, whose column s_k is gamma_k, and the states of :func:`_signed_step`.
+    ``step`` leaves its input state unchanged.  One packing with limit
+    sum height(Phi^+) serves every word: that bound is at least the sum of
+    the gamma heights of any reduced word, so no term is dropped and P is
+    injective, and packed states of two words compare as their classes do.
+    """
+    bound = sum(map(height, rs.positive_roots))
+    packing = _Packing(rs.rank, bound)
+    cap = packing.cap(bound)
+    packed = {beta: packing.pack(beta) for beta in rs.positive_roots}
+    root_links = rs.dynkin.root_links
+
+    def step(state, letter):
+        columns, states = state
+        i = letter - 1
+        return _columns_times(columns, i, root_links), _signed_step(rs, states, letter, packed[columns[i]], cap)
+
+    start = (_identity_columns(rs.rank), [(identity_element(rs), {0: 1}, 0)])
+    return packing, start, step
 
 
 def _signed_class(u: WeylElement, state: dict[int, int], exponents) -> LaurentPoly:
@@ -433,17 +502,23 @@ def _indecomposable_inversions(inversions: frozenset[Root]) -> frozenset[Root]:
 
 
 def _cone_series_by_target(
-    rs: RootSystem, targets: tuple[WeylElement, ...], s: Word, gammas: tuple[Root, ...], bound: int
+    rs: RootSystem,
+    targets: tuple[WeylElement, ...],
+    s: Word,
+    gammas: tuple[Root, ...],
+    bound: int,
+    floors: list | None = None,
 ) -> dict[WeylElement, TruncatedSeries]:
     """{w: P_{w,s} / prod_i (1 - e^{-gamma_i}) up to the height bound} for distinct targets w, from one pass.
 
     Each series is spread from the packed state of its target; the pass
     drops every term past the bound, which the series would drop anyway.
     The empty word (x = e) has no gammas: its series is the class 1 itself,
-    empty when the bound is negative.
+    empty when the bound is negative.  ``floors`` passes the targets'
+    suffix folds on to ``_signed_states``.
     """
     _check_word(rs, s)
-    packing, states = _signed_states(rs, s, gammas, bound, targets)
+    packing, states = _signed_states(rs, s, gammas, bound, targets, floors)
     out = {}
     for w in targets:
         state = states.get(w, {})
@@ -592,18 +667,19 @@ def kl_tangent_report(
     gamma = _gamma_sequence(rs, x, s)
     inversions = frozenset(gamma.gammas)  # _gamma_sequence checked it equal to I(x^{-1})
     indecomposables = _indecomposable_inversions(inversions)
+    floors = _suffix_floors(rs, w, s)  # one downward fold of w serves the flags and the series pass
     series = None
     if include_cone_evidence:
         # One series, deep enough for every decomposable gamma_j, answers them all.
         bound = max((height(g) for g in gamma.gammas if g not in indecomposables), default=None)
         if bound is not None:
-            series = _cone_series(rs, w, s, gamma.gammas, bound)
+            series = _cone_series_by_target(rs, (w,), s, gamma.gammas, bound, [floors])[w]
     positions = range(1, len(s) + 1)
     statuses = tuple(
         _status_for_position(
             rs, j, flags, gamma.gammas, gamma.gammas[j - 1] in indecomposables, series, use_type_a_oracle
         )
-        for j, flags in zip(positions, _position_flags(rs, w, s, positions))
+        for j, flags in zip(positions, _position_flags(rs, w, s, positions, floors))
     )
     kl_weights = frozenset(st.gamma for st in statuses if st.verdict is Verdict.IN)
     extra = frozenset(negate(beta) for beta in rs.positive_roots if beta not in inversions)

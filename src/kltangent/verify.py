@@ -5,6 +5,13 @@ through the public operations, and returns a :class:`VerifyOutcome` with the
 case count and any failures.  At these group sizes the sweeps are not spot
 checks: they cover every element, every reduced word and every Bruhat
 interval in range, so a green suite is a finite proof for that range.
+
+The suites that fold a pass along each word (``euler-identity``,
+``kclass-well-defined``) visit their words in lexicographic order and step
+the pass once per letter past the common prefix with the previous word
+(:func:`_prefix_folds`).  The reduced words of a whole group are closed
+under prefixes, so an exhaustive sweep steps each node of their prefix tree
+once instead of every word from e.
 """
 
 from __future__ import annotations
@@ -12,21 +19,23 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 
-from .hecke import demazure_signed_counts
+from .hecke import demazure_signed_step
 from .rootsys import RootSystem, build_root_system, cominuscule_nodes, height, negate, root_from_epsilon
 from .rt_ring import LaurentPoly
 from .subword import _ENUM_LETTERS_BOUND
 from .tangent import (
     Verdict,
+    _class_fold,
     _cone_series_by_target,
     _position_flags,
+    _signed_class,
     element_to_permutation,
     is_cominuscule_element,
     is_explicit_factor,
     is_integrally_indecomposable,
     kclass_restriction,
-    kclass_restrictions,
     kl_tangent_membership,
     kl_tangent_report,
     type_a_cominuscule_oracle,
@@ -39,6 +48,7 @@ from .weyl import (
     canonical_reduced_word,
     gamma_sequence,
     group_table,
+    identity_element,
     inverse,
     inversion_set_of_inverse,
     is_min_coset_rep,
@@ -122,6 +132,32 @@ def _cases(gt: GroupTable, sample: int | None, seed: int, all_words: bool = True
         idx = pool[rng.randrange(len(pool))]
         word = _random_reduced_word(gt, idx, rng) if all_words else gt.word_of(idx)
         yield idx, word, (rng.choice(list(_bits(masks[idx]))),)
+
+
+def _prefix_folds(groups, start, step):
+    """Yield (group, state) for (x id, word, target ids) groups, in lexicographic order of their words.
+
+    state is ``step`` folded over the letters of the word from ``start``.  A
+    stack keeps the state after each prefix of the previous word, so only the
+    letters past the common prefix are stepped; ``step`` must leave its input
+    state unchanged, since later words step on from it too.  Groups with
+    equal words keep their order.  Over the reduced words of a whole group,
+    a prefix-closed set, each node of the prefix tree is stepped once.
+    """
+    stack = [start]  # stack[k]: the state after the first k letters of word
+    word: tuple[int, ...] = ()
+    for group in sorted(groups, key=itemgetter(1)):
+        nxt = group[1]
+        keep = 0
+        for a, b in zip(word, nxt):
+            if a != b:
+                break
+            keep += 1
+        del stack[keep + 1 :]
+        for letter in nxt[keep:]:
+            stack.append(step(stack[-1], letter))
+        word = nxt
+        yield group, stack[-1]
 
 
 def _indecomposable_memo(rs: RootSystem, gt: GroupTable):
@@ -220,13 +256,16 @@ def euler_identity_suite(rs: RootSystem, sample: int | None = None, seed: int = 
     """Signed Hecke-subword sum equals 1 for every (x, reduced word, w <= x).
 
     With ``sample`` set, checks that many random (x, w, word) triples instead
-    of the full sweep.  One signed-count pass per word serves all its targets.
+    of the full sweep.  The signed counts of each word serve all its targets,
+    stepped from those of its longest prefix already visited (:func:`_prefix_folds`).
     """
     t0 = time.perf_counter()
     out = VerifyOutcome(f"euler-identity[{rs.cartan_type}]")
     gt = group_table(rs)
-    for _, word, w_ids in _cases(gt, sample, seed):
-        counts = demazure_signed_counts(rs, word)
+    start = {identity_element(rs): 1}
+    for (_, word, w_ids), counts in _prefix_folds(
+        _cases(gt, sample, seed), start, lambda counts, letter: demazure_signed_step(rs, counts, letter)
+    ):
         for w_id in w_ids:
             out.cases += 1
             w = gt.elements[w_id]
@@ -265,18 +304,26 @@ def ball_sphere_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) 
 
 
 def kclass_well_definedness_suite(rs: RootSystem) -> VerifyOutcome:
-    """The localized class is the same Laurent polynomial for every reduced word."""
+    """The localized class is the same Laurent polynomial for every reduced word.
+
+    One signed pass serves every word, stepped once per prefix
+    (:func:`_class_fold`); a word's packed states give every w <= x, and are
+    decoded only to record a failure.
+    """
     t0 = time.perf_counter()
     out = VerifyOutcome(f"kclass-well-defined[{rs.cartan_type}]")
     gt = group_table(rs)
-    reference: dict[tuple[int, int], LaurentPoly] = {}  # (x, w) -> class from the first word
-    for idx, word, w_ids in _cases(gt, None, 0):
-        table = kclass_restrictions(rs, word)  # one pass per reduced word gives every w <= x
+    packing, start, step = _class_fold(rs)
+    reference: dict[tuple[int, int], dict[int, int]] = {}  # (x, w) -> packed state from the first word
+    for (idx, word, w_ids), (_, states) in _prefix_folds(_cases(gt, None, 0), start, step):
+        table = {u: poly for u, poly, _ in states}
         for w_id in w_ids:
             out.cases += 1
-            value = table.get(gt.elements[w_id], LaurentPoly.zero())
+            w = gt.elements[w_id]
+            value = table.get(w, {})
             expected = reference.setdefault((idx, w_id), value)
             if value != expected:
+                expected, value = (_signed_class(w, p, packing.exponents(p)) for p in (expected, value))
                 out.record(
                     x=gt.word_of(idx), w=gt.word_of(w_id), word=word,
                     expected=expected.items(), got=value.items(),

@@ -110,3 +110,20 @@ def test_report_folds_no_punctured_word(monkeypatch):
     report = kl_tangent_report(rs, w, x)
     assert len(report.statuses) == 63
     assert len(calls) <= 2
+
+
+def test_report_with_cone_evidence_folds_the_suffix_once(monkeypatch):
+    """The flags and the series pass of a report share one downward fold of w, at every (x, w) of B3."""
+    rs = build_root_system("B3")
+    gt = group_table(rs)
+    calls = []
+    real = tangent._suffix_floors
+    monkeypatch.setattr(tangent, "_suffix_floors", lambda *args: calls.append(args) or real(*args))
+    reports = 0
+    for x_id, x in enumerate(gt.elements):
+        for w in _below(gt, x_id):
+            calls.clear()
+            report = kl_tangent_report(rs, w, x, include_cone_evidence=True)
+            reports += any(status.evidence.cone_coefficient is not None for status in report.statuses)
+            assert len(calls) == 1
+    assert reports > 0

@@ -1,0 +1,149 @@
+"""The prefix-shared sweeps of ``euler-identity`` and ``kclass-well-defined``.
+
+``verify._prefix_folds`` steps a pass once per letter past the common prefix
+with the previous word.  These tests hold it to the per-word passes it
+replaces (``kclass_restrictions``, ``demazure_signed_counts``), check that no
+step writes to a state another word steps on from, and that the suites still
+record a failure when one word's class or count is wrong.
+"""
+
+import copy
+
+import pytest
+
+from kltangent import build_root_system, group_table, identity_element, kclass_restrictions, verify
+from kltangent.hecke import demazure_signed_counts, demazure_signed_step
+from kltangent.tangent import _class_fold, _signed_class
+from kltangent.verify import _cases, _prefix_folds, euler_identity_suite, kclass_well_definedness_suite
+
+
+def _all_words(gt):
+    return {word for idx in range(len(gt.elements)) for word in gt.reduced_words_of(idx)}
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
+def test_prefix_sweep_matches_per_word_passes(label):
+    """Every reduced word, the empty one too, gets the classes and signed counts of its own pass."""
+    rs = build_root_system(label)
+    gt = group_table(rs)
+    packing, start, step = _class_fold(rs)
+    classes = {
+        word: {u: _signed_class(u, poly, packing.exponents(poly)) for u, poly, _ in states}
+        for (_, word, _), (_, states) in _prefix_folds(_cases(gt, None, 0), start, step)
+    }
+    counts = {
+        word: value
+        for (_, word, _), value in _prefix_folds(
+            _cases(gt, None, 0), {identity_element(rs): 1}, lambda c, letter: demazure_signed_step(rs, c, letter)
+        )
+    }
+    assert () in classes
+    assert set(classes) == set(counts) == _all_words(gt)
+    for word in classes:
+        assert classes[word] == kclass_restrictions(rs, word), word
+        assert counts[word] == demazure_signed_counts(rs, word), word
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_prefix_sweep_steps_each_prefix_once(label):
+    """Over a prefix-closed word set, the sweep steps once per nonempty word, not once per letter of each word."""
+    gt = group_table(build_root_system(label))
+    letters = []
+    for _ in _prefix_folds(_cases(gt, None, 0), 0, lambda state, letter: letters.append(letter) or state + 1):
+        pass
+    words = _all_words(gt)
+    assert len(letters) == len(words) - 1
+    assert len(letters) < sum(map(len, words))
+
+
+def test_sampled_sweep_keeps_the_draws():
+    """The sampled branch visits the same draws, each word's state the fold of its letters."""
+    gt = group_table(build_root_system("D4"))
+    draws = list(_cases(gt, 200, 7))
+    seen = list(_prefix_folds(draws, (), lambda state, letter: state + (letter,)))
+    assert sorted(group for group, _ in seen) == sorted(draws)
+    assert all(state == group[1] for group, state in seen)
+
+
+def test_steps_leave_their_input_unchanged():
+    """Neither one-letter step writes to the state it is given, and the pass step hands on no triple of it."""
+    rs = build_root_system("B3")
+    gt = group_table(rs)
+    _, start, class_step = _class_fold(rs)
+
+    def checked(step):
+        def run(state, letter):
+            before = copy.deepcopy(state)
+            out = step(state, letter)
+            assert state == before, letter
+            return out
+
+        return run
+
+    def class_states(state, letter):
+        out = checked(class_step)(state, letter)
+        assert not {id(t) for t in out[1]} & {id(t) for t in state[1]}
+        return out
+
+    for _ in _prefix_folds(_cases(gt, None, 0), start, class_states):
+        pass
+    counts_step = checked(lambda counts, letter: demazure_signed_step(rs, counts, letter))
+    for _ in _prefix_folds(_cases(gt, None, 0), {identity_element(rs): 1}, counts_step):
+        pass
+
+
+@pytest.mark.parametrize("label", ["G2", "B3"])
+def test_sweep_states_survive_later_steps(label):
+    """A state handed out for one word is still the same when the sweep ends: siblings share it unchanged."""
+    rs = build_root_system(label)
+    gt = group_table(rs)
+    _, start, step = _class_fold(rs)
+    handed = [(state, copy.deepcopy(state)) for _, state in _prefix_folds(_cases(gt, None, 0), start, step)]
+    assert all(state == snapshot for state, snapshot in handed)
+
+
+def _corrupt(monkeypatch, target_word, change):
+    """Make the sweep hand out a changed copy of one word's state; every other word is left alone."""
+    real = verify._prefix_folds
+
+    def folds(groups, start, step):
+        for group, state in real(groups, start, step):
+            yield group, change(copy.deepcopy(state)) if group[1] == target_word else state
+
+    monkeypatch.setattr(verify, "_prefix_folds", folds)
+
+
+def test_kclass_sweep_records_a_wrong_class(monkeypatch):
+    rs = build_root_system("B3")
+    gt = group_table(rs)
+    idx = max(range(len(gt.elements)), key=gt.length.__getitem__)
+    word = gt.reduced_words_of(idx)[-1]  # not the first word of w0, so the reference stays right
+
+    def change(state):
+        columns, states = state
+        _, poly, _ = states[0]
+        poly[0] = poly.get(0, 0) + 1
+        return columns, states
+
+    _corrupt(monkeypatch, word, change)
+    outcome = kclass_well_definedness_suite(rs)
+    assert not outcome.ok
+    assert {failure["word"] for failure in outcome.failures} == {word}
+    assert outcome.cases == 6539
+
+
+def test_euler_sweep_records_a_wrong_count(monkeypatch):
+    rs = build_root_system("B3")
+    gt = group_table(rs)
+    word = gt.reduced_words_of(5)[0]
+
+    def change(counts):
+        counts[identity_element(rs)] += 1
+        return counts
+
+    _corrupt(monkeypatch, word, change)
+    outcome = euler_identity_suite(rs)
+    assert not outcome.ok
+    assert [failure["w"] for failure in outcome.failures] == [()]
+    assert {failure["word"] for failure in outcome.failures} == {word}
+    assert outcome.cases == 6539

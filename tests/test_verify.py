@@ -70,6 +70,53 @@ def test_run_battery_all_green_on_g2():
     ]
 
 
+# Default-config batteries; the x = e word () is one case of each whole-group sweep.
+BATTERY_CASES = {
+    "A3": [
+        ("root-basics[A3]", 19),
+        ("weyl-basics[A3]", 624),
+        ("hecke-subword-equivalence[A3]", 33340),
+        ("euler-identity[A3]", 959),
+        ("ball-sphere[A3]", 959),
+        ("kclass-well-defined[A3]", 959),
+        ("cone-mechanism[A3]", 626),
+        ("cominuscule-indecomposable[A3]", 29),
+        ("cominuscule-parabolic[A3]", 14),
+        ("cominuscule-complete[A3]", 73),
+        ("te-containment[A3]", 29),
+        ("cominuscule-permutations[A3]", 24),
+        ("type-a-oracle[A3]", 2962),
+        ("simply-laced-products[A3]", 187),
+        ("explicit-factor-fast-slow[A3]", 500),
+        ("decomposable-guard[A2]", 2),
+        ("fixed-examples", 3),
+    ],
+    "B3": [
+        ("root-basics[B3]", 28),
+        ("weyl-basics[B3]", 2391),
+        ("hecke-subword-equivalence[B3]", 59572),
+        ("euler-identity[B3]", 6539),
+        ("ball-sphere[B3]", 6539),
+        ("kclass-well-defined[B3]", 6539),
+        ("cone-mechanism[B3]", 3151),
+        ("cominuscule-indecomposable[B3]", 41),
+        ("cominuscule-parabolic[B3]", 6),
+        ("cominuscule-complete[B3]", 109),
+        ("te-containment[B3]", 41),
+        ("explicit-factor-fast-slow[B3]", 500),
+        ("decomposable-guard[A2]", 2),
+        ("fixed-examples", 3),
+    ],
+}
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_run_battery_case_counts_pinned(label):
+    outcomes = run_battery(label)
+    assert all(o.ok for o in outcomes)
+    assert [(o.suite, o.cases) for o in outcomes] == BATTERY_CASES[label]
+
+
 # sha256 of repr([(x id, word, w id), ...]) over the default-seed sampled draws
 SAMPLED_DIGESTS = {
     ("D4", True): "966b8a5cbcf0f27c65a1ed262146ac73d8a025772950fa7e840da11d10a17249",
