@@ -14,7 +14,7 @@ import sys
 
 from .errors import KltangentError
 from .hecke import demazure_product
-from .rootsys import RootSystem, build_root_system, format_root
+from .rootsys import CartanType, RootSystem, build_root_system, format_root
 from .rt_ring import LaurentPoly
 from .subword import boundary_faces, build_complex, euler_characteristics
 from .tangent import (
@@ -215,7 +215,7 @@ def _cmd_verify(args) -> int:
                   f"{len(o.failures)} failures ({o.seconds:.2f}s)", file=sys.stderr)
         if args.json:
             print(_dump({
-                "cartan_type": label.upper(),
+                "cartan_type": str(CartanType.parse(label)),
                 "ok": ok,
                 "outcomes": [_outcome_payload(o) for o in outcomes],
             }))

@@ -16,8 +16,7 @@ topped by height(nu) (:class:`_Packing`): multiplying by e^{-beta} is one
 integer addition, the height bound is one comparison, and no tuple is built.
 Packed ints never leave the pass and the spread: each decodes its result
 once, and a :class:`LaurentPoly` or :class:`TruncatedSeries` holds one dict
-keyed by exponent tuples.  The same packing, applied to roots, gives
-``kltangent.tangent`` its pair-sum test of indecomposability.
+keyed by exponent tuples.
 """
 
 from __future__ import annotations

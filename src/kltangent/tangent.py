@@ -465,15 +465,6 @@ def is_integrally_indecomposable(alpha: Root, phi) -> bool:
     return not in_nonneg_integer_span(others, alpha)
 
 
-def _is_indecomposable_in(gamma: Root, inversions: frozenset[Root]) -> bool:
-    """Is gamma, a root of the inversion set I = I(x^{-1}), integrally indecomposable in I?
-
-    The test of :func:`_indecomposable_inversions` for one root: gamma is
-    decomposable iff gamma - beta lies in I for some beta in I, one pass over I.
-    """
-    return not any(tuple(g - b for g, b in zip(gamma, beta)) in inversions for beta in inversions)
-
-
 def _indecomposable_inversions(inversions: frozenset[Root]) -> frozenset[Root]:
     """The integrally indecomposable roots of an inversion set I = I(x^{-1}), in O(|I|^2) int additions.
 
@@ -488,15 +479,13 @@ def _indecomposable_inversions(inversions: frozenset[Root]) -> frozenset[Root]:
     gamma = beta + beta' for two roots of I, distinct because 2 beta is not a
     root.
 
-    Each root is packed once (:class:`kltangent.rt_ring._Packing`) with a
-    limit of twice the largest coefficient in I, so no sum of two packed roots
-    carries: P(beta) + P(beta') = P(beta + beta'), and P is injective.  gamma
-    is decomposable iff P(gamma) is such a sum.
+    Each root is packed once as the int whose little-endian bytes are its
+    coefficients.  No positive-root coefficient exceeds 6 (the highest root
+    of E8), so a sum of two packed roots is at most 12 in every byte and
+    never carries: P(beta) + P(beta') = P(beta + beta'), and P is injective.
+    gamma is decomposable iff P(gamma) is such a sum.
     """
-    if not inversions:
-        return frozenset()
-    packing = _Packing(len(next(iter(inversions))), 2 * max(map(max, inversions)))
-    packed = {gamma: packing.pack(gamma) for gamma in inversions}
+    packed = {gamma: int.from_bytes(bytes(gamma), "little") for gamma in inversions}
     sums = {p + q for p, q in combinations(packed.values(), 2)}
     return frozenset(gamma for gamma, p in packed.items() if p not in sums)
 
@@ -528,13 +517,6 @@ def _cone_series_by_target(
     return out
 
 
-def _cone_series(
-    rs: RootSystem, w: WeylElement, s: Word, gammas: tuple[Root, ...], bound: int
-) -> TruncatedSeries:
-    """P_{w,s} / prod_i (1 - e^{-gamma_i}) up to the height bound: the one-target :func:`_cone_series_by_target`."""
-    return _cone_series_by_target(rs, (w,), s, gammas, bound)[w]
-
-
 def tangent_cone_series(rs: RootSystem, w: WeylElement, s: Word, bound: int) -> TruncatedSeries:
     """The tangent-cone character Char C = P_{w,s} / prod_i (1 - e^{-gamma_i}).
 
@@ -543,7 +525,8 @@ def tangent_cone_series(rs: RootSystem, w: WeylElement, s: Word, bound: int) -> 
     series answers every position j with height(gamma_j) <= bound.  Words
     longer than 20 letters are refused (LengthBoundExceeded).
     """
-    return _cone_series(rs, w, s, _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas, bound)
+    gammas = _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas
+    return _cone_series_by_target(rs, (w,), s, gammas, bound)[w]
 
 
 def tangent_cone_coefficient(rs: RootSystem, lam: WeightVector, w: WeylElement, s: Word) -> int:
@@ -560,38 +543,49 @@ def tangent_cone_coefficient(rs: RootSystem, lam: WeightVector, w: WeylElement, 
     mu = negate(tuple(lam))
     if len(mu) != rs.rank or min(mu) < 0 or not in_nonneg_integer_span(gammas, mu):
         raise ExponentOutsideCone(f"-({lam}) is outside the cone of the ambient weights")
-    return _cone_series(rs, w, s, gammas, height(mu)).coefficient(tuple(lam))
+    return _cone_series_by_target(rs, (w,), s, gammas, height(mu))[w].coefficient(tuple(lam))
 
 
-def _status_for_position(
+def _statuses(
     rs: RootSystem,
-    j: int,
-    flags: tuple[bool, bool],
+    w: WeylElement,
+    s: Word,
     gammas: tuple[Root, ...],
-    indecomposable: bool,
-    series: TruncatedSeries | None,
+    positions,
     use_type_a_oracle: bool,
-) -> WeightStatus:
-    """Verdict and evidence at j from its ``_position_flags``; ``series``, when given, holds the cone coefficients."""
-    gamma_j = gammas[j - 1]
-    demazure_ok, ordinary_ok = flags
-    cone_coeff = None
-    if indecomposable:
-        verdict = Verdict.IN if demazure_ok else Verdict.OUT
-    else:
-        if use_type_a_oracle and rs.cartan_type.family == "A":
+    include_cone: bool,
+) -> tuple[WeightStatus, ...]:
+    """The status of gamma_j at each of the ascending positions j of s, whose gammas list I(x^{-1}).
+
+    In iff delta(s \\ j) >= w where gamma_j is integrally indecomposable in
+    I(x^{-1}); elsewhere Undetermined, or the ordinary-product verdict when
+    ``use_type_a_oracle`` is set in type A.  One downward fold of w serves
+    the flags and, when ``include_cone`` asks for the cone coefficients of
+    the decomposable positions, one series pass bounded by the largest
+    height among the decomposable gamma_j requested.
+    """
+    indecomposables = _indecomposable_inversions(frozenset(gammas))
+    floors = _suffix_floors(rs, w, s)
+    series = None
+    if include_cone:
+        bound = max((height(gammas[j - 1]) for j in positions if gammas[j - 1] not in indecomposables), default=None)
+        if bound is not None:
+            series = _cone_series_by_target(rs, (w,), s, gammas, bound, [floors])[w]
+    type_a = use_type_a_oracle and rs.cartan_type.family == "A"
+    statuses = []
+    for j, (demazure_ok, ordinary_ok) in zip(positions, _position_flags(rs, w, s, positions, floors)):
+        gamma_j = gammas[j - 1]
+        indecomposable = gamma_j in indecomposables
+        if indecomposable:
+            verdict = Verdict.IN if demazure_ok else Verdict.OUT
+        elif type_a:
             verdict = Verdict.IN if ordinary_ok else Verdict.OUT
         else:
             verdict = Verdict.UNDETERMINED
-        if series is not None:
-            cone_coeff = series.coefficient(negate(gamma_j))
-    evidence = Evidence(
-        indecomposable=indecomposable,
-        demazure_ok=demazure_ok,
-        ordinary_product_ok=ordinary_ok,
-        cone_coefficient=cone_coeff,
-    )
-    return WeightStatus(position=j, gamma=gamma_j, verdict=verdict, evidence=evidence)
+        cone = None if indecomposable or series is None else series.coefficient(negate(gamma_j))
+        evidence = Evidence(indecomposable, demazure_ok, ordinary_ok, cone)
+        statuses.append(WeightStatus(j, gamma_j, verdict, evidence))
+    return tuple(statuses)
 
 
 def kl_tangent_membership(
@@ -609,12 +603,8 @@ def kl_tangent_membership(
     """
     _validate_position(s, j)
     gammas = _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas
-    indecomposable = _is_indecomposable_in(gammas[j - 1], frozenset(gammas))  # the gammas list I(x^{-1})
-    series = None
-    if include_cone_coefficient and not indecomposable:
-        series = _cone_series(rs, w, s, gammas, height(gammas[j - 1]))
-    (flags,) = _position_flags(rs, w, s, (j,))
-    return _status_for_position(rs, j, flags, gammas, indecomposable, series, use_type_a_oracle=False)
+    (status,) = _statuses(rs, w, s, gammas, (j,), False, include_cone_coefficient)
+    return status
 
 
 def te_curve_weights(rs: RootSystem, w: WeylElement, s: Word) -> frozenset[Root]:
@@ -665,23 +655,9 @@ def kl_tangent_report(
         raise WrongType(f"type-A oracle requested on {rs.cartan_type}")
     s = canonical_reduced_word(rs, x)
     gamma = _gamma_sequence(rs, x, s)
-    inversions = frozenset(gamma.gammas)  # _gamma_sequence checked it equal to I(x^{-1})
-    indecomposables = _indecomposable_inversions(inversions)
-    floors = _suffix_floors(rs, w, s)  # one downward fold of w serves the flags and the series pass
-    series = None
-    if include_cone_evidence:
-        # One series, deep enough for every decomposable gamma_j, answers them all.
-        bound = max((height(g) for g in gamma.gammas if g not in indecomposables), default=None)
-        if bound is not None:
-            series = _cone_series_by_target(rs, (w,), s, gamma.gammas, bound, [floors])[w]
-    positions = range(1, len(s) + 1)
-    statuses = tuple(
-        _status_for_position(
-            rs, j, flags, gamma.gammas, gamma.gammas[j - 1] in indecomposables, series, use_type_a_oracle
-        )
-        for j, flags in zip(positions, _position_flags(rs, w, s, positions, floors))
-    )
+    statuses = _statuses(rs, w, s, gamma.gammas, range(1, len(s) + 1), use_type_a_oracle, include_cone_evidence)
     kl_weights = frozenset(st.gamma for st in statuses if st.verdict is Verdict.IN)
+    inversions = frozenset(gamma.gammas)  # _gamma_sequence checked it equal to I(x^{-1})
     extra = frozenset(negate(beta) for beta in rs.positive_roots if beta not in inversions)
     complete = all(st.verdict is not Verdict.UNDETERMINED for st in statuses)
     return TangentReport(

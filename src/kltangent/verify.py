@@ -711,7 +711,7 @@ def run_battery(label: str, config: VerifyConfig = VerifyConfig()) -> list[Verif
                 outcomes.append(type_a_oracle_suite(rs))
         if rs.cartan_type.family in ("A", "D", "E") and order <= 200:
             outcomes.append(simply_laced_product_suite(rs))
-    outcomes.append(explicit_factor_random_suite([label], config.random_cases, config.seed))
+    outcomes.append(explicit_factor_random_suite([str(rs.cartan_type)], config.random_cases, config.seed))
     outcomes.append(decomposable_guard_suite())
     outcomes.append(fixed_examples_suite())
     return outcomes

@@ -155,6 +155,16 @@ def test_verify_several_types(capsys, monkeypatch):
     assert [json.loads(line)["ok"] for line in out.splitlines()] == [True, False]
 
 
+def test_verify_prints_the_canonical_type_label(capsys):
+    code, out, _ = run(capsys, "verify", "b03", "--random-cases", "20", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cartan_type"] == "B3"
+    shared = ("decomposable-guard[A2]", "fixed-examples")  # the suites every battery runs alike
+    per_type = [o["suite"] for o in payload["outcomes"] if o["suite"] not in shared]
+    assert per_type and all(suite.endswith("[B3]") for suite in per_type)
+
+
 def test_cli_import_leaves_verify_unloaded():
     # only `kltangent verify` needs the battery, so the other subcommands skip its import
     src = Path(__file__).resolve().parents[1] / "src"

@@ -28,6 +28,14 @@ def test_pair_criterion_matches_search_over_whole_group(label):
         assert _indecomposable_inversions(inversions) == _by_search(inversions)
 
 
+@pytest.mark.parametrize("label", ["A32", "B32", "C32", "D32", "E6", "E7", "E8", "F4", "G2"])
+def test_only_simple_roots_are_indecomposable_in_all_positive_roots(label):
+    # the widest roots and the largest coefficients (6, in E8) that the byte packing meets
+    rs = build_root_system(label)
+    simple = frozenset(tuple(int(i == k) for i in range(rs.rank)) for k in range(rs.rank))
+    assert _indecomposable_inversions(frozenset(rs.positive_roots)) == simple
+
+
 _LARGE = {label: build_root_system(label) for label in ("E6", "E7", "E8")}
 
 

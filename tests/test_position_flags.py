@@ -19,6 +19,7 @@ from kltangent import (
     demazure_element,
     group_table,
     identity_element,
+    kl_tangent_membership,
     kl_tangent_report,
     longest_element,
     word_to_element,
@@ -113,17 +114,25 @@ def test_report_folds_no_punctured_word(monkeypatch):
 
 
 def test_report_with_cone_evidence_folds_the_suffix_once(monkeypatch):
-    """The flags and the series pass of a report share one downward fold of w, at every (x, w) of B3."""
+    """The flags and the series pass share one downward fold of w, at every (x, w) of B3.
+
+    So do those of a single position asked with its cone coefficient, at every j.
+    """
     rs = build_root_system("B3")
     gt = group_table(rs)
     calls = []
     real = tangent._suffix_floors
     monkeypatch.setattr(tangent, "_suffix_floors", lambda *args: calls.append(args) or real(*args))
-    reports = 0
+    reports = singles = 0
     for x_id, x in enumerate(gt.elements):
         for w in _below(gt, x_id):
             calls.clear()
             report = kl_tangent_report(rs, w, x, include_cone_evidence=True)
             reports += any(status.evidence.cone_coefficient is not None for status in report.statuses)
             assert len(calls) == 1
-    assert reports > 0
+            for j in range(1, len(report.x_word) + 1):
+                calls.clear()
+                status = kl_tangent_membership(rs, j, w, report.x_word, include_cone_coefficient=True)
+                singles += status.evidence.cone_coefficient is not None
+                assert len(calls) == 1, (report.x_word, w, j)
+    assert reports > 0 and singles > 0

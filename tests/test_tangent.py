@@ -195,19 +195,24 @@ def test_report_independent_of_reduced_word(a3, b3):
                     assert verdicts_by_gamma(rs, w, word) == first
 
 
-@pytest.mark.parametrize("label", ["B3", "A4"])
-def test_membership_equals_report_at_every_position(label):
-    # a position decided alone (one pass over I for its gamma) gets the report's status
+@pytest.mark.parametrize(
+    "label, cone", [("B3", False), ("A4", False), ("B3", True), ("G2", True)], ids=["B3", "A4", "B3-cone", "G2-cone"]
+)
+def test_membership_equals_report_at_every_position(label, cone):
+    # a position decided alone gets the report's status, cone coefficient included when asked for
     rs = build_root_system(label)
     gt = group_table(rs)
     masks = gt.leq_masks()
+    coefficients = 0
     for x_id, x in enumerate(gt.elements):
         for w_id in _bits(masks[x_id]):
             w = gt.elements[w_id]
-            report = kl_tangent_report(rs, w, x)
+            report = kl_tangent_report(rs, w, x, include_cone_evidence=cone)
             for status in report.statuses:
-                single = kl_tangent_membership(rs, status.position, w, report.x_word, include_cone_coefficient=False)
+                single = kl_tangent_membership(rs, status.position, w, report.x_word, include_cone_coefficient=cone)
                 assert single == status, (label, report.x_word, w_id, status.position)
+                coefficients += status.evidence.cone_coefficient is not None
+    assert (coefficients > 0) == cone
 
 
 @st.composite
