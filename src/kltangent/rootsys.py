@@ -74,7 +74,7 @@ class CartanType:
         CartanType(family='B', rank=3)
         """
         text = label.strip()
-        if len(text) < 2 or not text[1:].isdigit():
+        if len(text) < 2 or not text[1:].isdecimal():  # exactly the digits int() reads
             raise InvalidCartanType(f"cannot parse Cartan type {label!r}")
         return cls(text[0].upper(), int(text[1:]))
 

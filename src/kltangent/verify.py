@@ -12,6 +12,9 @@ the pass once per letter past the common prefix with the previous word
 (:func:`_prefix_folds`).  The reduced words of a whole group are closed
 under prefixes, so an exhaustive sweep steps each node of their prefix tree
 once instead of every word from e.
+
+:func:`run_battery` schedules the suites for one Cartan type and times each
+run; a suite called on its own leaves ``seconds`` at 0.0.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .tangent import (
     _cone_series_by_target,
     _position_flags,
     _signed_class,
+    _suffix_floors,
     element_to_permutation,
     is_cominuscule_element,
     is_explicit_factor,
@@ -78,7 +82,7 @@ class VerifyOutcome:
     suite: str
     cases: int = 0
     failures: list = field(default_factory=list)
-    seconds: float = 0.0
+    seconds: float = 0.0  # the suite's wall time, set by run_battery; 0.0 when a suite is called directly
 
     @property
     def ok(self) -> bool:
@@ -89,11 +93,6 @@ class VerifyOutcome:
             self.failures.append(failure)
         elif len(self.failures) == _FAILURE_CAP:
             self.failures.append({"note": "failure list truncated"})
-
-
-def _finish(out: VerifyOutcome, t0: float) -> VerifyOutcome:
-    out.seconds = time.perf_counter() - t0
-    return out
 
 
 def _random_reduced_word(gt: GroupTable, idx: int, rng: random.Random):
@@ -160,17 +159,22 @@ def _prefix_folds(groups, start, step):
         yield group, stack[-1]
 
 
-def _indecomposable_memo(rs: RootSystem, gt: GroupTable):
-    """idx -> the integrally indecomposable roots of I(x^{-1}), computed once per x."""
-    memo: dict[int, frozenset] = {}
+def _indecomposable_positions(rs: RootSystem, gt: GroupTable):
+    """(x id, reduced word of x) -> (the word's gammas, the positions j with gamma_j indecomposable).
 
-    def indecomposable(idx: int) -> frozenset:
+    Indecomposable means integrally indecomposable in I(x^{-1}), decided by
+    the exact span search once per x.
+    """
+    memo: dict[int, frozenset] = {}  # x id -> the integrally indecomposable roots of I(x^{-1})
+
+    def positions(idx: int, word) -> tuple[tuple, list[int]]:
         if idx not in memo:
             inversions = inversion_set_of_inverse(rs, gt.elements[idx])
             memo[idx] = frozenset(g for g in inversions if is_integrally_indecomposable(g, inversions))
-        return memo[idx]
+        gammas = gamma_sequence(rs, word).gammas
+        return gammas, [j for j, gamma_j in enumerate(gammas, start=1) if gamma_j in memo[idx]]
 
-    return indecomposable
+    return positions
 
 
 def _subword_products(gt: GroupTable, word) -> set:
@@ -259,7 +263,6 @@ def euler_identity_suite(rs: RootSystem, sample: int | None = None, seed: int = 
     of the full sweep.  The signed counts of each word serve all its targets,
     stepped from those of its longest prefix already visited (:func:`_prefix_folds`).
     """
-    t0 = time.perf_counter()
     out = VerifyOutcome(f"euler-identity[{rs.cartan_type}]")
     gt = group_table(rs)
     start = {identity_element(rs): 1}
@@ -272,7 +275,7 @@ def euler_identity_suite(rs: RootSystem, sample: int | None = None, seed: int = 
             value = (-1) ** (w.length % 2) * counts.get(w, 0)
             if value != 1:
                 out.record(word=word, w=gt.word_of(w_id), expected=1, got=value)
-    return _finish(out, t0)
+    return out
 
 
 def ball_sphere_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) -> VerifyOutcome:
@@ -281,7 +284,6 @@ def ball_sphere_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) 
     Each word's subword table and counts are built once for all its targets
     (:class:`_WordComplexes`); a target then costs a few big-integer operations.
     """
-    t0 = time.perf_counter()
     out = VerifyOutcome(f"ball-sphere[{rs.cartan_type}]")
     gt = group_table(rs)
     masks = gt.leq_masks()
@@ -300,7 +302,7 @@ def ball_sphere_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) 
             if facets.bit_count() != reduced:
                 bad = sorted(tuple(b + 1 for b in _bits(r)) for r in _bits(facets) if r.bit_count() != size)
                 out.record(word=word, w=gt.word_of(w_id), expected=f"facets of size {size}", got=bad)
-    return _finish(out, t0)
+    return out
 
 
 def kclass_well_definedness_suite(rs: RootSystem) -> VerifyOutcome:
@@ -310,7 +312,6 @@ def kclass_well_definedness_suite(rs: RootSystem) -> VerifyOutcome:
     (:func:`_class_fold`); a word's packed states give every w <= x, and are
     decoded only to record a failure.
     """
-    t0 = time.perf_counter()
     out = VerifyOutcome(f"kclass-well-defined[{rs.cartan_type}]")
     gt = group_table(rs)
     packing, start, step = _class_fold(rs)
@@ -328,7 +329,7 @@ def kclass_well_definedness_suite(rs: RootSystem) -> VerifyOutcome:
                     x=gt.word_of(idx), w=gt.word_of(w_id), word=word,
                     expected=expected.items(), got=value.items(),
                 )
-    return _finish(out, t0)
+    return out
 
 
 def cone_mechanism_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) -> VerifyOutcome:
@@ -337,26 +338,25 @@ def cone_mechanism_suite(rs: RootSystem, sample: int | None = None, seed: int = 
     Runs over canonical reduced words, all w <= x, and every integrally
     indecomposable position j.  The draws are grouped by (x, word); each
     group takes its gammas, positions and bound once, one signed pass serves
-    all its distinct targets, and each target folds its Demazure flags once
-    (``is_explicit_factor`` is the negated flag).  Every draw still counts
-    and checks its own positions.
+    all its distinct targets, and each target folds its suffix once for both
+    that pass and its Demazure flags (``is_explicit_factor`` is the negated
+    flag).  Every draw still counts and checks its own positions.
     """
-    t0 = time.perf_counter()
     out = VerifyOutcome(f"cone-mechanism[{rs.cartan_type}]")
     gt = group_table(rs)
-    indecomposable = _indecomposable_memo(rs, gt)
+    positions_of = _indecomposable_positions(rs, gt)
     groups: dict[tuple, list[int]] = {}  # (x id, word) -> the target ids of its draws, in draw order
     for idx, word, w_ids in _cases(gt, sample, seed, all_words=False):
         groups.setdefault((idx, word), []).extend(w_ids)
     for (idx, word), w_ids in groups.items():
-        gammas = gamma_sequence(rs, word).gammas
-        positions = [j for j, gamma_j in enumerate(gammas, start=1) if gamma_j in indecomposable(idx)]
+        gammas, positions = positions_of(idx, word)
         if not positions:
             continue
         bound = max(height(gammas[j - 1]) for j in positions)
         targets = tuple(gt.elements[w_id] for w_id in dict.fromkeys(w_ids))
-        series = _cone_series_by_target(rs, targets, word, gammas, bound)
-        flags = {w: _position_flags(rs, w, word, positions) for w in targets}
+        floors = [_suffix_floors(rs, w, word) for w in targets]
+        series = _cone_series_by_target(rs, targets, word, gammas, bound, floors)
+        flags = {w: _position_flags(rs, w, word, positions, fl) for w, fl in zip(targets, floors)}
         for w_id in w_ids:
             w = gt.elements[w_id]
             for j, (demazure_ok, _) in zip(positions, flags[w]):
@@ -365,18 +365,16 @@ def cone_mechanism_suite(rs: RootSystem, sample: int | None = None, seed: int = 
                 explicit = not demazure_ok
                 if coeff not in (0, 1) or (coeff == 0) != explicit:
                     out.record(x=word, w=gt.word_of(w_id), j=j, explicit=explicit, got=coeff)
-    return _finish(out, t0)
+    return out
 
 
 def type_a_oracle_suite(rs: RootSystem) -> VerifyOutcome:
     """In/Out verdicts match the type-A ordinary-product oracle, every word."""
-    t0 = time.perf_counter()
     out = VerifyOutcome(f"type-a-oracle[{rs.cartan_type}]")
     gt = group_table(rs)
-    indecomposable = _indecomposable_memo(rs, gt)
+    positions_of = _indecomposable_positions(rs, gt)
     for idx, word, w_ids in _cases(gt, None, 0):
-        gammas = gamma_sequence(rs, word).gammas
-        positions = [j for j, gamma_j in enumerate(gammas, start=1) if gamma_j in indecomposable(idx)]
+        _, positions = positions_of(idx, word)
         for w_id in w_ids:
             w = gt.elements[w_id]
             for j in positions:
@@ -385,7 +383,7 @@ def type_a_oracle_suite(rs: RootSystem) -> VerifyOutcome:
                 oracle = type_a_tangent_oracle(rs, j, w, word)
                 if (verdict is Verdict.IN) != oracle or verdict is Verdict.UNDETERMINED:
                     out.record(x=word, w=gt.word_of(w_id), j=j, oracle=oracle, got=verdict.value)
-    return _finish(out, t0)
+    return out
 
 
 def simply_laced_product_suite(rs: RootSystem) -> VerifyOutcome:
@@ -393,28 +391,22 @@ def simply_laced_product_suite(rs: RootSystem) -> VerifyOutcome:
 
     Runs over every reduced word of every element (simply-laced families).
     """
-    t0 = time.perf_counter()
     out = VerifyOutcome(f"simply-laced-products[{rs.cartan_type}]")
     gt = group_table(rs)
-    indecomposable = _indecomposable_memo(rs, gt)
-    for idx in range(len(gt.elements)):
-        for word in gt.reduced_words_of(idx):
-            gammas = gamma_sequence(rs, word).gammas
-            for j, gamma_j in enumerate(gammas, start=1):
-                if gamma_j not in indecomposable(idx):
-                    continue
-                out.cases += 1
-                punctured = word[: j - 1] + word[j:]
-                demazure = gt.demazure_fold(punctured)
-                ordinary = gt.product_fold(punctured)
-                if demazure != ordinary:
-                    out.record(x=word, j=j, demazure=gt.word_of(demazure), ordinary=gt.word_of(ordinary))
-    return _finish(out, t0)
+    positions_of = _indecomposable_positions(rs, gt)
+    for idx, word, _ in _cases(gt, None, 0):
+        for j in positions_of(idx, word)[1]:
+            out.cases += 1
+            punctured = word[: j - 1] + word[j:]
+            demazure = gt.demazure_fold(punctured)
+            ordinary = gt.product_fold(punctured)
+            if demazure != ordinary:
+                out.record(x=word, j=j, demazure=gt.word_of(demazure), ordinary=gt.word_of(ordinary))
+    return out
 
 
 def cominuscule_permutation_suite(rs: RootSystem) -> VerifyOutcome:
     """Cominuscule elements of type A are exactly the 321-avoiding permutations."""
-    t0 = time.perf_counter()
     out = VerifyOutcome(f"cominuscule-permutations[{rs.cartan_type}]")
     gt = group_table(rs)
     for x in gt.elements:
@@ -423,12 +415,11 @@ def cominuscule_permutation_suite(rs: RootSystem) -> VerifyOutcome:
         cominuscule = is_cominuscule_element(rs, x)
         if avoiding != cominuscule:
             out.record(x=canonical_reduced_word(rs, x), avoids_321=avoiding, cominuscule=cominuscule)
-    return _finish(out, t0)
+    return out
 
 
 def cominuscule_indecomposable_suite(rs: RootSystem) -> VerifyOutcome:
     """Cominuscule x => every inversion of x^{-1} is integrally indecomposable."""
-    t0 = time.perf_counter()
     out = VerifyOutcome(f"cominuscule-indecomposable[{rs.cartan_type}]")
     gt = group_table(rs)
     for x in gt.elements:
@@ -439,12 +430,11 @@ def cominuscule_indecomposable_suite(rs: RootSystem) -> VerifyOutcome:
             out.cases += 1
             if not is_integrally_indecomposable(gamma, inversions):
                 out.record(x=canonical_reduced_word(rs, x), gamma=gamma)
-    return _finish(out, t0)
+    return out
 
 
 def cominuscule_parabolic_suite(rs: RootSystem) -> VerifyOutcome:
     """Minimal coset representatives of cominuscule maximal parabolics are cominuscule."""
-    t0 = time.perf_counter()
     out = VerifyOutcome(f"cominuscule-parabolic[{rs.cartan_type}]")
     gt = group_table(rs)
     for node in sorted(cominuscule_nodes(rs)):
@@ -455,12 +445,11 @@ def cominuscule_parabolic_suite(rs: RootSystem) -> VerifyOutcome:
             out.cases += 1
             if not is_cominuscule_element(rs, x):
                 out.record(node=node, x=canonical_reduced_word(rs, x))
-    return _finish(out, t0)
+    return out
 
 
 def cominuscule_complete_suite(rs: RootSystem) -> VerifyOutcome:
     """Reports at cominuscule x never leave a weight Undetermined."""
-    t0 = time.perf_counter()
     out = VerifyOutcome(f"cominuscule-complete[{rs.cartan_type}]")
     gt = group_table(rs)
     masks = gt.leq_masks()
@@ -472,7 +461,7 @@ def cominuscule_complete_suite(rs: RootSystem) -> VerifyOutcome:
             report = kl_tangent_report(rs, gt.elements[w_id], x)
             if not report.complete:
                 out.record(x=canonical_reduced_word(rs, x), w=gt.word_of(w_id))
-    return _finish(out, t0)
+    return out
 
 
 def te_containment_suite(rs: RootSystem) -> VerifyOutcome:
@@ -482,7 +471,6 @@ def te_containment_suite(rs: RootSystem) -> VerifyOutcome:
     passing forces the Demazure test to pass (TE weights get verdict In).
     Checked with the group tables and Bruhat bitmasks, all w at once.
     """
-    t0 = time.perf_counter()
     out = VerifyOutcome(f"te-containment[{rs.cartan_type}]")
     gt = group_table(rs)
     masks = gt.leq_masks()
@@ -498,12 +486,11 @@ def te_containment_suite(rs: RootSystem) -> VerifyOutcome:
             bad = te_mask & ~in_mask & masks[idx]
             if bad:
                 out.record(x=word, j=j, w=[gt.word_of(w_id) for w_id in _bits(bad)])
-    return _finish(out, t0)
+    return out
 
 
 def explicit_factor_random_suite(labels, cases: int, seed: int) -> VerifyOutcome:
     """Fast Demazure criterion vs subword enumeration on random instances."""
-    t0 = time.perf_counter()
     out = VerifyOutcome(f"explicit-factor-fast-slow[{','.join(labels)}]")
     rng = random.Random(seed)
     systems = [build_root_system(label) for label in labels]
@@ -525,12 +512,11 @@ def explicit_factor_random_suite(labels, cases: int, seed: int) -> VerifyOutcome
         if fast != slow:
             out.record(type=str(rs.cartan_type), x=word, w=canonical_reduced_word(rs, w), j=j,
                        fast=fast, slow=slow)
-    return _finish(out, t0)
+    return out
 
 
 def decomposable_guard_suite() -> VerifyOutcome:
     """The A2 decomposable position stays Undetermined unless the oracle is requested."""
-    t0 = time.perf_counter()
     out = VerifyOutcome("decomposable-guard[A2]")
     rs = build_root_system("A2")
     w = word_to_element(rs, (1,))
@@ -543,12 +529,11 @@ def decomposable_guard_suite() -> VerifyOutcome:
     upgraded = kl_tangent_report(rs, w, x, use_type_a_oracle=True)
     if upgraded.statuses[1].verdict is not Verdict.OUT or not upgraded.complete:
         out.record(flag=True, expected="Out", got=upgraded.statuses[1].verdict.value)
-    return _finish(out, t0)
+    return out
 
 
 def fixed_examples_suite() -> VerifyOutcome:
     """Three pinned fixtures: the A2 class, the A2 verdicts, the D4 element."""
-    t0 = time.perf_counter()
     out = VerifyOutcome("fixed-examples")
     a2 = build_root_system("A2")
     s1 = word_to_element(a2, (1,))
@@ -585,12 +570,11 @@ def fixed_examples_suite() -> VerifyOutcome:
         out.record(example="d4-indecomposable", got=sorted(inversions))
     if is_cominuscule_element(d4, x):
         out.record(example="d4-not-cominuscule", got=True)
-    return _finish(out, t0)
+    return out
 
 
 def root_basics_suite(rs: RootSystem) -> VerifyOutcome:
     """Reflection involutivity, root closure, and height-1 count."""
-    t0 = time.perf_counter()
     out = VerifyOutcome(f"root-basics[{rs.cartan_type}]")
     from .rootsys import reflect
 
@@ -606,12 +590,11 @@ def root_basics_suite(rs: RootSystem) -> VerifyOutcome:
     out.cases += 1
     if sum(1 for v in rs.positive_roots if sum(v) == 1) != rs.rank:
         out.record(check="simple-count")
-    return _finish(out, t0)
+    return out
 
 
 def weyl_basics_suite(rs: RootSystem) -> VerifyOutcome:
     """Gamma well-definedness, Bruhat vs subword oracle, length complements."""
-    t0 = time.perf_counter()
     out = VerifyOutcome(f"weyl-basics[{rs.cartan_type}]")
     gt = group_table(rs)
     size = len(gt.elements)
@@ -642,7 +625,7 @@ def weyl_basics_suite(rs: RootSystem) -> VerifyOutcome:
         complement = multiply(rs, inverse(rs, x), gt.elements[w0])
         if x.length + complement.length != gt.length[w0]:
             out.record(check="w0-length", x=gt.word_of(idx))
-    return _finish(out, t0)
+    return out
 
 
 def hecke_subword_suite(rs: RootSystem) -> VerifyOutcome:
@@ -652,7 +635,6 @@ def hecke_subword_suite(rs: RootSystem) -> VerifyOutcome:
     also checks the associativity surrogate delta(q1 q2) = delta(r q2) with r
     a reduced word for delta(q1).
     """
-    t0 = time.perf_counter()
     out = VerifyOutcome(f"hecke-subword-equivalence[{rs.cartan_type}]")
     gt = group_table(rs)
     masks = gt.leq_masks()
@@ -679,39 +661,47 @@ def hecke_subword_suite(rs: RootSystem) -> VerifyOutcome:
             left = gt.word_of(gt.demazure_fold(q[:cut]))
             if gt.demazure_fold(left + q[cut:]) != delta_id:
                 out.record(check="assoc", q=q, cut=cut)
-    return _finish(out, t0)
+    return out
+
+
+def _timed(suite, *args) -> VerifyOutcome:
+    """Run one suite and set its outcome's ``seconds`` to the wall time of the run."""
+    t0 = time.perf_counter()
+    out = suite(*args)
+    out.seconds = time.perf_counter() - t0
+    return out
 
 
 def run_battery(label: str, config: VerifyConfig = VerifyConfig()) -> list[VerifyOutcome]:
-    """All suites applicable to one Cartan type, exhaustive where desk-scale."""
+    """All suites applicable to one Cartan type, exhaustive where desk-scale, each timed by :func:`_timed`."""
     rs = build_root_system(label)
     gt = group_table(rs)  # raises GroupTooLarge early
     order = len(gt.elements)
     sample = None if order <= _EXHAUSTIVE_ORDER_MAX else _SAMPLED_CASES
-    outcomes = [root_basics_suite(rs)]
+    outcomes = [_timed(root_basics_suite, rs)]
     if order <= 200:
-        outcomes.append(weyl_basics_suite(rs))
+        outcomes.append(_timed(weyl_basics_suite, rs))
     if rs.rank <= 3 and order <= 48:
-        outcomes.append(hecke_subword_suite(rs))
+        outcomes.append(_timed(hecke_subword_suite, rs))
     if order <= 2_000:
-        outcomes.append(euler_identity_suite(rs, sample=sample, seed=config.seed))
-        outcomes.append(ball_sphere_suite(rs, sample=sample, seed=config.seed))
+        outcomes.append(_timed(euler_identity_suite, rs, sample, config.seed))
+        outcomes.append(_timed(ball_sphere_suite, rs, sample, config.seed))
         if order <= 48:
-            outcomes.append(kclass_well_definedness_suite(rs))
+            outcomes.append(_timed(kclass_well_definedness_suite, rs))
         cone_sample = None if order <= _CONE_EXHAUSTIVE_ORDER_MAX else _SAMPLED_CASES
-        outcomes.append(cone_mechanism_suite(rs, sample=cone_sample, seed=config.seed))
-        outcomes.append(cominuscule_indecomposable_suite(rs))
-        outcomes.append(cominuscule_parabolic_suite(rs))
+        outcomes.append(_timed(cone_mechanism_suite, rs, cone_sample, config.seed))
+        outcomes.append(_timed(cominuscule_indecomposable_suite, rs))
+        outcomes.append(_timed(cominuscule_parabolic_suite, rs))
         if order <= 200:
-            outcomes.append(cominuscule_complete_suite(rs))
-            outcomes.append(te_containment_suite(rs))
+            outcomes.append(_timed(cominuscule_complete_suite, rs))
+            outcomes.append(_timed(te_containment_suite, rs))
         if rs.cartan_type.family == "A":
-            outcomes.append(cominuscule_permutation_suite(rs))
+            outcomes.append(_timed(cominuscule_permutation_suite, rs))
             if order <= 24:
-                outcomes.append(type_a_oracle_suite(rs))
+                outcomes.append(_timed(type_a_oracle_suite, rs))
         if rs.cartan_type.family in ("A", "D", "E") and order <= 200:
-            outcomes.append(simply_laced_product_suite(rs))
-    outcomes.append(explicit_factor_random_suite([str(rs.cartan_type)], config.random_cases, config.seed))
-    outcomes.append(decomposable_guard_suite())
-    outcomes.append(fixed_examples_suite())
+            outcomes.append(_timed(simply_laced_product_suite, rs))
+    outcomes.append(_timed(explicit_factor_random_suite, [str(rs.cartan_type)], config.random_cases, config.seed))
+    outcomes.append(_timed(decomposable_guard_suite))
+    outcomes.append(_timed(fixed_examples_suite))
     return outcomes

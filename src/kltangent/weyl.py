@@ -166,7 +166,7 @@ def parse_word(text: str) -> Word:
     letters = []
     for tok in tokens:
         body = tok[1:] if tok[:1] in ("s", "S") else tok
-        if not body.isdigit():
+        if not body.isdecimal():  # exactly the digits int() reads; isdigit() also takes "²"
             raise LetterOutOfRange(f"cannot parse word token {tok!r}")
         letters.append(int(body))
     return tuple(letters)

@@ -109,6 +109,16 @@ def test_domain_error_exit_code(capsys):
     assert code == 1
 
 
+def test_superscript_digits_are_typed_errors(capsys):
+    # str.isdigit() accepts "²" and "³", which int() rejects; both must stay domain errors
+    code, out, _ = run(capsys, "tangent", "A2", "--x", "²", "--w", "", "--json")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "LetterOutOfRange"
+    code, out, _ = run(capsys, "verify", "B³", "--json")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "InvalidCartanType"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["tangent", "A2"])  # missing required --x/--w

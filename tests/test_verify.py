@@ -2,10 +2,12 @@
 
 import hashlib
 import threading
+import time
+from collections import Counter
 
 import pytest
 
-from kltangent import build_root_system, bruhat_leq, enumerate_weyl_group, group_table
+from kltangent import build_root_system, bruhat_leq, enumerate_weyl_group, group_table, tangent, verify
 from kltangent.subword import _ENUM_LETTERS_BOUND
 from kltangent.verify import (
     _SAMPLED_CASES,
@@ -14,6 +16,7 @@ from kltangent.verify import (
     _cases,
     cominuscule_complete_suite,
     cone_mechanism_suite,
+    decomposable_guard_suite,
     run_battery,
     te_containment_suite,
     weyl_basics_suite,
@@ -146,6 +149,36 @@ def test_sampled_cone_suite_case_counts(label, cases):
     outcome = cone_mechanism_suite(build_root_system(label), sample=_SAMPLED_CASES, seed=VerifyConfig().seed)
     assert outcome.ok
     assert outcome.cases == cases
+
+
+def test_cone_suite_folds_each_target_suffix_once(monkeypatch):
+    # the signed pass and the Demazure flags share one suffix fold per distinct (word, target)
+    rs = build_root_system("B3")
+    gt = group_table(rs)
+    calls = []
+    real = tangent._suffix_floors
+
+    def counted(rs, w, word):
+        calls.append((word, w))
+        return real(rs, w, word)
+
+    for module in (tangent, verify):
+        monkeypatch.setattr(module, "_suffix_floors", counted, raising=False)
+    seed = VerifyConfig().seed
+    outcome = cone_mechanism_suite(rs, sample=_SAMPLED_CASES, seed=seed)
+    assert outcome.ok and outcome.cases == 3151
+    draws = _cases(gt, _SAMPLED_CASES, seed, all_words=False)
+    expected = {(word, gt.elements[w_id]) for _, word, w_ids in draws if word for w_id in w_ids}  # x = e has no pass
+    assert Counter(calls) == Counter(expected)
+
+
+def test_run_battery_times_every_suite():
+    started = time.perf_counter()
+    outcomes = run_battery("A2")
+    wall = time.perf_counter() - started
+    assert all(o.seconds > 0 for o in outcomes)
+    assert sum(o.seconds for o in outcomes) <= wall
+    assert decomposable_guard_suite().seconds == 0.0  # only run_battery times a suite
 
 
 def test_sampled_words_respect_the_subword_guard_on_f4():
