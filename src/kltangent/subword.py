@@ -11,8 +11,9 @@ w (index sets t with delta(s at t) = w, signed by (-1)^{excess}) is always 1.
 The module keeps no table between calls: ``build_complex`` builds the 2^l
 Demazure products of s, one Bruhat test per distinct product and the
 lexicographic order of the masks for every complex it returns.  It is the
-slow oracle of the verification battery's ball-sphere check, which works on
-bitsets over the masks instead of face tuples (``kltangent.verify``).
+slow oracle of the verification battery's ball-sphere check, which folds
+each word's faces letter by letter as one bitset over the masks and reads
+the reduced Euler characteristic and the facets off it (``kltangent.verify``).
 """
 
 from __future__ import annotations

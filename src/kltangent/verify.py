@@ -186,74 +186,44 @@ def _subword_products(gt: GroupTable, word) -> set:
     return set(table)
 
 
-def _clear_masks(n: int) -> list[int]:
-    """clear[b]: the 2^n-bit set of the position masks below 2^n with bit b clear.
+def _parity_mask(n: int) -> int:
+    """ODD_n: the 2^n-bit set of the position masks below 2^n with an odd number of positions.
 
-    ``int(text, 2)`` reads its first character as the top bit, so the masks
-    run from 2^n - 1 down to 0 along the text.
+    Position b + 1 flips the parity of the masks below 2^b: ODD_{b+1} = ODD_b | ~ODD_b << 2^b.
     """
-    return [int(("0" * (1 << b) + "1" * (1 << b)) * (1 << (n - b - 1)), 2) for b in range(n)]
+    odd = 0
+    for b in range(n):
+        odd |= (odd ^ ((1 << (1 << b)) - 1)) << (1 << b)
+    return odd
 
 
-class _WordComplexes:
-    """Delta(s, w) of one word s for every target w, as 2^l-bit sets over the position masks r.
+def _word_complexes(gt: GroupTable, word, targets) -> dict[int, tuple[int, int, int]]:
+    """{w: (F, C, R)} of Delta(s, w) for the targets w <= delta(s) of the word s, w a group id.
 
-    Bit r of a set stands for the position set r (bit b for position b + 1).
-    Built once per word from the group table, with no ``WeylElement``:
-    ``table[t]`` is the id of delta(s at t), one ``gt.dmult`` step per mask.
-    For every product d, one pass over the letters, stepping product ids as
-    :func:`kltangent.hecke.demazure_signed_counts` steps elements, counts the
-    complements r with delta(s \\ r) = d signed by (-1)^{|r|+1}, and the
-    reduced subwords for d (|t| = l(d)).  The faces of Delta(s, w) are the r with
-    w <= delta(s \\ r) = table[r ^ (2^l - 1)]; the interior faces are those with
-    delta(s \\ r) = w, so the signed count at w is the interior Euler
-    characteristic.
-
-    Purity is read off one count.  A face r has |s \\ r| >= l(delta(s \\ r)) >= l(w),
-    so no face has more than m = l(s) - l(w) positions, and every face of
-    size m is a facet.  A face of size m has a complement t of l(w) letters
-    with delta(s at t) >= w, so delta(s at t) = w and t is a reduced subword
-    for w; conversely each reduced subword gives a face of size m.  So the
-    facets of size m are exactly the complements of the reduced subwords for
-    w, and every facet has size m iff #facets = #reduced subwords for w.
+    F and C are 2^l-bit sets over the position masks r (bit b of r for
+    position b + 1): F holds the faces, C the r with r + 2^b a face for some
+    position b + 1 not in r, so the facets are F & ~C.  R is the number of
+    reduced subwords for w.  One fold over the letters, by the recurrences
+    proved in :func:`ball_sphere_suite`, reading the elements that a backward
+    walk from the targets collects (w and w <| a at each letter a); an element
+    not below the Demazure product of the prefix has F = 0 and is not stored.
     """
-
-    def __init__(self, gt: GroupTable, word, clear: list[int]) -> None:
-        table = [gt.identity]
-        signed = {gt.identity: 1}  # d -> sum (-1)^{|t|} over the t read so far with delta(t) = d
-        reduced = {gt.identity: 1}  # d -> the number of those t with |t| = l(d)
-        for letter in word:
-            step = gt.dmult[letter - 1]
-            table += list(map(step.__getitem__, table))
-            nxt = dict(signed)
-            for d, c in signed.items():  # taking the letter flips the sign and steps d
-                e = step[d]
-                nxt[e] = nxt.get(e, 0) - c
-            signed = nxt
-            nxt = dict(reduced)
-            for d, c in reduced.items():  # t stays reduced iff the letter is an ascent of d
-                e = step[d]
-                if e != d:
-                    nxt[e] = nxt.get(e, 0) + c
-            reduced = nxt
-        sign = 1 if len(word) % 2 else -1  # (-1)^{|r|+1} = (-1)^{l+1} (-1)^{|t|}
-        self.table = table
-        self.clear = clear
-        self.signed = {d: sign * c for d, c in signed.items()}  # one key per product of the word
-        self.reduced = reduced
-
-    def target(self, masks: list[int], w: int) -> tuple[int, int, int, int]:
-        """(faces, facets, interior Euler characteristic, reduced subwords) of Delta(s, w), w a group id.
-
-        One bit test per product of the word, one C-level conversion to the
-        face set, and one shift per position for the faces that lie in a larger face.
-        """
-        above = {d: 49 if masks[d] >> w & 1 else 48 for d in self.signed}  # ASCII "1" / "0"
-        faces = int(bytes(map(above.__getitem__, self.table)), 2)  # mask t lands on bit 2^l - 1 - t
-        covered = 0
-        for b, clear in enumerate(self.clear):
-            covered |= (faces >> (1 << b)) & clear  # r with bit b clear and r + 2^b a face
-        return faces, faces & ~covered, self.signed.get(w, 0), self.reduced.get(w, 0)
+    length, rmult = gt.length, gt.rmult
+    needed = [set(targets)]  # needed[j]: the elements whose (F, C, R) is read after the first l - j letters
+    for letter in reversed(word[1:]):
+        row, live = rmult[letter - 1], needed[-1]
+        needed.append(live | {row[v] for v in live if length[row[v]] < length[v]})
+    state = {gt.identity: (1, 0, 1)}  # w -> (F, C, R) of the prefix read so far
+    for k, (letter, live) in enumerate(zip(word, reversed(needed))):
+        row, shift, nxt = rmult[letter - 1], 1 << k, {}
+        for v in live:
+            descent = length[row[v]] < length[v]
+            below = state.get(row[v] if descent else v)  # v <| a
+            if below is not None:  # else F(s, v <| a) = 0, and F(s, v) too
+                f, c, r = state.get(v, (0, 0, 0))
+                nxt[v] = (below[0] | f << shift, below[1] | f | c << shift, r + below[2] if descent else r)
+        state = nxt
+    return {w: state[w] for w in targets if w in state}
 
 
 def euler_identity_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) -> VerifyOutcome:
@@ -279,26 +249,55 @@ def euler_identity_suite(rs: RootSystem, sample: int | None = None, seed: int = 
 
 
 def ball_sphere_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) -> VerifyOutcome:
-    """Interior Euler characteristic (-1)^dim and facet purity for Delta(s, w).
+    """Delta(s, w) has the reduced Euler characteristic of a ball or a sphere, and it is pure.
 
-    Each word's subword table and counts are built once for all its targets
-    (:class:`_WordComplexes`); a target then costs a few big-integer operations.
+    Faces (:func:`_word_complexes`).  Let w <| a = wa when a is a right descent
+    of w and w otherwise, so w <= u * a iff w <| a <= u (the lemma behind
+    :func:`kltangent.tangent._position_flags`).  For l = |s|:
+
+        F(s.a, w) = F(s, w <| a) | F(s, w) << 2^l,   F((), e) = 1
+        C(s.a, w) = C(s, w <| a) | F(s, w) | C(s, w) << 2^l,   C((), e) = 0
+        R(s.a, w) = R(s, w) + R(s, w <| a) if a is a right descent of w, else R(s, w)
+
+    A mask r of s.a without the new position keeps a in its complement, whose
+    product is delta(s \\ r) * a, so r is a face iff r is in F(s, w <| a); the
+    mask r + 2^l has the complement of r in s, so it is a face iff r is in
+    F(s, w).  A low mask r is covered through a position of s iff r is in
+    C(s, w <| a), and through the new one iff r + 2^l is a face, i.e. r is in
+    F(s, w); a high mask is covered only through positions of s.  A reduced
+    subword for w takes the new letter iff a is a right descent of w and the
+    rest is a reduced subword for wa.
+
+    chi~.  Knutson-Miller: Delta(s, w) is a sphere when delta(s) = w and a
+    ball otherwise.  A ball is contractible, so its reduced Euler characteristic
+    is 0; a sphere of dimension d = m - 1, m = l - l(w) the facet size (below),
+    has (-1)^d.  With the empty face of size 0, chi~ = sum over faces r of
+    (-1)^{|r| - 1}, +1 per face of odd size and -1 per face of even size, so
+    chi~ = |F & ODD_l| - |F & ~ODD_l| (:func:`_parity_mask`).
+
+    Purity.  A face r has |s \\ r| >= l(delta(s \\ r)) >= l(w), so no face has
+    more than m positions, and every face of size m is a facet.  The
+    complement t of a face of size m has l(w) letters and delta(s at t) >= w,
+    so delta(s at t) = w and t is a reduced subword for w; each reduced
+    subword gives a face of size m.  So every facet has size m iff
+    #facets = R(s, w).
     """
     out = VerifyOutcome(f"ball-sphere[{rs.cartan_type}]")
     gt = group_table(rs)
-    masks = gt.leq_masks()
-    clear: dict[int, list[int]] = {}
+    parity: dict[int, int] = {}  # word length l -> ODD_l
     for _, word, w_ids in _cases(gt, sample, seed):
-        n = len(word)
-        if n not in clear:
-            clear[n] = _clear_masks(n)
-        complexes = _WordComplexes(gt, word, clear[n])
+        if len(word) not in parity:
+            parity[len(word)] = _parity_mask(len(word))
+        odd, top, complexes = parity[len(word)], gt.demazure_fold(word), _word_complexes(gt, word, w_ids)
         for w_id in w_ids:
             out.cases += 1
-            size = n - gt.length[w_id]
-            _, facets, interior, reduced = complexes.target(masks, w_id)
-            if interior != (-1) ** ((size - 1) % 2):
-                out.record(word=word, w=gt.word_of(w_id), expected=(-1) ** ((size - 1) % 2), got=interior)
+            size = len(word) - gt.length[w_id]
+            faces, covered, reduced = complexes[w_id]
+            chi = (faces & odd).bit_count() - (faces & ~odd).bit_count()
+            expected = (-1) ** ((size - 1) % 2) if w_id == top else 0
+            if chi != expected:
+                out.record(word=word, w=gt.word_of(w_id), expected=expected, got=chi)
+            facets = faces & ~covered
             if facets.bit_count() != reduced:
                 bad = sorted(tuple(b + 1 for b in _bits(r)) for r in _bits(facets) if r.bit_count() != size)
                 out.record(word=word, w=gt.word_of(w_id), expected=f"facets of size {size}", got=bad)
