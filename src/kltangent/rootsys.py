@@ -115,7 +115,7 @@ def _edges(ct: CartanType) -> list[tuple[int, int, int, int]]:
         return [(1, 2, -1, -1), (2, 3, -2, -1), (3, 4, -1, -1)]
     if f == "G":  # alpha_1 short, alpha_2 long
         return [(1, 2, -1, -3)]
-    raise InvalidCartanType(f.family)
+    raise InvalidCartanType(f"unknown family {f!r}")
 
 
 def _cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:

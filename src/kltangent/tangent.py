@@ -55,7 +55,7 @@ from .errors import (
     NotReduced,
     WrongType,
 )
-from .rootsys import Root, RootSystem, height, negate
+from .rootsys import Root, RootSystem, height, negate, reflect_weight
 from .rt_ring import LaurentPoly, TruncatedSeries, WeightVector, _packed_spread, _Packing, in_nonneg_integer_span
 from .subword import _check_word, hecke_subwords
 from .weyl import (
@@ -138,9 +138,7 @@ def _suffix_floors(rs: RootSystem, w: WeylElement, letters: Word) -> list[WeylEl
     return floors
 
 
-def _position_flags(
-    rs: RootSystem, w: WeylElement, s: Word, positions, floors: list[WeylElement] | None = None
-) -> list[tuple[bool, bool]]:
+def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[tuple[bool, bool]]:
     """(delta(s \\ j) >= w, s_1...s^_j...s_l >= w) for each j in positions, in order.
 
     s is a reduced word of some x, its letters already validated, and the
@@ -168,10 +166,7 @@ def _position_flags(
     pi_j is folded forward from u_{j-1} along s_{j+1}...s_l.  If it has
     length l - 1, the punctured word is reduced, so pi_j is delta(s \\ j),
     already known to be >= w, and no walk is needed; otherwise one walk
-    decides.
-
-    ``floors``, when given, is ``_suffix_floors(rs, w, s)``, the fold over
-    the whole word, which a caller that also runs the signed pass shares.
+    decides.  The suffix is folded once, from the first requested position.
     """
     positions = tuple(positions)
     if not positions:
@@ -180,7 +175,7 @@ def _position_flags(
     prefix = [identity_element(rs)]  # prefix[k] is u_k
     for letter in s[: positions[-1] - 1]:
         prefix.append(right_multiply_simple(rs, prefix[-1], letter))
-    peeled = floors or _suffix_floors(rs, w, s[positions[0] :])  # peeled[l - j] is r_j
+    peeled = _suffix_floors(rs, w, s[positions[0] :])  # peeled[l - j] is r_j
     flags = []
     for j in positions:
         u = prefix[j - 1]
@@ -216,75 +211,59 @@ def _add_into(acc: dict[int, int], poly: dict[int, int], sign: int = 1) -> None:
             del acc[e]
 
 
-def _signed_step(
-    rs: RootSystem,
-    states: list,
-    letter: int,
-    g: int,
-    cap: int,
-    walkers: int = 0,
-    risers=(),
-    marks=(),
-    upper: dict | None = None,
-) -> list:
+def _live_points(rs: RootSystem, s: Word, targets) -> list[set[tuple[int, ...]]]:
+    """[L_1, ..., L_l]: after letter k, the pass to the targets keeps only the states at the points of L_k.
+
+    The walk back from the targets: L_l holds their points, and L_{k-1} adds
+    to L_k the point v s_k of every v in L_k with s_k a right descent of v.
+    The argument is in :func:`_signed_states`.
+    """
+    links = rs.dynkin.weight_links
+    live = [{t.point for t in targets}]
+    for letter in reversed(s[1:]):
+        i, after = letter - 1, live[-1]
+        live.append(after | {reflect_weight(p, i, links) for p in after if p[i] < 0})
+    live.reverse()
+    return live
+
+
+def _signed_step(rs: RootSystem, states: list, letter: int, g: int, cap: int, live: set | None = None) -> list:
     """One letter s_k of the pass of :func:`_signed_states`: the states after s_k from those before it.
 
-    ``states`` lists (element, packed polynomial, live mask) triples, ``g``
-    is P(gamma_k) and ``cap`` the packed bound.  ``walkers`` is the mask of
-    the targets w with s_k an ascent of w, ``risers`` the (mask bit, r_k)
-    pairs of the targets with s_k a descent of r_k, ``marks`` the (mask bit,
-    target) pairs and ``upper`` the walk cache of the pass.  The defaults
-    step a pass with no targets, whose states carry mask 0.
+    ``states`` lists (element, packed polynomial) pairs, ``g`` is P(gamma_k)
+    and ``cap`` the packed bound.  ``live``, when given, is L_k of
+    :func:`_live_points`: a stay copy, a moved or an absorbed state is kept
+    only when its point is in it.  None keeps every state.
 
-    The input list, its triples and their polynomials are left unchanged, so
+    The input list, its pairs and their polynomials are left unchanged, so
     words that share a prefix step on from its states alike.  A stay copy
     keeps its polynomial by reference; the step writes only to polynomials
     it builds itself, and never to a stay copy's, which meets no other state.
     """
-    rising = 0  # the targets with s_k a descent of r_k: a stay copy walks to stay above r_k
-    for bit, _ in risers:
-        rising |= bit
-    nxt: dict[tuple[int, ...], list] = {}  # point -> [element, polynomial, live mask]
-    for u, poly, mask in states:
+    nxt: dict[tuple[int, ...], list] = {}  # point -> [element, polynomial]
+    for u, poly in states:
         if has_right_ascent(u, letter):
             # Nothing moves onto an ascent state: u keeps poly,
             # and poly * (e^{-gamma} - 1) moves on to u*s_k.
-            stay = mask
-            todo = mask & rising
-            if todo:
-                for bit, r in risers:
-                    if todo & bit and not bruhat_leq(rs, r, u):
-                        stay ^= bit
-            if stay or not todo:
-                nxt[u.point] = [u, poly, stay]
+            if live is None or u.point in live:
+                nxt[u.point] = [u, poly]
             v = right_multiply_simple(rs, u, letter)
-            key = v.point
-            todo = mask & walkers
-            if todo:
-                walked, above = upper.get(key, (0, 0))
-                need = todo & ~walked
-                if need:
-                    for bit, t in marks:
-                        if need & bit and v.length <= t.length and bruhat_leq(rs, v, t):
-                            above |= bit
-                    upper[key] = (walked | need, above)
-                mask ^= todo & ~above
-                if not mask:
-                    continue
+            if live is not None and v.point not in live:
+                continue
             moved = {q: c for e, c in poly.items() if (q := e + g) < cap}
             _add_into(moved, poly, -1)
         else:
             # H_u H_{s_k} = H_u: skipping plus taking leaves poly * e^{-gamma}.
+            if live is not None and u.point not in live:
+                continue
             v = u
-            key = u.point
             moved = {q: c for e, c in poly.items() if (q := e + g) < cap}
-        entry = nxt.get(key)
+        entry = nxt.get(v.point)
         if entry is None:
-            nxt[key] = [v, moved, mask]
+            nxt[v.point] = [v, moved]
         else:
             _add_into(entry[1], moved)
-            entry[2] |= mask
-    return [entry for entry in nxt.values() if entry[1]]
+    return [(u, poly) for u, poly in nxt.values() if poly]
 
 
 def _signed_states(
@@ -293,7 +272,6 @@ def _signed_states(
     gammas: tuple[Root, ...],
     bound: int,
     targets: tuple[WeylElement, ...] | None = None,
-    floors: list | None = None,
 ) -> tuple[_Packing, dict[WeylElement, dict[int, int]]]:
     """(packing, u -> sum over the subsequences t of s with delta(t) = u of prod_{i in t} -(1 - e^{-gamma_i})).
 
@@ -310,61 +288,37 @@ def _signed_states(
     Letters must already be validated.
 
     ``targets`` None keeps every state.  Given a nonempty tuple of distinct
-    targets w, a state is kept only while it can still reach one.  Write
-    r_l = w and r_{k-1} = r_k <| s_k (``_suffix_floors``).  The rest of the
-    word takes a state u after letter k to products u * t' with t' a subword
-    of s_{k+1}...s_l, each between u and u * s_{k+1} * ... * s_l; so u
-    reaches w only if u <= w and, by the lemma of ``_position_flags``,
-    r_k <= u.  Each state carries its live mask, the targets with
-    r_k <= u <= w, a function of (u, k), and is dropped when the mask is 0.
-    At the identity r_0 = e exactly when w <= delta(s); after the last letter
-    r_l = w, so the pass returns exactly the targets with a nonzero class.
-    At letter k, for w in the mask of u (r_{k-1} <= u <= w):
+    targets, the pass keeps after letter k only the states at the points of
+    L_k (:func:`_live_points`), the walk back from the targets, and returns
+    exactly the targets with a nonzero class after the last letter, where
+    L_l holds the targets alone.  Two facts make this right and cheap.
 
-      * s_k a descent of u (absorbed): u = u * s_k, and by the lemma
-        r_k <= u * s_k iff r_{k-1} <= u, so w stays live with no walk.
-      * s_k an ascent, moved state v = u s_k: r_k <= u * s_k = v by the
-        lemma.  If s_k is a right descent of w, v <= w by the lifting
-        property (Bjorner-Brenti, Prop. 2.2.7: u <= w with s a right descent
-        of w and not of u gives us <= w); otherwise one walk decides.  That
-        walk depends on v alone, so each point remembers the targets it was
-        walked against.
-      * s_k an ascent, the stay copy of u: u <= w still holds, and r_k <= u
-        holds when s_k is an ascent of r_k = r_{k-1}.  Only where s_k is a
-        right descent of r_k does r_k <= u take a walk: the lifting and
-        Z-properties need s_k to be a descent of the larger element, and it
-        is a descent of r_k, not of u.
+    The step reads only v and v s_k.  After letter k the state at v is the
+    state of v before it when s_k is an ascent of v: nothing moves onto an
+    ascent, since a state u with ascent s_k moves to u s_k, of which s_k is
+    a descent.  When s_k is a descent of v, it is the absorbed state of v
+    plus the state that moves on from v s_k, the only other u with
+    u * s_k = v.  So the states at L_k read only states at L_{k-1}, and by
+    induction from the first letter each kept state is that of the full pass.
 
-    A moved and an absorbed state can meet at one point and take the union
-    of their masks, both the live mask of that point by the first two cases.
-    A stay copy meets no other state: s_k is an ascent of it and a descent
-    of the others.
-
-    ``floors``, when given, holds ``_suffix_floors(rs, w, s)`` for each
-    target w in order, so a caller that has folded them already passes them in.
+    Every live set lies inside [r_k(w), w] for some target w, where r_l = w
+    and r_{k-1} = r_k <| s_k (``_suffix_floors``).  L_l holds the targets;
+    take v in L_k with r_k <= v <= w.  Then r_{k-1} <= r_k <= v.  If s_k is
+    a descent of v, then v s_k < v <= w, and the lemma of
+    ``_position_flags`` at u = v s_k, where u * s_k = v, turns r_k <= v into
+    r_{k-1} <= v s_k.  The rest of the word takes a state u after letter k
+    only to products u * t' with t' a subword of s_{k+1}...s_l, each between
+    u and u * s_{k+1} * ... * s_l, so u reaches w only if u <= w and, by the
+    same lemma, r_k <= u: the pass keeps no state outside the intervals
+    where one can still reach a target, and no Bruhat comparison names them.
     """
     packing = _Packing(rs.rank, max(bound, 0))
     cap = packing.cap(bound)
-    l = len(s)
-    targets = targets or ()
-    if floors is None:
-        floors = [_suffix_floors(rs, t, s) for t in targets]  # floors[b][l - k] is r_k of target b
-    marks = [(1 << b, t) for b, t in enumerate(targets)]  # (mask bit, target)
-    upper: dict[tuple[int, ...], tuple[int, int]] = {}  # point -> (targets walked against, those above it)
-    # r_0 = e exactly for the targets <= delta(s).
-    start = sum(bit for (bit, _), fl in zip(marks, floors) if not fl[l].length)
-    states = [(identity_element(rs), {0: 1} if bound >= 0 else {}, start)] if start or not targets else []
-    for k, (letter, gamma) in enumerate(zip(s, gammas), start=1):
-        walkers = 0  # the targets w with s_k an ascent of w: a moved state walks to stay below w
-        risers = []  # (mask bit, r_k) for the targets with s_k a descent of r_k
-        for (bit, t), fl in zip(marks, floors):
-            if has_right_ascent(t, letter):
-                walkers |= bit
-            r = fl[l - k]
-            if not has_right_ascent(r, letter):
-                risers.append((bit, r))
-        states = _signed_step(rs, states, letter, packing.pack(gamma), cap, walkers, risers, marks, upper)
-    return packing, {u: poly for u, poly, _ in states}
+    lives = _live_points(rs, s, targets) if targets else [None] * len(s)
+    states = [(identity_element(rs), {0: 1} if bound >= 0 else {})]
+    for letter, gamma, live in zip(s, gammas, lives):
+        states = _signed_step(rs, states, letter, packing.pack(gamma), cap, live)
+    return packing, dict(states)
 
 
 def _class_fold(rs: RootSystem):
@@ -388,7 +342,7 @@ def _class_fold(rs: RootSystem):
         i = letter - 1
         return _columns_times(columns, i, root_links), _signed_step(rs, states, letter, packed[columns[i]], cap)
 
-    start = (_identity_columns(rs.rank), [(identity_element(rs), {0: 1}, 0)])
+    start = (_identity_columns(rs.rank), [(identity_element(rs), {0: 1})])
     return packing, start, step
 
 
@@ -403,8 +357,9 @@ def kclass_restriction(rs: RootSystem, w: WeylElement, s: Word) -> LaurentPoly:
 
     Signed sum over all Hecke subwords for w inside s of the products
     prod_{i in t} (1 - e^{-gamma_i}), computed in one pass over s that keeps
-    a Laurent polynomial per Hecke state in [r_k(w), w] after letter k, the
-    states that can still reach w (``_signed_states``).
+    a Laurent polynomial per Hecke state, but after letter k only at the
+    points that a walk back from w collects (``_live_points``), all in
+    [r_k(w), w] (``_signed_states``).
     Independent of the reduced word chosen for the same x, as an identity of
     Laurent polynomials.  Words longer than 20 letters are refused
     (LengthBoundExceeded).
@@ -496,18 +451,16 @@ def _cone_series_by_target(
     s: Word,
     gammas: tuple[Root, ...],
     bound: int,
-    floors: list | None = None,
 ) -> dict[WeylElement, TruncatedSeries]:
     """{w: P_{w,s} / prod_i (1 - e^{-gamma_i}) up to the height bound} for distinct targets w, from one pass.
 
     Each series is spread from the packed state of its target; the pass
     drops every term past the bound, which the series would drop anyway.
     The empty word (x = e) has no gammas: its series is the class 1 itself,
-    empty when the bound is negative.  ``floors`` passes the targets'
-    suffix folds on to ``_signed_states``.
+    empty when the bound is negative.
     """
     _check_word(rs, s)
-    packing, states = _signed_states(rs, s, gammas, bound, targets, floors)
+    packing, states = _signed_states(rs, s, gammas, bound, targets)
     out = {}
     for w in targets:
         state = states.get(w, {})
@@ -559,21 +512,21 @@ def _statuses(
 
     In iff delta(s \\ j) >= w where gamma_j is integrally indecomposable in
     I(x^{-1}); elsewhere Undetermined, or the ordinary-product verdict when
-    ``use_type_a_oracle`` is set in type A.  One downward fold of w serves
-    the flags and, when ``include_cone`` asks for the cone coefficients of
-    the decomposable positions, one series pass bounded by the largest
-    height among the decomposable gamma_j requested.
+    ``use_type_a_oracle`` is set in type A.  The flags take one downward
+    fold of w from the first requested position.  When ``include_cone``
+    asks for the cone coefficients of the decomposable positions, one
+    series pass, pruned by its own walk back from w, is bounded by the
+    largest height among the decomposable gamma_j requested.
     """
     indecomposables = _indecomposable_inversions(frozenset(gammas))
-    floors = _suffix_floors(rs, w, s)
     series = None
     if include_cone:
         bound = max((height(gammas[j - 1]) for j in positions if gammas[j - 1] not in indecomposables), default=None)
         if bound is not None:
-            series = _cone_series_by_target(rs, (w,), s, gammas, bound, [floors])[w]
+            series = _cone_series_by_target(rs, (w,), s, gammas, bound)[w]
     type_a = use_type_a_oracle and rs.cartan_type.family == "A"
     statuses = []
-    for j, (demazure_ok, ordinary_ok) in zip(positions, _position_flags(rs, w, s, positions, floors)):
+    for j, (demazure_ok, ordinary_ok) in zip(positions, _position_flags(rs, w, s, positions)):
         gamma_j = gammas[j - 1]
         indecomposable = gamma_j in indecomposables
         if indecomposable:

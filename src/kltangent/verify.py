@@ -34,7 +34,6 @@ from .tangent import (
     _cone_series_by_target,
     _position_flags,
     _signed_class,
-    _suffix_floors,
     element_to_permutation,
     is_cominuscule_element,
     is_explicit_factor,
@@ -207,6 +206,9 @@ def _word_complexes(gt: GroupTable, word, targets) -> dict[int, tuple[int, int, 
     proved in :func:`ball_sphere_suite`, reading the elements that a backward
     walk from the targets collects (w and w <| a at each letter a); an element
     not below the Demazure product of the prefix has F = 0 and is not stored.
+    The walk is the one that prunes the signed K-class pass, on group ids:
+    :func:`kltangent.tangent._signed_states` proves that a step reads only v
+    and v <| a, and that the walk stays inside [r_k(w), w].
     """
     length, rmult = gt.length, gt.rmult
     needed = [set(targets)]  # needed[j]: the elements whose (F, C, R) is read after the first l - j letters
@@ -316,7 +318,7 @@ def kclass_well_definedness_suite(rs: RootSystem) -> VerifyOutcome:
     packing, start, step = _class_fold(rs)
     reference: dict[tuple[int, int], dict[int, int]] = {}  # (x, w) -> packed state from the first word
     for (idx, word, w_ids), (_, states) in _prefix_folds(_cases(gt, None, 0), start, step):
-        table = {u: poly for u, poly, _ in states}
+        table = dict(states)
         for w_id in w_ids:
             out.cases += 1
             w = gt.elements[w_id]
@@ -337,9 +339,9 @@ def cone_mechanism_suite(rs: RootSystem, sample: int | None = None, seed: int = 
     Runs over canonical reduced words, all w <= x, and every integrally
     indecomposable position j.  The draws are grouped by (x, word); each
     group takes its gammas, positions and bound once, one signed pass serves
-    all its distinct targets, and each target folds its suffix once for both
-    that pass and its Demazure flags (``is_explicit_factor`` is the negated
-    flag).  Every draw still counts and checks its own positions.
+    all its distinct targets, and each target folds its suffix once, from
+    the first position, for its Demazure flags (``is_explicit_factor`` is
+    the negated flag).  Every draw still counts and checks its own positions.
     """
     out = VerifyOutcome(f"cone-mechanism[{rs.cartan_type}]")
     gt = group_table(rs)
@@ -353,9 +355,8 @@ def cone_mechanism_suite(rs: RootSystem, sample: int | None = None, seed: int = 
             continue
         bound = max(height(gammas[j - 1]) for j in positions)
         targets = tuple(gt.elements[w_id] for w_id in dict.fromkeys(w_ids))
-        floors = [_suffix_floors(rs, w, word) for w in targets]
-        series = _cone_series_by_target(rs, targets, word, gammas, bound, floors)
-        flags = {w: _position_flags(rs, w, word, positions, fl) for w, fl in zip(targets, floors)}
+        series = _cone_series_by_target(rs, targets, word, gammas, bound)
+        flags = {w: _position_flags(rs, w, word, positions) for w in targets}
         for w_id in w_ids:
             w = gt.elements[w_id]
             for j, (demazure_ok, _) in zip(positions, flags[w]):

@@ -29,7 +29,8 @@ from kltangent import (
     tangent_cone_series,
     word_to_element,
 )
-from kltangent.tangent import _signed_states
+from kltangent import tangent, weyl
+from kltangent.tangent import _live_points, _signed_states, _suffix_floors
 from kltangent.weyl import has_right_ascent
 from oracles import brute_subword_complex, kclasses_by_enumeration, oracle_spread
 
@@ -64,13 +65,19 @@ def test_kclass_pass_matches_enumeration(label, all_words):
     assert count > 0
 
 
-def test_pass_keeps_only_states_below_w():
-    """The pass returns exactly its targets, each with the state of the full pass.
+def test_pass_keeps_only_states_below_w(monkeypatch):
+    """The pass returns exactly its targets, each with the state of the full pass, and takes no Bruhat walk.
 
     The bound keeps every term and every w <= x has a nonzero class, so each
     target is returned; no other state survives the last letter, where the
-    floor r_l of a target is the target itself.
+    live set is the targets alone.  The pruning reads no suffix fold either.
     """
+
+    def no_walk(*args):
+        raise AssertionError("the signed pass walked the Bruhat order or folded a suffix")
+
+    for module, name in ((tangent, "bruhat_leq"), (weyl, "bruhat_leq"), (tangent, "_suffix_floors")):
+        monkeypatch.setattr(module, name, no_walk)
     rng = random.Random(3)
     for rs, _, word, below in _cases("B3", all_words=False):
         gammas = gamma_sequence(rs, word).gammas
@@ -79,6 +86,34 @@ def test_pass_keeps_only_states_below_w():
         for targets in [(w,) for w in below] + [tuple(below), tuple(rng.sample(below, (len(below) + 1) // 2))]:
             _, states = _signed_states(rs, word, gammas, bound, targets)
             assert states == {t: full[t] for t in targets}, (word, targets)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_live_points_lie_between_the_floor_and_the_target(label):
+    """Each point the walk back from w keeps after letter k lies in [r_k(w), w], at every x, w <= x and k.
+
+    Canonical words over whole groups.  For several targets the walk keeps
+    the union of their single-target walks, each point inside the interval
+    of some target.
+    """
+    rng = random.Random(11)
+    points = 0
+    for rs, _, word, below in _cases(label, all_words=False):
+        gt = group_table(rs)
+        l = len(word)
+        walks = {w: _live_points(rs, word, (w,)) for w in below}
+        for w, live in walks.items():
+            floors = _suffix_floors(rs, w, word)  # floors[l - k] is r_k
+            for k in range(1, l + 1):
+                for p in live[k - 1]:
+                    points += 1
+                    v = gt.elements[gt.index[p]]
+                    assert bruhat_leq(rs, floors[l - k], v) and bruhat_leq(rs, v, w), (word, w, k, v)
+        targets = tuple(rng.sample(below, rng.randint(1, len(below))))
+        live = _live_points(rs, word, targets)
+        for k in range(1, l + 1):
+            assert live[k - 1] == set().union(*(walks[w][k - 1] for w in targets)), (word, targets, k)
+    assert points > 0
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])

@@ -114,25 +114,26 @@ def test_report_folds_no_punctured_word(monkeypatch):
 
 
 def test_report_with_cone_evidence_folds_the_suffix_once(monkeypatch):
-    """The flags and the series pass share one downward fold of w, at every (x, w) of B3.
+    """A report folds w down its word once, past position 1, at every (x, w) of B3; its series pass folds nothing.
 
-    So do those of a single position asked with its cone coefficient, at every j.
+    A single position asked with its cone coefficient folds once, past that position.
     """
     rs = build_root_system("B3")
     gt = group_table(rs)
     calls = []
     real = tangent._suffix_floors
-    monkeypatch.setattr(tangent, "_suffix_floors", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(tangent, "_suffix_floors", lambda rs, w, s: calls.append((w, s)) or real(rs, w, s))
     reports = singles = 0
     for x_id, x in enumerate(gt.elements):
         for w in _below(gt, x_id):
             calls.clear()
             report = kl_tangent_report(rs, w, x, include_cone_evidence=True)
+            s = report.x_word
             reports += any(status.evidence.cone_coefficient is not None for status in report.statuses)
-            assert len(calls) == 1
-            for j in range(1, len(report.x_word) + 1):
+            assert calls == ([(w, s[1:])] if s else []), (s, w)
+            for j in range(1, len(s) + 1):
                 calls.clear()
-                status = kl_tangent_membership(rs, j, w, report.x_word, include_cone_coefficient=True)
+                status = kl_tangent_membership(rs, j, w, s, include_cone_coefficient=True)
                 singles += status.evidence.cone_coefficient is not None
-                assert len(calls) == 1, (report.x_word, w, j)
+                assert calls == [(w, s[j:])], (s, w, j)
     assert reports > 0 and singles > 0

@@ -28,7 +28,7 @@ def test_prefix_sweep_matches_per_word_passes(label):
     gt = group_table(rs)
     packing, start, step = _class_fold(rs)
     classes = {
-        word: {u: _signed_class(u, poly, packing.exponents(poly)) for u, poly, _ in states}
+        word: {u: _signed_class(u, poly, packing.exponents(poly)) for u, poly in states}
         for (_, word, _), (_, states) in _prefix_folds(_cases(gt, None, 0), start, step)
     }
     counts = {
@@ -66,7 +66,7 @@ def test_sampled_sweep_keeps_the_draws():
 
 
 def test_steps_leave_their_input_unchanged():
-    """Neither one-letter step writes to the state it is given, and the pass step hands on no triple of it."""
+    """Neither one-letter step writes to the state it is given, and the pass step hands on no pair of it."""
     rs = build_root_system("B3")
     gt = group_table(rs)
     _, start, class_step = _class_fold(rs)
@@ -121,7 +121,7 @@ def test_kclass_sweep_records_a_wrong_class(monkeypatch):
 
     def change(state):
         columns, states = state
-        _, poly, _ = states[0]
+        _, poly = states[0]
         poly[0] = poly.get(0, 0) + 1
         return columns, states
 

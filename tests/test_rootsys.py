@@ -19,6 +19,7 @@ from kltangent import (
     root_to_epsilon,
     simple_reflection,
 )
+from kltangent.rootsys import _edges
 from oracles import mat_act, root_from_epsilon_by_elimination, simple_reflection_matrix, solve_rational
 
 
@@ -248,3 +249,11 @@ def test_rank_ceiling():
         build_root_system("A33")
     with pytest.raises(InvalidCartanType):
         CartanType("D", 100)
+
+
+def test_dynkin_edges_reject_an_unknown_family():
+    # CartanType validates its family, so only a forced one reaches the fall-through of the edge table
+    ct = CartanType("A", 2)
+    object.__setattr__(ct, "family", "Z")
+    with pytest.raises(InvalidCartanType, match="unknown family 'Z'"):
+        _edges(ct)

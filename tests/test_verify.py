@@ -152,24 +152,28 @@ def test_sampled_cone_suite_case_counts(label, cases):
 
 
 def test_cone_suite_folds_each_target_suffix_once(monkeypatch):
-    # the signed pass and the Demazure flags share one suffix fold per distinct (word, target)
+    # the Demazure flags fold each distinct (word, target) once, past the word's first
+    # indecomposable position, and the signed pass folds none
     rs = build_root_system("B3")
     gt = group_table(rs)
     calls = []
     real = tangent._suffix_floors
 
-    def counted(rs, w, word):
-        calls.append((word, w))
-        return real(rs, w, word)
+    def counted(rs, w, letters):
+        calls.append((letters, w))
+        return real(rs, w, letters)
 
-    for module in (tangent, verify):
-        monkeypatch.setattr(module, "_suffix_floors", counted, raising=False)
+    monkeypatch.setattr(tangent, "_suffix_floors", counted)
     seed = VerifyConfig().seed
     outcome = cone_mechanism_suite(rs, sample=_SAMPLED_CASES, seed=seed)
     assert outcome.ok and outcome.cases == 3151
-    draws = _cases(gt, _SAMPLED_CASES, seed, all_words=False)
-    expected = {(word, gt.elements[w_id]) for _, word, w_ids in draws if word for w_id in w_ids}  # x = e has no pass
-    assert Counter(calls) == Counter(expected)
+    positions_of = verify._indecomposable_positions(rs, gt)
+    folds = {}  # distinct (word, target) -> the suffix it folds
+    for idx, word, w_ids in _cases(gt, _SAMPLED_CASES, seed, all_words=False):
+        positions = positions_of(idx, word)[1]
+        if positions:  # a word with no indecomposable position has no pass and no flags
+            folds.update(((word, w_id), word[positions[0] :]) for w_id in w_ids)
+    assert Counter(calls) == Counter((suffix, gt.elements[w_id]) for (_, w_id), suffix in folds.items())
 
 
 def test_run_battery_times_every_suite():
