@@ -50,30 +50,19 @@ def demazure_product(rs: RootSystem, q: Word) -> HeckeWordStats:
     return HeckeWordStats(delta=delta, length=len(q), excess=len(q) - delta.length)
 
 
-def demazure_signed_step(rs: RootSystem, counts: dict[WeylElement, int], letter: int) -> dict[WeylElement, int]:
-    """The signed counts of q + (letter,) from those of q: one step of :func:`demazure_signed_counts`.
-
-    A subsequence either skips the letter (sign kept) or takes it (sign
-    flipped, Demazure step applied).  ``counts`` is left unchanged, so words
-    that share a prefix can step on from its counts alike.
-    """
-    nxt = dict(counts)
-    for u, c in counts.items():
-        v = hecke_mult(rs, u, letter)
-        nxt[v] = nxt.get(v, 0) - c
-    return {u: c for u, c in nxt.items() if c}
-
-
 def demazure_signed_counts(rs: RootSystem, q: Word) -> dict[WeylElement, int]:
     """For each u, the signed count sum_{t subseq of q, delta(t) = u} (-1)^|t|.
 
-    One dynamic-programming pass over the positions of q, folding
-    :func:`demazure_signed_step` from {e: 1}.  Combined with the sign
-    (-1)^{l(u)} this gives the signed Hecke-subword sums for every target at
-    once, so a caller with many targets for one word calls it once per word;
-    nothing is cached.
+    One dynamic-programming pass over the positions of q from {e: 1}: at each
+    letter a subsequence either skips it (sign kept) or takes it (sign
+    flipped, Demazure step applied).  Combined with the sign (-1)^{l(u)} this
+    gives the signed Hecke-subword sums for every target at once, so a caller
+    with many targets for one word calls it once per word; nothing is cached.
     """
     counts: dict[WeylElement, int] = {identity_element(rs): 1}
     for letter in q:
-        counts = demazure_signed_step(rs, counts, letter)
+        for u, c in list(counts.items()):  # the counts before the letter
+            v = hecke_mult(rs, u, letter)
+            counts[v] = counts.get(v, 0) - c
+        counts = {u: c for u, c in counts.items() if c}
     return counts

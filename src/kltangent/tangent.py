@@ -62,6 +62,7 @@ from .weyl import (
     GammaSequence,
     WeylElement,
     Word,
+    _check_element,
     _columns_times,
     _gamma_sequence,
     _identity_columns,
@@ -189,6 +190,7 @@ def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[
 
 
 def _validate_pair(rs: RootSystem, w: WeylElement, s: Word) -> WeylElement:
+    _check_element(rs, w)
     x = word_to_element(rs, s)
     if x.length != len(s):
         raise NotReduced(f"word {s} is not reduced over {rs.cartan_type}")
@@ -200,15 +202,6 @@ def _validate_pair(rs: RootSystem, w: WeylElement, s: Word) -> WeylElement:
 def _validate_position(s: Word, j: int) -> None:
     if not 1 <= j <= len(s):
         raise LetterOutOfRange(f"position {j} out of range for a word of length {len(s)}")
-
-
-def _add_into(acc: dict[int, int], poly: dict[int, int], sign: int = 1) -> None:
-    for e, c in poly.items():
-        c2 = acc.get(e, 0) + sign * c
-        if c2:
-            acc[e] = c2
-        else:
-            del acc[e]
 
 
 def _live_points(rs: RootSystem, s: Word, targets) -> list[set[tuple[int, ...]]]:
@@ -237,33 +230,39 @@ def _signed_step(rs: RootSystem, states: list, letter: int, g: int, cap: int, li
 
     The input list, its pairs and their polynomials are left unchanged, so
     words that share a prefix step on from its states alike.  A stay copy
-    keeps its polynomial by reference; the step writes only to polynomials
-    it builds itself, and never to a stay copy's, which meets no other state.
+    keeps its polynomial by reference, at a point where s_k is an ascent.
+    Moved and absorbed states land only on points where s_k is a descent,
+    and no stay copy sits there, so each of their terms is written straight
+    into a polynomial the step builds itself; the step writes to no other.
     """
-    nxt: dict[tuple[int, ...], list] = {}  # point -> [element, polynomial]
+    nxt: dict[tuple[int, ...], tuple] = {}  # point -> (element, polynomial)
     for u, poly in states:
-        if has_right_ascent(u, letter):
-            # Nothing moves onto an ascent state: u keeps poly,
-            # and poly * (e^{-gamma} - 1) moves on to u*s_k.
-            if live is None or u.point in live:
-                nxt[u.point] = [u, poly]
-            v = right_multiply_simple(rs, u, letter)
-            if live is not None and v.point not in live:
-                continue
-            moved = {q: c for e, c in poly.items() if (q := e + g) < cap}
-            _add_into(moved, poly, -1)
-        else:
-            # H_u H_{s_k} = H_u: skipping plus taking leaves poly * e^{-gamma}.
-            if live is not None and u.point not in live:
-                continue
-            v = u
-            moved = {q: c for e, c in poly.items() if (q := e + g) < cap}
+        # Nothing moves onto an ascent state: u keeps poly,
+        # and poly * (e^{-gamma} - 1) moves on to u*s_k.
+        ascent = has_right_ascent(u, letter)
+        if ascent and (live is None or u.point in live):
+            nxt[u.point] = (u, poly)
+        v = right_multiply_simple(rs, u, letter) if ascent else u
+        if live is not None and v.point not in live:
+            continue
         entry = nxt.get(v.point)
         if entry is None:
-            nxt[v.point] = [v, moved]
-        else:
-            _add_into(entry[1], moved)
-    return [(u, poly) for u, poly in nxt.values() if poly]
+            entry = nxt[v.point] = (v, {})
+        acc = entry[1]
+        if ascent:
+            for e, c in poly.items():
+                acc[e] = acc.get(e, 0) - c
+        # At a descent, H_u H_{s_k} = H_u: skipping plus taking leaves poly * e^{-gamma}.
+        for e, c in poly.items():
+            if (q := e + g) < cap:
+                acc[q] = acc.get(q, 0) + c
+    out = []
+    for u, poly in nxt.values():
+        if not has_right_ascent(u, letter):  # built here: drop the terms that cancelled
+            poly = {e: c for e, c in poly.items() if c}
+        if poly:
+            out.append((u, poly))
+    return out
 
 
 def _signed_states(
@@ -602,6 +601,7 @@ def kl_tangent_report(
     through the ordinary-product criterion; it is opt-in because it invokes
     the type-A-only classical characterization.
     """
+    _check_element(rs, w, x)
     if not bruhat_leq(rs, w, x):
         raise NotBelow("target w is not below x in Bruhat order")
     if use_type_a_oracle and rs.cartan_type.family != "A":
@@ -661,6 +661,7 @@ def cominuscule_witness(rs: RootSystem, x: WeylElement) -> tuple[Fraction, ...] 
     condition at gamma_i forces v_{s_i} = -1 - sum_{k<i} A[s_i][s_k] once the
     earlier ones hold: x is cominuscule iff repeated letters are forced alike.
     """
+    _check_element(rs, x)
     forced: dict[int, int] = {}
     need = [-1] * rs.rank  # -1 - <alpha_r, the coroots of the letters read so far>
     for letter in canonical_reduced_word(rs, x):
@@ -686,6 +687,7 @@ def element_to_permutation(rs: RootSystem, x: WeylElement) -> tuple[int, ...]:
     """
     if rs.cartan_type.family != "A":
         raise WrongType(f"permutations only exist in type A, not {rs.cartan_type}")
+    _check_element(rs, x)
     p = list(range(1, rs.rank + 2))
     for letter in canonical_reduced_word(rs, x):
         p[letter - 1], p[letter] = p[letter], p[letter - 1]

@@ -6,12 +6,13 @@ case count and any failures.  At these group sizes the sweeps are not spot
 checks: they cover every element, every reduced word and every Bruhat
 interval in range, so a green suite is a finite proof for that range.
 
-The suites that fold a pass along each word (``euler-identity``,
-``kclass-well-defined``) visit their words in lexicographic order and step
-the pass once per letter past the common prefix with the previous word
-(:func:`_prefix_folds`).  The reduced words of a whole group are closed
-under prefixes, so an exhaustive sweep steps each node of their prefix tree
-once instead of every word from e.
+The ``kclass-well-defined`` sweep, which needs the class of every reduced
+word, visits the words in lexicographic order and steps its pass once per
+letter past the common prefix with the previous word (:func:`_prefix_folds`).
+The reduced words of a whole group are closed under prefixes, so it steps
+each node of their prefix tree once instead of every word from e.  The
+``euler-identity`` suite folds each word's signed counts on its own, over
+the Demazure rows of the group table.
 
 :func:`run_battery` schedules the suites for one Cartan type and times each
 run; a suite called on its own leaves ``seconds`` at 0.0.
@@ -24,7 +25,6 @@ import time
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 
-from .hecke import demazure_signed_step
 from .rootsys import RootSystem, build_root_system, cominuscule_nodes, height, negate, root_from_epsilon
 from .rt_ring import LaurentPoly
 from .subword import _ENUM_LETTERS_BOUND
@@ -51,7 +51,6 @@ from .weyl import (
     canonical_reduced_word,
     gamma_sequence,
     group_table,
-    identity_element,
     inverse,
     inversion_set_of_inverse,
     is_min_coset_rep,
@@ -140,7 +139,8 @@ def _prefix_folds(groups, start, step):
     letters past the common prefix are stepped; ``step`` must leave its input
     state unchanged, since later words step on from it too.  Groups with
     equal words keep their order.  Over the reduced words of a whole group,
-    a prefix-closed set, each node of the prefix tree is stepped once.
+    a prefix-closed set, each node of the prefix tree is stepped once; the
+    K-class sweep (:func:`kclass_well_definedness_suite`) folds its pass so.
     """
     stack = [start]  # stack[k]: the state after the first k letters of word
     word: tuple[int, ...] = ()
@@ -232,19 +232,22 @@ def euler_identity_suite(rs: RootSystem, sample: int | None = None, seed: int = 
     """Signed Hecke-subword sum equals 1 for every (x, reduced word, w <= x).
 
     With ``sample`` set, checks that many random (x, w, word) triples instead
-    of the full sweep.  The signed counts of each word serve all its targets,
-    stepped from those of its longest prefix already visited (:func:`_prefix_folds`).
+    of the full sweep.  Each word folds its signed counts over group ids from
+    {e: 1}: at each letter a subsequence either skips it (count kept) or takes
+    it (count negated and moved to u * s_k, the Demazure row ``gt.dmult``).
+    The counts of a word serve all its targets.
     """
     out = VerifyOutcome(f"euler-identity[{rs.cartan_type}]")
     gt = group_table(rs)
-    start = {identity_element(rs): 1}
-    for (_, word, w_ids), counts in _prefix_folds(
-        _cases(gt, sample, seed), start, lambda counts, letter: demazure_signed_step(rs, counts, letter)
-    ):
+    for _, word, w_ids in _cases(gt, sample, seed):
+        counts = {gt.identity: 1}  # group id u -> sum over the subsequences t with delta(t) = u of (-1)^|t|
+        for letter in word:
+            row = gt.dmult[letter - 1]
+            for u, c in list(counts.items()):  # the counts before the letter
+                counts[row[u]] = counts.get(row[u], 0) - c
         for w_id in w_ids:
             out.cases += 1
-            w = gt.elements[w_id]
-            value = (-1) ** (w.length % 2) * counts.get(w, 0)
+            value = (-1) ** (gt.length[w_id] % 2) * counts.get(w_id, 0)
             if value != 1:
                 out.record(word=word, w=gt.word_of(w_id), expected=1, got=value)
     return out

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import GroupTooLarge, LengthBoundExceeded, LetterOutOfRange, NotReduced
+from .errors import GroupTooLarge, LengthBoundExceeded, LetterOutOfRange, NotReduced, WrongType
 from .rootsys import Dynkin, Root, RootSystem, _check_vector, reflect_root_in_place, reflect_weight
 
 Word = tuple[int, ...]
@@ -175,6 +175,17 @@ def parse_word(text: str) -> Word:
 def _check_letter(rs: RootSystem, i: int) -> None:
     if not 1 <= i <= rs.rank:
         raise LetterOutOfRange(f"letter {i} out of range for {rs.cartan_type}")
+
+
+def _check_element(rs: RootSystem, *elements: WeylElement) -> None:
+    """WrongType unless every element given is an element of rs's Weyl group.
+
+    The Dynkin tables are compared by value, so an element from another
+    build of the same type passes.  The weight links hold every off-diagonal
+    Cartan entry, so they decide the other tables too.
+    """
+    if any(x.dynkin.weight_links != rs.dynkin.weight_links for x in elements):
+        raise WrongType(f"element of another root system passed to {rs.cartan_type}")
 
 
 def act_on_root(x: WeylElement, v: Root) -> Root:
@@ -443,9 +454,11 @@ class GroupTable:
     Used by the exhaustive verification suites: elements become integers and
     ``rmult[i][x]`` (the id of x*s_{i+1}) is the one multiplication table.
     ``dmult[i][x]`` is the Demazure product x*s_{i+1}: the longer of x and
-    x*s_{i+1}, which Demazure folds step.  Bruhat order becomes a
-    bitmask test, built by the lifting property.  Left descents need no table:
-    they are the negative coordinates of x(rho).  Built lazily, once per root system.
+    x*s_{i+1}, which Demazure folds step and along which the Euler-identity
+    suite moves the signed count of every subsequence that takes letter
+    i + 1.  Bruhat order becomes a bitmask test, built by the lifting
+    property.  Left descents need no table: they are the negative
+    coordinates of x(rho).  Built lazily, once per root system.
     """
 
     def __init__(self, rs: RootSystem, guard: int = _GROUP_GUARD) -> None:

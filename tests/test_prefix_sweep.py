@@ -1,18 +1,18 @@
-"""The prefix-shared sweeps of ``euler-identity`` and ``kclass-well-defined``.
+"""The prefix-shared sweep of ``kclass-well-defined``.
 
 ``verify._prefix_folds`` steps a pass once per letter past the common prefix
 with the previous word.  These tests hold it to the per-word passes it
-replaces (``kclass_restrictions``, ``demazure_signed_counts``), check that no
-step writes to a state another word steps on from, and that the suites still
-record a failure when one word's class or count is wrong.
+replaces (``kclass_restrictions``), check that no step writes to a state
+another word steps on from, and that the suite still records a failure when
+one word's class is wrong.  The last test checks that the Euler-identity
+suite, which folds each word on its own, records a wrong Demazure row.
 """
 
 import copy
 
 import pytest
 
-from kltangent import build_root_system, group_table, identity_element, kclass_restrictions, verify
-from kltangent.hecke import demazure_signed_counts, demazure_signed_step
+from kltangent import build_root_system, group_table, kclass_restrictions, verify
 from kltangent.tangent import _class_fold, _signed_class
 from kltangent.verify import _cases, _prefix_folds, euler_identity_suite, kclass_well_definedness_suite
 
@@ -23,7 +23,7 @@ def _all_words(gt):
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
 def test_prefix_sweep_matches_per_word_passes(label):
-    """Every reduced word, the empty one too, gets the classes and signed counts of its own pass."""
+    """Every reduced word, the empty one too, gets the classes of its own pass."""
     rs = build_root_system(label)
     gt = group_table(rs)
     packing, start, step = _class_fold(rs)
@@ -31,17 +31,10 @@ def test_prefix_sweep_matches_per_word_passes(label):
         word: {u: _signed_class(u, poly, packing.exponents(poly)) for u, poly in states}
         for (_, word, _), (_, states) in _prefix_folds(_cases(gt, None, 0), start, step)
     }
-    counts = {
-        word: value
-        for (_, word, _), value in _prefix_folds(
-            _cases(gt, None, 0), {identity_element(rs): 1}, lambda c, letter: demazure_signed_step(rs, c, letter)
-        )
-    }
     assert () in classes
-    assert set(classes) == set(counts) == _all_words(gt)
+    assert set(classes) == _all_words(gt)
     for word in classes:
         assert classes[word] == kclass_restrictions(rs, word), word
-        assert counts[word] == demazure_signed_counts(rs, word), word
 
 
 @pytest.mark.parametrize("label", ["A3", "B3"])
@@ -66,7 +59,7 @@ def test_sampled_sweep_keeps_the_draws():
 
 
 def test_steps_leave_their_input_unchanged():
-    """Neither one-letter step writes to the state it is given, and the pass step hands on no pair of it."""
+    """The one-letter pass step writes to no state it is given and hands on no pair of it."""
     rs = build_root_system("B3")
     gt = group_table(rs)
     _, start, class_step = _class_fold(rs)
@@ -86,9 +79,6 @@ def test_steps_leave_their_input_unchanged():
         return out
 
     for _ in _prefix_folds(_cases(gt, None, 0), start, class_states):
-        pass
-    counts_step = checked(lambda counts, letter: demazure_signed_step(rs, counts, letter))
-    for _ in _prefix_folds(_cases(gt, None, 0), {identity_element(rs): 1}, counts_step):
         pass
 
 
@@ -132,18 +122,14 @@ def test_kclass_sweep_records_a_wrong_class(monkeypatch):
     assert outcome.cases == 6539
 
 
-def test_euler_sweep_records_a_wrong_count(monkeypatch):
+def test_euler_suite_records_a_wrong_demazure_row(monkeypatch):
+    """One wrong entry of a Demazure row, e * s_1 = e, is recorded, and only against words with letter 1."""
     rs = build_root_system("B3")
     gt = group_table(rs)
-    word = gt.reduced_words_of(5)[0]
-
-    def change(counts):
-        counts[identity_element(rs)] += 1
-        return counts
-
-    _corrupt(monkeypatch, word, change)
+    rows = [list(row) for row in gt.dmult]
+    rows[0][gt.identity] = gt.identity
+    monkeypatch.setattr(gt, "dmult", rows)
     outcome = euler_identity_suite(rs)
-    assert not outcome.ok
-    assert [failure["w"] for failure in outcome.failures] == [()]
-    assert {failure["word"] for failure in outcome.failures} == {word}
+    words = [failure["word"] for failure in outcome.failures if "word" in failure]  # past the cap, a note
+    assert words and all(1 in word for word in words)
     assert outcome.cases == 6539

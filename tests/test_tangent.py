@@ -420,3 +420,37 @@ def test_out_implies_explicit_factor(a3):
                 if status.verdict is Verdict.OUT:
                     assert not status.evidence.demazure_ok
                     assert is_explicit_factor(a3, j, w, s, method="enumerate")
+
+
+def test_elements_of_another_root_system_are_refused(a2, a3, b2):
+    """An element keeps its own Dynkin tables, so one from another type would be walked by the wrong links."""
+    w_a2 = word_to_element(a2, (1,))
+    x_b2 = word_to_element(b2, (1, 2, 1, 2))
+    with pytest.raises(WrongType):
+        kl_tangent_report(b2, w_a2, x_b2)
+    with pytest.raises(WrongType):
+        gp_tangent_report(b2, identity_element(b2), w_a2, {2})
+    with pytest.raises(WrongType):
+        kclass_restriction(b2, word_to_element(a2, (1, 2, 1)), (1, 2, 1, 2))
+    e_a3 = identity_element(a3)
+    with pytest.raises(WrongType):
+        kl_tangent_report(a2, e_a3, word_to_element(a2, (1, 2)))
+    with pytest.raises(WrongType):
+        is_explicit_factor(a2, 1, e_a3, (1, 2))
+    with pytest.raises(WrongType):
+        cominuscule_witness(b2, w_a2)
+    with pytest.raises(WrongType):
+        element_to_permutation(a2, e_a3)
+
+
+def test_elements_of_another_build_of_the_type_are_accepted(b2):
+    """The Dynkin tables are compared by value: a second build of B2 gives the same answers."""
+    b2_again = build_root_system("B2")
+    x = word_to_element(b2, (1, 2, 1, 2))
+    for w_word in ((), (1,), (2, 1), (1, 2, 1)):
+        w, w_again = word_to_element(b2, w_word), word_to_element(b2_again, w_word)
+        assert kl_tangent_report(b2, w_again, x) == kl_tangent_report(b2, w, x)
+        assert kclass_restriction(b2, w_again, (1, 2, 1, 2)) == kclass_restriction(b2, w, (1, 2, 1, 2))
+    assert cominuscule_witness(b2, word_to_element(b2_again, (1, 2))) == cominuscule_witness(
+        b2, word_to_element(b2, (1, 2))
+    )

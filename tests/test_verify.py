@@ -4,6 +4,7 @@ import hashlib
 import threading
 import time
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -17,10 +18,12 @@ from kltangent.verify import (
     cominuscule_complete_suite,
     cone_mechanism_suite,
     decomposable_guard_suite,
+    euler_identity_suite,
     run_battery,
     te_containment_suite,
     weyl_basics_suite,
 )
+from kltangent.weyl import _bits
 
 
 def test_te_containment_a3_d4():
@@ -219,3 +222,21 @@ def test_bruhat_memo_is_thread_safe():
     for t in threads:
         t.join()
     assert not errors
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_euler_suite_holds_on_every_short_word(label, monkeypatch):
+    """The battery checks reduced words only; the identity holds for every word q and every w <= delta(q)."""
+    rs = build_root_system(label)
+    gt = group_table(rs)
+    masks = gt.leq_masks()
+    groups = []
+    for n in range(7):
+        for q in product(range(1, rs.rank + 1), repeat=n):
+            top = gt.demazure_fold(q)
+            groups.append((top, q, tuple(_bits(masks[top]))))
+    monkeypatch.setattr(verify, "_cases", lambda *args: iter(groups))
+    outcome = euler_identity_suite(rs)
+    assert outcome.ok, outcome.failures[:3]
+    assert outcome.cases == sum(len(w_ids) for _, _, w_ids in groups)
+    assert any(len(q) > gt.length[top] for top, q, _ in groups)
