@@ -212,7 +212,7 @@ def _cmd_verify(args) -> int:
         all_ok = all_ok and ok
         for o in outcomes:
             print(f"[{'ok' if o.ok else 'FAIL'}] {o.suite}: {o.cases} cases, "
-                  f"{len(o.failures)} failures ({o.seconds:.2f}s)", file=sys.stderr)
+                  f"{len(o.failures)} failures ({o.seconds:.4f}s)", file=sys.stderr)
         if args.json:
             print(_dump({
                 "cartan_type": str(CartanType.parse(label)),

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .errors import LengthBoundExceeded, TargetNotContained
 from .hecke import demazure_element, demazure_signed_counts, hecke_mult
 from .rootsys import RootSystem
-from .weyl import Word, WeylElement, _check_letter, bruhat_leq, identity_element
+from .weyl import Word, WeylElement, _check_element, _check_letter, bruhat_leq, identity_element
 
 # Strictly increasing 1-based positions into a word.
 IndexSequence = tuple[int, ...]
@@ -67,6 +67,7 @@ def hecke_subwords(rs: RootSystem, w: WeylElement, s: Word) -> list[HeckeSubword
     never calls it (the punctured Demazure product suffices there) but it is
     the verification oracle for that fast path.
     """
+    _check_element(rs, w)
     _check_word(rs, s)
     out = []
     target = w.point
@@ -107,6 +108,7 @@ def build_complex(rs: RootSystem, w: WeylElement, s: Word) -> SubwordComplex:
     masks are read in lexicographic order of their positions, so faces and
     facets come out sorted.
     """
+    _check_element(rs, w)
     _check_word(rs, s)
     complements = _subword_deltas(rs, s)[::-1]  # mask r <-> subword at full ^ r
     if not bruhat_leq(rs, w, complements[0]):  # the empty face's complement: delta(s)
@@ -160,6 +162,7 @@ def euler_signed_sum(rs: RootSystem, w: WeylElement, s: Word) -> int:
     :func:`kltangent.hecke.demazure_signed_counts`, so no subword enumeration
     is needed; the result is asserted against the constant 1.
     """
+    _check_element(rs, w)
     if not bruhat_leq(rs, w, demazure_element(rs, s)):  # hecke_mult checks every letter
         raise TargetNotContained(f"{s} has no reduced subword for the target")
     counts = demazure_signed_counts(rs, s)

@@ -95,7 +95,9 @@ class Evidence:
                   criterion, which decides everything in type A.
     cone_coefficient:  coefficient of e^{-gamma_j} in the tangent-cone
                   character, populated for decomposable weights on request;
-                  it carries no tangent-space meaning there.
+                  it carries no tangent-space meaning there.  It counts the
+                  vector partitions k of gamma_j over the gammas with
+                  delta(s minus the positions of supp k) >= w.
     """
 
     indecomposable: bool
@@ -469,6 +471,93 @@ def _cone_series_by_target(
     return out
 
 
+def _partition_supports(parts: list[tuple[int, int]], mu: int, guard: int) -> dict[int, int]:
+    """{support bitmask of k: number of k} over the vector partitions mu = sum_i k_i gamma_i, k_i >= 0.
+
+    ``parts`` lists (bit of gamma_i, P(gamma_i)) in descending height, where
+    P(nu) is the int whose little-endian bytes are the coefficients of nu,
+    and ``mu`` is P(mu).  No root coefficient exceeds 6, so the remainder is
+    kept with the guard bit 0x80 set in every byte: subtracting P(gamma_i)
+    never borrows across a byte, and every guard bit survives exactly when
+    gamma_i is at most the remainder in every coordinate.  Each partition
+    takes its parts in the order listed, so it is met once, and the tallest
+    parts go first, which leaves the fewest dead ends.
+    """
+    parts = [(bit, p) for bit, p in parts if (mu + guard - p) & guard == guard]
+    counts: dict[int, int] = {}
+
+    def spend(first: int, rest: int, support: int) -> None:
+        if rest == guard:
+            counts[support] = counts.get(support, 0) + 1
+            return
+        for bit, p in parts[first:]:
+            first += 1
+            rest_i = rest - p
+            while rest_i & guard == guard:
+                spend(first, rest_i, support | bit)
+                rest_i -= p
+
+    spend(0, mu + guard, 0)
+    return counts
+
+
+def _cone_coefficients(
+    rs: RootSystem, w: WeylElement, s: Word, gammas: tuple[Root, ...], positions
+) -> dict[int, int]:
+    """{j: coefficient of e^{-gamma_j} in Char C = P_{w,s} / prod_i (1 - e^{-gamma_i})} for the positions j.
+
+    No polynomial is built.  Graham's formula writes P_{w,s} as the sum over
+    the Hecke subwords t of s with delta(t) = w of
+    (-1)^{|t| - l(w)} prod_{i in t} (1 - e^{-gamma_i}), so
+
+        Char C = sum_t (-1)^{|t| - l(w)} prod_{i not in t} 1 / (1 - e^{-gamma_i}),
+
+    and expanding each 1 / (1 - e^{-gamma_i}) = sum_{k_i >= 0} e^{-k_i gamma_i}
+    makes the coefficient at -mu the sum, over the vector partitions
+    mu = sum_i k_i gamma_i, of the signed count of the t that avoid the
+    support of k.  Those t are the Hecke subwords for w of the word q = s
+    with the support deleted, and by the Euler identity of Knutson-Miller
+    (``subword.euler_signed_sum``) their signed count is 1 when
+    w <= delta(q) and 0 (an empty sum) otherwise, for any word q, reduced or
+    not.  So the coefficient at -mu counts the vector partitions k of mu with
+    w <= delta(s minus supp k).
+
+    The partitions are listed by :func:`_partition_supports`, and each
+    distinct support is decided once.  By the lemma of ``_position_flags``
+    applied at every letter, w <= delta(q) iff folding w down q read
+    backwards (r <| s_k at each letter) reaches e.  Each letter lowers the
+    length by at most one, so the fold stops as soon as the length is 0
+    (True) or exceeds the letters left (False).  At an indecomposable
+    gamma_j the only partition is gamma_j itself, and the coefficient is the
+    Demazure flag of position j.  Letters must already be validated.
+    """
+    links = rs.dynkin.weight_links
+    guard = int.from_bytes(b"\x80" * rs.rank, "little")
+    packed = [int.from_bytes(bytes(gamma), "little") for gamma in gammas]
+    parts = [(1 << i, packed[i]) for i in sorted(range(len(s)), key=lambda i: -height(gammas[i]))]
+    backwards = [(1 << k, letter - 1) for k, letter in reversed(list(enumerate(s)))]
+    decided: dict[int, bool] = {}
+
+    def reaches_identity(support: int) -> bool:
+        point, length, left = w.point, w.length, len(s) - support.bit_count()
+        for bit, i in backwards:
+            if length == 0 or length > left:
+                break
+            if not support & bit:
+                left -= 1
+                if point[i] < 0:
+                    point, length = reflect_weight(point, i, links), length - 1
+        return length == 0
+
+    out = {}
+    for j in positions:
+        supports = _partition_supports(parts, packed[j - 1], guard)
+        for support in supports.keys() - decided.keys():
+            decided[support] = reaches_identity(support)
+        out[j] = sum(count for support, count in supports.items() if decided[support])
+    return out
+
+
 def tangent_cone_series(rs: RootSystem, w: WeylElement, s: Word, bound: int) -> TruncatedSeries:
     """The tangent-cone character Char C = P_{w,s} / prod_i (1 - e^{-gamma_i}).
 
@@ -513,16 +602,18 @@ def _statuses(
     I(x^{-1}); elsewhere Undetermined, or the ordinary-product verdict when
     ``use_type_a_oracle`` is set in type A.  The flags take one downward
     fold of w from the first requested position.  When ``include_cone``
-    asks for the cone coefficients of the decomposable positions, one
-    series pass, pruned by its own walk back from w, is bounded by the
-    largest height among the decomposable gamma_j requested.
+    asks for the cone coefficients of the decomposable positions, they are
+    counted by :func:`_cone_coefficients` over the vector partitions of
+    each gamma_j, with no K-class pass and no series; a word of more than
+    20 letters is still refused (LengthBoundExceeded) there.
     """
     indecomposables = _indecomposable_inversions(frozenset(gammas))
-    series = None
+    cones = {}
     if include_cone:
-        bound = max((height(gammas[j - 1]) for j in positions if gammas[j - 1] not in indecomposables), default=None)
-        if bound is not None:
-            series = _cone_series_by_target(rs, (w,), s, gammas, bound)[w]
+        decomposables = [j for j in positions if gammas[j - 1] not in indecomposables]
+        if decomposables:
+            _check_word(rs, s)
+            cones = _cone_coefficients(rs, w, s, gammas, decomposables)
     type_a = use_type_a_oracle and rs.cartan_type.family == "A"
     statuses = []
     for j, (demazure_ok, ordinary_ok) in zip(positions, _position_flags(rs, w, s, positions)):
@@ -534,8 +625,7 @@ def _statuses(
             verdict = Verdict.IN if ordinary_ok else Verdict.OUT
         else:
             verdict = Verdict.UNDETERMINED
-        cone = None if indecomposable or series is None else series.coefficient(negate(gamma_j))
-        evidence = Evidence(indecomposable, demazure_ok, ordinary_ok, cone)
+        evidence = Evidence(indecomposable, demazure_ok, ordinary_ok, cones.get(j))
         statuses.append(WeightStatus(j, gamma_j, verdict, evidence))
     return tuple(statuses)
 

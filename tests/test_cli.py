@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +144,20 @@ def test_verify_cli_small(capsys):
     assert all(not o["failures"] for o in payload["outcomes"])
     assert "euler-identity[A2]" in {o["suite"] for o in payload["outcomes"]}
     assert "cases" in err or err  # timing diagnostics go to stderr
+
+
+def test_verify_times_each_suite_to_a_tenth_of_a_millisecond(capsys):
+    """stderr gives every suite's seconds with 4 decimals; stdout keeps the recorded bytes, with no timing."""
+    code, out, err = run(capsys, "verify", "A2", "--json")
+    assert code == 0
+    pinned = (Path(__file__).parent / "data" / "verify_stdout.json").read_text().splitlines(keepends=True)[0]
+    assert out == pinned
+    lines = err.splitlines()
+    assert len(lines) == len(json.loads(out)["outcomes"])
+    for line in lines:
+        assert re.fullmatch(r"\[ok\] [a-z-]+(\[A2\])?: \d+ cases, 0 failures \(\d+\.\d{4}s\)", line), line
+    code, out, _ = run(capsys, "verify", "A2")
+    assert code == 0 and "s)" not in out
 
 
 def test_verify_several_types(capsys, monkeypatch):

@@ -114,7 +114,7 @@ def test_report_folds_no_punctured_word(monkeypatch):
 
 
 def test_report_with_cone_evidence_folds_the_suffix_once(monkeypatch):
-    """A report folds w down its word once, past position 1, at every (x, w) of B3; its series pass folds nothing.
+    """A report folds w down its word once, past position 1, at every (x, w) of B3; its cone coefficients read no floors.
 
     A single position asked with its cone coefficient folds once, past that position.
     """

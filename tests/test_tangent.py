@@ -12,11 +12,13 @@ from kltangent import (
     Verdict,
     WrongType,
     all_reduced_words,
+    build_complex,
     build_root_system,
     cominuscule_witness,
     demazure_element,
     element_to_permutation,
     enumerate_weyl_group,
+    euler_signed_sum,
     gamma_sequence,
     gp_tangent_report,
     group_table,
@@ -441,6 +443,10 @@ def test_elements_of_another_root_system_are_refused(a2, a3, b2):
         cominuscule_witness(b2, w_a2)
     with pytest.raises(WrongType):
         element_to_permutation(a2, e_a3)
+    longest_a2 = word_to_element(a2, (1, 2, 1))
+    for subword_function in (hecke_subwords, build_complex, euler_signed_sum):
+        with pytest.raises(WrongType):
+            subword_function(b2, longest_a2, (1, 2, 1, 2))
 
 
 def test_elements_of_another_build_of_the_type_are_accepted(b2):
