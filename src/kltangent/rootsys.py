@@ -12,7 +12,10 @@ The Cartan matrix convention is ``cartan_matrix[i][j] = <alpha_i, alpha_j^vee>``
 
 This module is the only one that knows how s_i acts: :class:`Dynkin` holds the
 neighbour tables of A, and :func:`reflect_weight` and :func:`reflect_root_in_place`
-apply s_i to a weight and to a root-lattice vector by reading them.
+apply s_i to a weight and to a root-lattice vector by reading them.  It also
+owns the byte-lane form of a point of the orbit of rho (:func:`pack_point`),
+one int on which s_i is one multiply-subtract and the right descents are one
+mask; the Bruhat walk and the Demazure folds of ``weyl`` run on it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ Root = tuple[int, ...]
 
 _FAMILIES = "ABCDEFG"
 _MAX_RANK = 32  # refused above this before any root is built: A_n has n(n+1)/2 roots of length n
+# Byte lanes of a point of the rho-orbit (pack_point): lane i holds coordinate i plus
+# the bias.  A coordinate is +-<rho, beta^vee> for a root beta, at most h - 1 in
+# absolute value for the Coxeter number h: n + 1 in A_n, 2n in B_n and C_n, 2n - 2
+# in D_n and at most 30 (E8) in the exceptional types, so at most 2 * _MAX_RANK - 1.
+_LANE_BIAS = 128
+_LANE_REACH = 2 * _MAX_RANK - 1
 
 # Number of positive roots per family, used as a construction cross-check.
 _POSITIVE_COUNTS = {
@@ -145,9 +154,15 @@ class Dynkin:
     edge has ratio 1.  So each norm is 6 or 6r for that one ratio r, and
     each division is exact.  Dividing by the gcd leaves the least integer
     norms: all 1 in the simply-laced types, 1 and 2 in B, C, F, 1 and 3 in G.
+
+    ``lane_rows[i]`` is row i of A packed into byte lanes, A[i][j] in lane j
+    (2 in lane i, the neighbours' entries from ``weight_links[i]``), and
+    ``lane_high`` has the top bit of every lane set.  On the lane form q of a
+    point (:func:`pack_point`), s_i is q - c * lane_rows[i] with c the
+    coordinate in lane i, and ``lane_high & ~q`` marks the right descents.
     """
 
-    __slots__ = ("rank", "rho", "weight_links", "root_links", "norms")
+    __slots__ = ("rank", "rho", "weight_links", "root_links", "norms", "lane_rows", "lane_high")
 
     def __init__(self, cartan) -> None:
         n = len(cartan)
@@ -171,6 +186,30 @@ class Dynkin:
                     stack.append(j)
         scale = gcd(*norms)
         self.norms = tuple(q // scale for q in norms)
+        self.lane_rows = tuple(
+            sum(a << 8 * j for j, a in ((i, 2),) + self.weight_links[i]) for i in range(n)
+        )
+        self.lane_high = int.from_bytes(b"\x80" * n, "little")
+
+
+def pack_point(point: tuple[int, ...]) -> int:
+    """The byte-lane form of a point of the orbit of rho: lane i (bits 8i..8i+7) holds point[i] + 128.
+
+    A coordinate i of x^{-1}(rho) is <rho, x(alpha_i^vee)> = +-<rho, beta^vee>
+    for a positive root beta, whose absolute value is the height of the
+    coroot beta^vee, at most h - 1 <= 63 for the Coxeter number h at rank
+    <= 32: every lane then lies in 65..191, so s_i (``Dynkin.lane_rows``)
+    never carries out of a lane.  The
+    top bit of lane i is set exactly when coordinate i is positive, since no
+    coordinate of a regular point is 0.  ValueError for a coordinate past the
+    lanes.
+
+    >>> hex(pack_point((1, -1)))
+    '0x7f81'
+    """
+    if max(point) > _LANE_REACH or min(point) < -_LANE_REACH:
+        raise ValueError(f"point {point} has a coordinate outside the byte lanes (|c| <= {_LANE_REACH})")
+    return int.from_bytes(bytes([c + _LANE_BIAS for c in point]), "little")
 
 
 def reflect_weight(point: tuple[int, ...], i: int, weight_links) -> tuple[int, ...]:
@@ -183,17 +222,12 @@ def reflect_weight(point: tuple[int, ...], i: int, weight_links) -> tuple[int, .
     return tuple(out)
 
 
-def _coroot_pairing(v, i: int, root_links) -> int:
-    """<v, alpha_i^vee> (0-based node i) for a vector v in simple-root coordinates."""
-    pairing = 2 * v[i]
-    for k, a in root_links[i]:
-        pairing += v[k] * a
-    return pairing
-
-
 def reflect_root_in_place(v: list[int], i: int, root_links) -> None:
     """s_i (0-based node i) applied in place to a vector in simple-root coordinates."""
-    v[i] -= _coroot_pairing(v, i, root_links)
+    pairing = 2 * v[i]  # <v, alpha_i^vee>
+    for k, a in root_links[i]:
+        pairing += v[k] * a
+    v[i] -= pairing
 
 
 class RootSystem:
@@ -226,29 +260,44 @@ class RootSystem:
         self._cache: dict = {}
 
     def _close_positive_roots(self) -> tuple[Root, ...]:
-        # Every positive root of height > 1 is s_i(beta) for a positive root
-        # beta of smaller height, so walking up from the simple roots reaches
-        # them all.  s_i(v) = v - <v, alpha_i^vee> alpha_i changes coordinate i
-        # only: an image whose coordinate i went up, a negative pairing, is
-        # positive, and only those images are built.
-        root_links = self.dynkin.root_links
-        seen = set(self.simple_roots)
-        frontier = list(self.simple_roots)
+        """Every positive root, sorted by height and then by coefficients.
+
+        Every positive root of height > 1 is s_i(beta) for a positive root
+        beta of smaller height, so walking up from the simple roots reaches
+        them all.  s_i(v) = v - <v, alpha_i^vee> alpha_i changes coordinate i
+        only: an image whose coordinate i went up, a negative pairing, is
+        positive, and only those images are built.
+
+        A root v travels as two ints of byte lanes: V, its coefficients
+        (at most 6), and P, its pairings <v, alpha_j^vee> (at most 3 in
+        absolute value) plus 128 in lane j.  The negative pairings are the
+        lanes whose top bit is clear, one mask.  With c = -<v, alpha_i^vee>,
+        s_i(v) is V + c * 2^{8i}, and its pairings are P + c * lane_rows[i],
+        since <alpha_i, alpha_j^vee> = A[i][j].
+        """
+        n = self.rank
+        rows, high = self.dynkin.lane_rows, self.dynkin.lane_high
+        frontier = [(1 << 8 * i, high + rows[i]) for i in range(n)]
+        seen = {coeffs for coeffs, _ in frontier}
         while frontier:
             new = []
-            for v in frontier:
-                for i in range(self.rank):
-                    pairing = _coroot_pairing(v, i, root_links)
-                    if pairing < 0:
-                        w = v[:i] + (v[i] - pairing,) + v[i + 1 :]
-                        if w not in seen:
-                            seen.add(w)
-                            new.append(w)
+            for coeffs, pairings in frontier:
+                negative = high & ~pairings
+                while negative:
+                    bit = negative & -negative
+                    negative ^= bit
+                    i = (bit.bit_length() >> 3) - 1
+                    c = _LANE_BIAS - ((pairings >> 8 * i) & 0xFF)
+                    image = coeffs + (c << 8 * i)
+                    if image not in seen:
+                        seen.add(image)
+                        new.append((image, pairings + c * rows[i]))
             frontier = new
-        expected = _POSITIVE_COUNTS[self.cartan_type.family](self.rank)
+        expected = _POSITIVE_COUNTS[self.cartan_type.family](n)
         if len(seen) != expected:
             raise AssertionError((self.cartan_type, len(seen), expected))
-        return tuple(sorted(seen, key=lambda v: (height(v), v)))
+        roots = (tuple(coeffs.to_bytes(n, "little")) for coeffs in seen)
+        return tuple(sorted(roots, key=lambda v: (height(v), v)))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.cartan_type})"

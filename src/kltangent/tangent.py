@@ -30,9 +30,11 @@ product (the longer of u and us).  The lifting property gives
 reduced word is its own Demazure product, so
 delta(s \\ j) = u_{j-1} * s_{j+1} * ... * s_l, and with r_l = w,
 r_{j-1} = r_j <| s_j the criterion delta(s \\ j) >= w reads r_j <= u_{j-1}.
-One prefix fold and one downward suffix fold of w serve every position, with
-one Bruhat walk each; the ordinary product, which is at most the Demazure
-product, is folded only where the Demazure criterion holds.
+One downward suffix fold of w serves every position: where s_j is an ascent
+of r_j the criterion holds with no further work, and elsewhere r_j folds
+down the prefix to e or not.  The ordinary product, which is at most the
+Demazure product, is folded only where the Demazure criterion holds.  The
+folds and walks run on the byte-lane form of a point (``rootsys.pack_point``).
 
 The Schubert variety at the same fixed point adds the fixed weight set
 -(Phi^+ \\ I(x^{-1})) to whatever the Kazhdan-Lusztig verdicts give, and the
@@ -55,7 +57,7 @@ from .errors import (
     NotReduced,
     WrongType,
 )
-from .rootsys import Root, RootSystem, height, negate, reflect_weight
+from .rootsys import Root, RootSystem, height, negate, pack_point, reflect_weight
 from .rt_ring import LaurentPoly, TruncatedSeries, WeightVector, _packed_spread, _Packing, in_nonneg_integer_span
 from .subword import _check_word, hecke_subwords
 from .weyl import (
@@ -66,7 +68,9 @@ from .weyl import (
     _columns_times,
     _gamma_sequence,
     _identity_columns,
-    _times_word,
+    _lane_fold,
+    _lane_leq,
+    _lane_reaches_identity,
     bruhat_leq,
     canonical_reduced_word,
     gamma_sequence,
@@ -144,9 +148,10 @@ def _suffix_floors(rs: RootSystem, w: WeylElement, letters: Word) -> list[WeylEl
 def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[tuple[bool, bool]]:
     """(delta(s \\ j) >= w, s_1...s^_j...s_l >= w) for each j in positions, in order.
 
-    s is a reduced word of some x, its letters already validated, and the
-    positions ascend.  Write v <| t for vt when t is a right descent of v and
-    for v otherwise, and u * t for the longer of u and ut.
+    s is a reduced word of some x, its letters already validated, the
+    positions ascend, and w <= x = delta(s): every caller checks this, and
+    the shortcut below rests on it.  Write v <| t for vt when t is a right
+    descent of v and for v otherwise, and u * t for the longer of u and ut.
 
     Lemma: w <= u * t iff w <| t <= u.  Deodhar's Z-property, a consequence
     of the lifting property (Bjorner-Brenti, Prop. 2.2.7), says: if vt < v
@@ -160,33 +165,51 @@ def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[
     The prefix u_{j-1} = s_1...s_{j-1} is reduced, so it is its own
     Demazure product and delta(s \\ j) = u_{j-1} * s_{j+1} * ... * s_l.
     Peeling the suffix off w, r_l = w and r_{j-1} = r_j <| s_j, the lemma
-    applied l - j times turns delta(s \\ j) >= w into r_j <= u_{j-1}.  So
-    one prefix fold, one downward fold of w and one Bruhat walk per position
-    decide every Demazure flag; a single position costs l - 1 steps.
+    applied l - j times turns delta(s \\ j) >= w into r_j <= u_{j-1}, and
+    applied along u_{j-1} = e * s_1 * ... * s_{j-1} it turns that into:
+    r_j folds down s_{j-1}, ..., s_1 to e.  The fold stops as soon as the
+    length is 0 or exceeds the letters left (``weyl._lane_reaches_identity``).
+
+    Most positions need no fold.  The same lemma at every letter turns
+    w <= delta(s) into r_k <= u_k for every k.  Where s_j is an ascent of r_j,
+    r_{j-1} = r_j, so r_j <= u_{j-1} and the flag is True.  These are the
+    positions outside the reduced subword for w that the suffix fold picks
+    (its descent letters, read from the right); the subword property
+    (Bjorner-Brenti, Thm 2.2.2) gives the same answer, as s \\ j keeps that
+    reduced subword.
 
     The ordinary product pi_j = s_1...s^_j...s_l is at most the Demazure
     product, so its flag is False wherever the Demazure flag is.  Elsewhere
     pi_j is folded forward from u_{j-1} along s_{j+1}...s_l.  If it has
     length l - 1, the punctured word is reduced, so pi_j is delta(s \\ j),
-    already known to be >= w, and no walk is needed; otherwise one walk
-    decides.  The suffix is folded once, from the first requested position.
+    already known to be >= w, and no walk is needed; otherwise one Bruhat
+    walk decides.  The suffix is folded once, from the first requested
+    position; the prefixes, folds and walks run on lane forms
+    (``rootsys.pack_point``) and build no element.
     """
     positions = tuple(positions)
     if not positions:
         return []
     l = len(s)
-    prefix = [identity_element(rs)]  # prefix[k] is u_k
-    for letter in s[: positions[-1] - 1]:
-        prefix.append(right_multiply_simple(rs, prefix[-1], letter))
-    peeled = _suffix_floors(rs, w, s[positions[0] :])  # peeled[l - j] is r_j
+    dyn = rs.dynkin
+    rows = dyn.lane_rows
+    nodes = [letter - 1 for letter in s]
+    backwards = nodes[::-1]  # backwards[l - j + 1 :] is s_{j-1}, ..., s_1
+    floors = _suffix_floors(rs, w, s[positions[0] :])  # floors[l - j] is r_j
+    w_lanes = pack_point(w.point)
+    prefix, folded = pack_point(dyn.rho), 0  # the lane form of u_folded
     flags = []
     for j in positions:
-        u = prefix[j - 1]
-        demazure_ok = bruhat_leq(rs, peeled[l - j], u)
+        prefix, _ = _lane_fold(prefix, 0, nodes[folded : j - 1], rows)
+        folded = j - 1
+        r = floors[l - j]
+        demazure_ok = r.point[nodes[j - 1]] > 0 or _lane_reaches_identity(
+            pack_point(r.point), r.length, backwards[l - j + 1 :], j - 1, rows
+        )
         ordinary_ok = False
         if demazure_ok:
-            pi = _times_word(u, s[j:])
-            ordinary_ok = pi.length == l - 1 or bruhat_leq(rs, w, pi)
+            pi, length = _lane_fold(prefix, j - 1, nodes[j:], rows)
+            ordinary_ok = length == l - 1 or _lane_leq(w_lanes, w.length, pi, length, dyn)
         flags.append((demazure_ok, ordinary_ok))
     return flags
 
@@ -390,8 +413,8 @@ def kclass_restrictions(rs: RootSystem, s: Word) -> dict[WeylElement, LaurentPol
 def is_explicit_factor(rs: RootSystem, j: int, w: WeylElement, s: Word, method: str = "demazure") -> bool:
     """Does 1 - e^{-gamma_j} appear in every summand of P_{w,s}?
 
-    ``method="demazure"`` evaluates NOT(delta(s \\ j) >= w) by ``_position_flags``,
-    l - 1 steps and one Bruhat walk;
+    ``method="demazure"`` evaluates NOT(delta(s \\ j) >= w) by ``_position_flags``:
+    the suffix fold, then at most one backward fold and one Bruhat walk;
     ``method="enumerate"`` checks j in t for every Hecke subword t, and exists
     as the slow verification oracle for the fast path.
     """
@@ -527,27 +550,23 @@ def _cone_coefficients(
     applied at every letter, w <= delta(q) iff folding w down q read
     backwards (r <| s_k at each letter) reaches e.  Each letter lowers the
     length by at most one, so the fold stops as soon as the length is 0
-    (True) or exceeds the letters left (False).  At an indecomposable
+    (True) or exceeds the letters left (False); the Demazure flags of
+    :func:`_position_flags` run the same fold (``weyl._lane_reaches_identity``),
+    on the lane form of w.  At an indecomposable
     gamma_j the only partition is gamma_j itself, and the coefficient is the
     Demazure flag of position j.  Letters must already be validated.
     """
-    links = rs.dynkin.weight_links
+    rows = rs.dynkin.lane_rows
     guard = int.from_bytes(b"\x80" * rs.rank, "little")
     packed = [int.from_bytes(bytes(gamma), "little") for gamma in gammas]
     parts = [(1 << i, packed[i]) for i in sorted(range(len(s)), key=lambda i: -height(gammas[i]))]
     backwards = [(1 << k, letter - 1) for k, letter in reversed(list(enumerate(s)))]
+    w_lanes = pack_point(w.point)
     decided: dict[int, bool] = {}
 
     def reaches_identity(support: int) -> bool:
-        point, length, left = w.point, w.length, len(s) - support.bit_count()
-        for bit, i in backwards:
-            if length == 0 or length > left:
-                break
-            if not support & bit:
-                left -= 1
-                if point[i] < 0:
-                    point, length = reflect_weight(point, i, links), length - 1
-        return length == 0
+        kept = (i for bit, i in backwards if not support & bit)
+        return _lane_reaches_identity(w_lanes, w.length, kept, len(s) - support.bit_count(), rows)
 
     out = {}
     for j in positions:

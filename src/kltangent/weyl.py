@@ -20,7 +20,11 @@ the ``dynkin`` tables of its root system and applies s_i through
 ``rootsys.reflect_weight`` (to points) and ``rootsys.reflect_root_in_place``
 (to roots); this module keeps no table of its own in ``rs._cache`` except the
 optional group table.  The matrix of x on the root lattice
-(``WeylElement.rows``) is a derived view.
+(``WeylElement.rows``) is a derived view.  The Bruhat walk and the folds that
+only read lengths and descents (``_lane_leq``, ``_lane_fold``,
+``_lane_reaches_identity``) run on the byte-lane form of a point
+(``rootsys.pack_point``): one int, where s_i is q - c * ``lane_rows[i]`` and
+the right descents are the clear top bits, ``lane_high & ~q``.
 
 Words are tuples of 1-based simple-reflection indices and both act and
 multiply left to right: the word (1, 2) denotes s1*s2, which sends a vector v
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import GroupTooLarge, LengthBoundExceeded, LetterOutOfRange, NotReduced, WrongType
-from .rootsys import Dynkin, Root, RootSystem, _check_vector, reflect_root_in_place, reflect_weight
+from .rootsys import Dynkin, Root, RootSystem, _check_vector, pack_point, reflect_root_in_place, reflect_weight
 
 Word = tuple[int, ...]
 
@@ -184,8 +188,10 @@ def _check_element(rs: RootSystem, *elements: WeylElement) -> None:
     build of the same type passes.  The weight links hold every off-diagonal
     Cartan entry, so they decide the other tables too.
     """
-    if any(x.dynkin.weight_links != rs.dynkin.weight_links for x in elements):
-        raise WrongType(f"element of another root system passed to {rs.cartan_type}")
+    links = rs.dynkin.weight_links
+    for x in elements:
+        if x.dynkin.weight_links != links:
+            raise WrongType(f"element of another root system passed to {rs.cartan_type}")
 
 
 def act_on_root(x: WeylElement, v: Root) -> Root:
@@ -233,7 +239,8 @@ def left_multiply_simple(rs: RootSystem, x: WeylElement, i: int) -> WeylElement:
 
 
 def multiply(rs: RootSystem, x: WeylElement, y: WeylElement) -> WeylElement:
-    """x*y: x times a reduced word of y, read off y's peel."""
+    """x*y: x times a reduced word of y, read off y's peel; WrongType unless both are elements of rs."""
+    _check_element(rs, x, y)
     dyn = x.dynkin
     links = dyn.weight_links
     point, length = _fold(x.point, x.length, reversed(list(_peel(y.point, links))), links)
@@ -285,26 +292,70 @@ def inverse(rs: RootSystem, x: WeylElement) -> WeylElement:
     return WeylElement(_inverse_point(x.point, x.dynkin), x.length, x.dynkin)
 
 
-def bruhat_leq(rs: RootSystem, u: WeylElement, v: WeylElement) -> bool:
-    """Decide u <= v in Bruhat order by the descent walk.
+def _lane_leq(a: int, la: int, b: int, lb: int, dyn: Dynkin) -> bool:
+    """u <= v by the descent walk, for the lane forms a, b (``rootsys.pack_point``) and lengths of u and v.
 
     With s a right descent of v:  u <= v  iff  us <= vs when s is also a
     descent of u, else u <= vs.  The recursion never branches, so it runs as
-    a loop of at most l(v) steps and needs no memo.
+    a loop of at most l(v) steps and needs no memo.  The least descent of v
+    is the lowest bit of ``lane_high & ~b``, the top bit of its lane, and
+    the same bit of a is clear exactly when it is a descent of u.
     """
-    links = v.dynkin.weight_links
-    a, la = u.point, u.length
-    b, lb = v.point, v.length
+    rows, high = dyn.lane_rows, dyn.lane_high
     while la < lb:
         if la == 0:
             return True
-        i = _first_descent(b)
-        b = reflect_weight(b, i, links)
+        descents = high & ~b
+        bit = descents & -descents
+        shift = bit.bit_length() - 8
+        b -= (((b >> shift) & 0xFF) - 128) * rows[shift >> 3]
         lb -= 1
-        if a[i] < 0:
-            a = reflect_weight(a, i, links)
+        if not a & bit:
+            a -= (((a >> shift) & 0xFF) - 128) * rows[shift >> 3]
             la -= 1
     return la == lb and a == b
+
+
+def _lane_fold(q: int, length: int, nodes, rows) -> tuple[int, int]:
+    """Lane form and length of x * s_{i_1} ... s_{i_k} from those of x (0-based nodes, already checked)."""
+    for i in nodes:
+        c = ((q >> (i << 3)) & 0xFF) - 128
+        length += 1 if c > 0 else -1
+        q -= c * rows[i]
+    return q, length
+
+
+def _lane_reaches_identity(q: int, length: int, nodes, left: int, rows) -> bool:
+    """Does the element with lane form q and this length fold down to e along the nodes?
+
+    At each node i (0-based, ``left`` of them in all) the element v becomes
+    v s_i when s_i is a right descent of v and stays otherwise.  By the lemma
+    of ``tangent._position_flags``, v reaches e exactly when v <= the Demazure
+    product of the nodes read backwards.  Each step lowers the length by at
+    most one, so the fold stops as soon as the length is 0 (True) or exceeds
+    the nodes left (False).
+    """
+    for i in nodes:
+        if length == 0 or length > left:
+            break
+        left -= 1
+        c = ((q >> (i << 3)) & 0xFF) - 128
+        if c < 0:
+            q -= c * rows[i]
+            length -= 1
+    return length == 0
+
+
+def bruhat_leq(rs: RootSystem, u: WeylElement, v: WeylElement) -> bool:
+    """Decide u <= v in Bruhat order by the descent walk on the lane forms of the two points.
+
+    WrongType unless both are elements of rs's Weyl group: the walk reads
+    the lanes of rs's Dynkin tables.
+    """
+    _check_element(rs, u, v)
+    if u.length == 0 or u.length >= v.length:  # the walk would take no step
+        return u.length == 0 or u.point == v.point
+    return _lane_leq(pack_point(u.point), u.length, pack_point(v.point), v.length, rs.dynkin)
 
 
 def _gammas(rs: RootSystem, w: Word) -> tuple[Root, ...]:

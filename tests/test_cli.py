@@ -6,12 +6,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from kltangent import verify
+from kltangent import build_root_system, canonical_reduced_word, demazure_element, identity_element, verify
 from kltangent.cli import _dump, _outcome_payload, main
+from kltangent.weyl import has_right_ascent, right_multiply_simple
 
 # stdout and exit code of the README examples, a B3 report with cone evidence and three
-# error payloads, recorded while a generic recursive encoder still walked every payload
+# error payloads, recorded while a generic recursive encoder still walked every payload;
+# the last two rows, a report at E7 w0 (63 letters) and a 40-letter E8 report, were
+# recorded while the flags still walked every position on tuple points
 PINNED = json.loads((Path(__file__).parent / "data" / "cli_stdout.json").read_text())
 
 
@@ -97,6 +102,34 @@ def test_json_round_trip_and_determinism(capsys):
     assert first == second  # identical invocations are bit-identical
     payload = json.loads(first)
     assert json.dumps(payload, sort_keys=True, ensure_ascii=False) == first.strip()
+
+
+@st.composite
+def _tangent_argv(draw):
+    """``tangent --json`` arguments: a reduced word of at most 45 letters and the Demazure product of a subword."""
+    rs = build_root_system(draw(st.sampled_from(["A4", "B4", "C3", "D5", "G2", "F4", "E6", "E7", "E8"])))
+    word, x = (), identity_element(rs)
+    for letter in draw(st.lists(st.integers(1, rs.rank), min_size=45, max_size=160)):
+        if len(word) < 45 and has_right_ascent(x, letter):
+            word, x = word + (letter,), right_multiply_simple(rs, x, letter)
+    keep = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    w = demazure_element(rs, tuple(letter for letter, k in zip(word, keep) if k))
+    cone = ["--cone-evidence"] if len(word) <= 20 and draw(st.booleans()) else []
+    spell = lambda letters: " ".join(map(str, letters))
+    w_word = canonical_reduced_word(rs, w)
+    return ["tangent", str(rs.cartan_type), "--x", spell(word), "--w", spell(w_word), *cone, "--json"]
+
+
+def test_tangent_json_is_deterministic_and_round_trips_on_random_words(capsys):
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_tangent_argv())
+    def check(argv):
+        code, first, _ = run(capsys, *argv)
+        _, second, _ = run(capsys, *argv)
+        assert code == 0 and first == second, argv
+        assert json.dumps(json.loads(first), sort_keys=True, ensure_ascii=False) + "\n" == first, argv
+
+    check()
 
 
 def test_domain_error_exit_code(capsys):

@@ -1,9 +1,11 @@
 """Every position of a report from one prefix fold and one downward suffix fold.
 
 ``tangent._position_flags`` decides delta(s \\ j) >= w as r_j <= u_{j-1} (the
-suffix peeled off w against the prefix of s) and folds the ordinary product
-only where that holds.  The reference folds every punctured word from
-scratch (``oracles.position_flags_by_folding``).
+suffix peeled off w against the prefix of s): True with no fold where s_j is
+an ascent of r_j, else by folding r_j down the prefix to e.  It folds the
+ordinary product only where the Demazure flag holds.  The reference folds
+every punctured word from scratch and compares by the tuple descent walk
+(``oracles.position_flags_by_folding``), independent of the lane forms.
 """
 
 import random
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from kltangent import (
     all_reduced_words,
+    bruhat_leq,
     build_root_system,
     canonical_reduced_word,
     demazure_element,
@@ -27,7 +30,7 @@ from kltangent import (
 from kltangent import hecke, tangent, weyl
 from kltangent.tangent import _position_flags
 from kltangent.weyl import _bits, has_right_ascent, right_multiply_simple
-from oracles import position_flags_by_folding
+from oracles import bruhat_leq_by_descent, position_flags_by_folding
 
 
 def _check(rs, w, s):
@@ -93,6 +96,26 @@ def test_flags_match_folding_random_exceptional(label):
     def check(case):
         rs, word, w = case
         _check(rs, w, word)
+
+    check()
+
+
+@pytest.mark.parametrize("label", ["E6", "E7", "E8"])
+def test_bruhat_walk_on_lanes_matches_the_tuple_walk(label):
+    """``bruhat_leq`` (lane forms) against the descent walk on tuple points, both orders of every pair.
+
+    Two draws give a word's element x and a target w below it each, so the
+    pairs mix comparisons that hold by construction with unrelated ones.
+    """
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_long_word_and_target(label), _long_word_and_target(label))
+    def check(first, second):
+        rs = first[0]
+        elements = [word_to_element(rs, first[1]), first[2], word_to_element(rs, second[1]), second[2]]
+        for u in elements:
+            for v in elements:
+                assert bruhat_leq(rs, u, v) == bruhat_leq_by_descent(rs, u, v), (u, v)
 
     check()
 

@@ -12,6 +12,7 @@ from kltangent import (
     act_on_root,
     build_root_system,
     cominuscule_nodes,
+    enumerate_weyl_group,
     format_root,
     height,
     reflect,
@@ -19,7 +20,7 @@ from kltangent import (
     root_to_epsilon,
     simple_reflection,
 )
-from kltangent.rootsys import _edges
+from kltangent.rootsys import _LANE_REACH, _edges, pack_point, reflect_weight
 from oracles import mat_act, root_from_epsilon_by_elimination, simple_reflection_matrix, solve_rational
 
 
@@ -257,3 +258,49 @@ def test_dynkin_edges_reject_an_unknown_family():
     object.__setattr__(ct, "family", "Z")
     with pytest.raises(InvalidCartanType, match="unknown family 'Z'"):
         _edges(ct)
+
+
+@pytest.mark.parametrize(
+    "label, reach", [("A32", 32), ("B32", 63), ("C32", 63), ("D32", 61), ("E8", 29), ("F4", 11), ("G2", 5)]
+)
+def test_every_point_coordinate_fits_a_byte_lane(label, reach):
+    """max over beta in Phi^+ of <rho, beta^vee> = 2 (rho, beta) / (beta, beta) is h - 1 and at most 63.
+
+    A coordinate of x^{-1}(rho) is +-<rho, beta^vee> for some beta, so every
+    point of every rank up to the ceiling packs into byte lanes.  With
+    (alpha_k, alpha_k) = norms[k], (rho, beta) = sum_k beta_k norms[k] / 2 and
+    (beta, beta) = sum_k beta_k <beta, alpha_k^vee> norms[k] / 2.
+    """
+    rs = build_root_system(label)
+    norms, links = rs.dynkin.norms, rs.dynkin.root_links
+    pairings = []
+    for beta in rs.positive_roots:
+        rho_beta = sum(b * q for b, q in zip(beta, norms))
+        coroot = [2 * beta[k] + sum(beta[m] * a for m, a in links[k]) for k in range(rs.rank)]
+        beta_beta = sum(b * c * q for b, c, q in zip(beta, coroot, norms))
+        value, rest = divmod(2 * rho_beta, beta_beta)
+        assert rest == 0, beta
+        pairings.append(value)
+    assert max(pairings) == reach <= _LANE_REACH == 63
+
+
+def test_packing_refuses_a_coordinate_outside_the_lanes():
+    # an explicit raise, not an assert statement (test_guards checks the package has none),
+    # so the refusal holds under python -O too
+    assert pack_point((63, -63)) == 191 + (65 << 8)
+    for point in ((64,), (0, -64), (1, 200)):
+        with pytest.raises(ValueError, match="outside the byte lanes"):
+            pack_point(point)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "F4", "G2"])
+def test_lane_reflections_match_the_tuple_reflections(label):
+    """s_i is q - c * lane_rows[i] and lane_high & ~q marks the right descents, at every point of the group."""
+    rs = build_root_system(label)
+    dyn = rs.dynkin
+    for x in enumerate_weyl_group(rs):
+        q = pack_point(x.point)
+        descents = [i for i in range(rs.rank) if (dyn.lane_high & ~q) >> (8 * i + 7) & 1]
+        assert descents == [i for i, c in enumerate(x.point) if c < 0]
+        for i, c in enumerate(x.point):
+            assert q - c * dyn.lane_rows[i] == pack_point(reflect_weight(x.point, i, dyn.weight_links))

@@ -13,6 +13,7 @@ from kltangent import (
     WrongType,
     all_reduced_words,
     build_complex,
+    bruhat_leq,
     build_root_system,
     cominuscule_witness,
     demazure_element,
@@ -31,6 +32,7 @@ from kltangent import (
     kclass_restriction,
     kl_tangent_membership,
     kl_tangent_report,
+    multiply,
     root_from_epsilon,
     tangent_cone_coefficient,
     te_curve_weights,
@@ -447,6 +449,16 @@ def test_elements_of_another_root_system_are_refused(a2, a3, b2):
     for subword_function in (hecke_subwords, build_complex, euler_signed_sum):
         with pytest.raises(WrongType):
             subword_function(b2, longest_a2, (1, 2, 1, 2))
+    # unchecked, a walk or a product reads the lanes and links of the wrong type: an
+    # IndexError from A2 against A3, and a wrong True or a non-element against B2
+    u_a2, v_a3, v_b2 = word_to_element(a2, (1, 2)), word_to_element(a3, (1, 2, 3)), word_to_element(b2, (1, 2, 1))
+    for rs, call in ((a2, bruhat_leq), (a3, bruhat_leq), (a2, multiply), (a3, multiply)):
+        with pytest.raises(WrongType):
+            call(rs, u_a2, v_a3)
+    with pytest.raises(WrongType):
+        bruhat_leq(b2, w_a2, v_b2)
+    with pytest.raises(WrongType):
+        multiply(b2, v_b2, u_a2)
 
 
 def test_elements_of_another_build_of_the_type_are_accepted(b2):
