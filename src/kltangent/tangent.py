@@ -203,7 +203,8 @@ def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[
         prefix, _ = _lane_fold(prefix, 0, nodes[folded : j - 1], rows)
         folded = j - 1
         r = floors[l - j]
-        demazure_ok = r.point[nodes[j - 1]] > 0 or _lane_reaches_identity(
+        # at an ascent s_j of r_j, r_j = r_{j-1} <= u_{j-1} since w <= delta(s)
+        demazure_ok = has_right_ascent(r, s[j - 1]) or _lane_reaches_identity(
             pack_point(r.point), r.length, backwards[l - j + 1 :], j - 1, rows
         )
         ordinary_ok = False
