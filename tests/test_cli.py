@@ -15,8 +15,10 @@ from kltangent.weyl import has_right_ascent, right_multiply_simple
 
 # stdout and exit code of the README examples, a B3 report with cone evidence and three
 # error payloads, recorded while a generic recursive encoder still walked every payload;
-# the last two rows, a report at E7 w0 (63 letters) and a 40-letter E8 report, were
-# recorded while the flags still walked every position on tuple points
+# two rows, a report at E7 w0 (63 letters) and a 40-letter E8 report, were recorded
+# while the flags still walked every position on tuple points, and the last, a B32
+# report whose x has a coordinate of 63 (the byte-lane bound), while elements still
+# held tuple points
 PINNED = json.loads((Path(__file__).parent / "data" / "cli_stdout.json").read_text())
 
 
