@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rootsys import RootSystem
-from .weyl import Word, WeylElement, _check_letter, has_right_ascent, identity_element, right_multiply_simple
+from .weyl import Word, WeylElement, _check_element, _check_letter, has_right_ascent, identity_element, right_multiply_simple
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,11 @@ class HeckeWordStats:
 
 
 def hecke_mult(rs: RootSystem, u: WeylElement, i: int) -> WeylElement:
-    """0-Hecke product H_u H_{s_i}: u*s_i if that is longer, else u."""
+    """0-Hecke product H_u H_{s_i}: u*s_i if that is longer, else u; WrongType unless u is an element of rs."""
     _check_letter(rs, i)
     if has_right_ascent(u, i):
-        return right_multiply_simple(rs, u, i)
+        return right_multiply_simple(rs, u, i)  # checks u
+    _check_element(rs, u)
     return u
 
 

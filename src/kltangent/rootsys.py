@@ -10,12 +10,13 @@ The Cartan matrix convention is ``cartan_matrix[i][j] = <alpha_i, alpha_j^vee>``
 
     s_j(v) = v - <v, alpha_j^vee> alpha_j,   <v, alpha_j^vee> = sum_k v_k A[k][j].
 
-This module is the only one that knows how s_i acts: :class:`Dynkin` holds the
-neighbour tables of A, and :func:`reflect_weight` and :func:`reflect_root_in_place`
-apply s_i to a weight and to a root-lattice vector by reading them.  It also
-owns the byte-lane form of a point of the orbit of rho (:func:`pack_point`),
-one int on which s_i is one multiply-subtract and the right descents are one
-mask; the Bruhat walk and the Demazure folds of ``weyl`` run on it.
+This module holds the tables every reflection reads: :class:`Dynkin` keeps the
+neighbour tables of A, which :func:`reflect_root_in_place` reads to apply s_i
+to a root-lattice vector, and the Cartan rows in byte lanes.  It also owns
+the one encoder of a point of the orbit of rho (:func:`pack_point`): one int
+whose lane i holds coordinate i, on which s_i is one multiply-subtract and
+the right descents are one mask.  That int is the one form of a Weyl group
+element (``weyl.WeylElement.lanes``); ``Dynkin.rho`` holds rho in it.
 """
 
 from __future__ import annotations
@@ -144,8 +145,7 @@ class Dynkin:
     coordinate j.  ``root_links[i]`` holds (k, A[k][i]): on a root-lattice
     vector v, s_i subtracts <v, alpha_i^vee> = 2 v_i + sum_k v_k A[k][i] from
     coordinate i.  ``norms[k]`` is a positive multiple of (alpha_k, alpha_k),
-    so (lambda, beta) has the sign of sum_k lambda_k norms[k] beta_k.  ``rho``
-    is the sum of the fundamental weights in fundamental-weight coordinates.
+    so (lambda, beta) has the sign of sum_k lambda_k norms[k] beta_k.
 
     The norms are computed in integers: node 0 gets 6, and the walk from i
     to a neighbour j multiplies by A[j][i] / A[i][j].  A connected Dynkin
@@ -155,6 +155,8 @@ class Dynkin:
     each division is exact.  Dividing by the gcd leaves the least integer
     norms: all 1 in the simply-laced types, 1 and 2 in B, C, F, 1 and 3 in G.
 
+    ``rho`` is the lane form (:func:`pack_point`) of the sum of the
+    fundamental weights, every coordinate 1: the point of the identity.
     ``lane_rows[i]`` is row i of A packed into byte lanes, A[i][j] in lane j
     (2 in lane i, the neighbours' entries from ``weight_links[i]``), and
     ``lane_high`` has the top bit of every lane set.  On the lane form q of a
@@ -167,7 +169,7 @@ class Dynkin:
     def __init__(self, cartan) -> None:
         n = len(cartan)
         self.rank = n
-        self.rho = (1,) * n
+        self.rho = pack_point((1,) * n)
         self.weight_links = tuple(
             tuple((j, cartan[i][j]) for j in range(n) if j != i and cartan[i][j]) for i in range(n)
         )
@@ -210,16 +212,6 @@ def pack_point(point: tuple[int, ...]) -> int:
     if max(point) > _LANE_REACH or min(point) < -_LANE_REACH:
         raise ValueError(f"point {point} has a coordinate outside the byte lanes (|c| <= {_LANE_REACH})")
     return int.from_bytes(bytes([c + _LANE_BIAS for c in point]), "little")
-
-
-def reflect_weight(point: tuple[int, ...], i: int, weight_links) -> tuple[int, ...]:
-    """s_i (0-based node i) applied to a weight in fundamental-weight coordinates."""
-    c = point[i]
-    out = list(point)
-    out[i] = -c
-    for j, a in weight_links[i]:
-        out[j] -= c * a
-    return tuple(out)
 
 
 def reflect_root_in_place(v: list[int], i: int, root_links) -> None:

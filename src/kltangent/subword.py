@@ -29,7 +29,9 @@ from .weyl import Word, WeylElement, _check_element, _check_letter, bruhat_leq, 
 # Strictly increasing 1-based positions into a word.
 IndexSequence = tuple[int, ...]
 
-_ENUM_LETTERS_BOUND = 20  # 2^l face enumeration guard
+# Longest word that _check_word lets through: it guards the 2^l face enumeration, the
+# K-class pass, the cone evidence of a report, and the sampled pool of verify._cases.
+_ENUM_LETTERS_BOUND = 20
 
 
 class HeckeSubword(NamedTuple):
@@ -70,9 +72,9 @@ def hecke_subwords(rs: RootSystem, w: WeylElement, s: Word) -> list[HeckeSubword
     _check_element(rs, w)
     _check_word(rs, s)
     out = []
-    target = w.point
+    target = w.lanes
     for mask, delta in enumerate(_subword_deltas(rs, s)):
-        if delta.point == target:
+        if delta.lanes == target:
             indices = _mask_to_indices(mask)
             out.append(HeckeSubword(indices, len(indices) - w.length))
     out.sort(key=lambda h: h.indices)
@@ -113,9 +115,9 @@ def build_complex(rs: RootSystem, w: WeylElement, s: Word) -> SubwordComplex:
     complements = _subword_deltas(rs, s)[::-1]  # mask r <-> subword at full ^ r
     if not bruhat_leq(rs, w, complements[0]):  # the empty face's complement: delta(s)
         raise TargetNotContained(f"{s} has no reduced subword for the target")
-    products = {d.point: d for d in complements}
-    above = {p: bruhat_leq(rs, w, d) for p, d in products.items()}
-    is_face = [above[d.point] for d in complements]
+    products = {d.lanes: d for d in complements}
+    above = {q: bruhat_leq(rs, w, d) for q, d in products.items()}
+    is_face = [above[d.lanes] for d in complements]
     indices: list[IndexSequence] = [()]
     for k in range(1, len(s) + 1):
         indices += [t + (k,) for t in indices]

@@ -34,7 +34,9 @@ One downward suffix fold of w serves every position: where s_j is an ascent
 of r_j the criterion holds with no further work, and elsewhere r_j folds
 down the prefix to e or not.  The ordinary product, which is at most the
 Demazure product, is folded only where the Demazure criterion holds.  The
-folds and walks run on the byte-lane form of a point (``rootsys.pack_point``).
+folds and walks run on the lane forms that elements carry
+(``WeylElement.lanes``), through the lane helpers of ``weyl``; this module
+reads no coordinate of a point and uses a lane form only as an opaque key.
 
 The Schubert variety at the same fixed point adds the fixed weight set
 -(Phi^+ \\ I(x^{-1})) to whatever the Kazhdan-Lusztig verdicts give, and the
@@ -57,7 +59,7 @@ from .errors import (
     NotReduced,
     WrongType,
 )
-from .rootsys import Root, RootSystem, height, negate, pack_point, reflect_weight
+from .rootsys import Root, RootSystem, height, negate
 from .rt_ring import LaurentPoly, TruncatedSeries, WeightVector, _packed_spread, _Packing, in_nonneg_integer_span
 from .subword import _check_word, hecke_subwords
 from .weyl import (
@@ -70,6 +72,7 @@ from .weyl import (
     _identity_columns,
     _lane_fold,
     _lane_leq,
+    _lane_lowered,
     _lane_reaches_identity,
     bruhat_leq,
     canonical_reduced_word,
@@ -184,8 +187,8 @@ def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[
     length l - 1, the punctured word is reduced, so pi_j is delta(s \\ j),
     already known to be >= w, and no walk is needed; otherwise one Bruhat
     walk decides.  The suffix is folded once, from the first requested
-    position; the prefixes, folds and walks run on lane forms
-    (``rootsys.pack_point``) and build no element.
+    position; the prefixes, folds and walks run on lane forms and build no
+    element.
     """
     positions = tuple(positions)
     if not positions:
@@ -196,8 +199,7 @@ def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[
     nodes = [letter - 1 for letter in s]
     backwards = nodes[::-1]  # backwards[l - j + 1 :] is s_{j-1}, ..., s_1
     floors = _suffix_floors(rs, w, s[positions[0] :])  # floors[l - j] is r_j
-    w_lanes = pack_point(w.point)
-    prefix, folded = pack_point(dyn.rho), 0  # the lane form of u_folded
+    prefix, folded = dyn.rho, 0  # the lane form of u_folded
     flags = []
     for j in positions:
         prefix, _ = _lane_fold(prefix, 0, nodes[folded : j - 1], rows)
@@ -205,12 +207,12 @@ def _position_flags(rs: RootSystem, w: WeylElement, s: Word, positions) -> list[
         r = floors[l - j]
         # at an ascent s_j of r_j, r_j = r_{j-1} <= u_{j-1} since w <= delta(s)
         demazure_ok = has_right_ascent(r, s[j - 1]) or _lane_reaches_identity(
-            pack_point(r.point), r.length, backwards[l - j + 1 :], j - 1, rows
+            r.lanes, r.length, backwards[l - j + 1 :], j - 1, rows
         )
         ordinary_ok = False
         if demazure_ok:
             pi, length = _lane_fold(prefix, j - 1, nodes[j:], rows)
-            ordinary_ok = length == l - 1 or _lane_leq(w_lanes, w.length, pi, length, dyn)
+            ordinary_ok = length == l - 1 or _lane_leq(w.lanes, w.length, pi, length, dyn)
         flags.append((demazure_ok, ordinary_ok))
     return flags
 
@@ -230,18 +232,18 @@ def _validate_position(s: Word, j: int) -> None:
         raise LetterOutOfRange(f"position {j} out of range for a word of length {len(s)}")
 
 
-def _live_points(rs: RootSystem, s: Word, targets) -> list[set[tuple[int, ...]]]:
+def _live_points(rs: RootSystem, s: Word, targets) -> list[set[int]]:
     """[L_1, ..., L_l]: after letter k, the pass to the targets keeps only the states at the points of L_k.
 
     The walk back from the targets: L_l holds their points, and L_{k-1} adds
     to L_k the point v s_k of every v in L_k with s_k a right descent of v.
-    The argument is in :func:`_signed_states`.
+    Points are lane forms.  The argument is in :func:`_signed_states`.
     """
-    links = rs.dynkin.weight_links
-    live = [{t.point for t in targets}]
+    rows = rs.dynkin.lane_rows
+    live = [{t.lanes for t in targets}]
     for letter in reversed(s[1:]):
-        i, after = letter - 1, live[-1]
-        live.append(after | {reflect_weight(p, i, links) for p in after if p[i] < 0})
+        after = live[-1]
+        live.append(after | _lane_lowered(after, letter - 1, rows))
     live.reverse()
     return live
 
@@ -261,19 +263,19 @@ def _signed_step(rs: RootSystem, states: list, letter: int, g: int, cap: int, li
     and no stay copy sits there, so each of their terms is written straight
     into a polynomial the step builds itself; the step writes to no other.
     """
-    nxt: dict[tuple[int, ...], tuple] = {}  # point -> (element, polynomial)
+    nxt: dict[int, tuple] = {}  # lane form -> (element, polynomial)
     for u, poly in states:
         # Nothing moves onto an ascent state: u keeps poly,
         # and poly * (e^{-gamma} - 1) moves on to u*s_k.
         ascent = has_right_ascent(u, letter)
-        if ascent and (live is None or u.point in live):
-            nxt[u.point] = (u, poly)
+        if ascent and (live is None or u.lanes in live):
+            nxt[u.lanes] = (u, poly)
         v = right_multiply_simple(rs, u, letter) if ascent else u
-        if live is not None and v.point not in live:
+        if live is not None and v.lanes not in live:
             continue
-        entry = nxt.get(v.point)
+        entry = nxt.get(v.lanes)
         if entry is None:
-            entry = nxt[v.point] = (v, {})
+            entry = nxt[v.lanes] = (v, {})
         acc = entry[1]
         if ascent:
             for e, c in poly.items():
@@ -553,7 +555,7 @@ def _cone_coefficients(
     length by at most one, so the fold stops as soon as the length is 0
     (True) or exceeds the letters left (False); the Demazure flags of
     :func:`_position_flags` run the same fold (``weyl._lane_reaches_identity``),
-    on the lane form of w.  At an indecomposable
+    on the lanes of w.  At an indecomposable
     gamma_j the only partition is gamma_j itself, and the coefficient is the
     Demazure flag of position j.  Letters must already be validated.
     """
@@ -562,12 +564,11 @@ def _cone_coefficients(
     packed = [int.from_bytes(bytes(gamma), "little") for gamma in gammas]
     parts = [(1 << i, packed[i]) for i in sorted(range(len(s)), key=lambda i: -height(gammas[i]))]
     backwards = [(1 << k, letter - 1) for k, letter in reversed(list(enumerate(s)))]
-    w_lanes = pack_point(w.point)
     decided: dict[int, bool] = {}
 
     def reaches_identity(support: int) -> bool:
         kept = (i for bit, i in backwards if not support & bit)
-        return _lane_reaches_identity(w_lanes, w.length, kept, len(s) - support.bit_count(), rows)
+        return _lane_reaches_identity(w.lanes, w.length, kept, len(s) - support.bit_count(), rows)
 
     out = {}
     for j in positions:

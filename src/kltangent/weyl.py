@@ -1,7 +1,7 @@
 """Weyl group elements, words, Bruhat order, gamma-sequences and coset minima.
 
-An element x is represented by the point x^{-1}(rho) of the Weyl orbit of rho,
-in fundamental-weight coordinates, together with its length (the numbers game
+An element x is the point x^{-1}(rho) of the Weyl orbit of rho, in
+fundamental-weight coordinates, together with its length (the numbers game
 of Casselman, "Machine calculations in Weyl groups", 1994).  rho is regular,
 so the point determines x: equality and hashing use the point alone, and every
 representation-dependent artifact (choice of word, construction path) is
@@ -15,16 +15,18 @@ invisible.  In this form
     word of x backwards.  Inverses, left descents, canonical words, products
     and the action on roots are all read off that peel.
 
-The reflections themselves belong to ``rootsys``: every element references
-the ``dynkin`` tables of its root system and applies s_i through
-``rootsys.reflect_weight`` (to points) and ``rootsys.reflect_root_in_place``
-(to roots); this module keeps no table of its own in ``rs._cache`` except the
-optional group table.  The matrix of x on the root lattice
-(``WeylElement.rows``) is a derived view.  The Bruhat walk and the folds that
-only read lengths and descents (``_lane_leq``, ``_lane_fold``,
-``_lane_reaches_identity``) run on the byte-lane form of a point
-(``rootsys.pack_point``): one int, where s_i is q - c * ``lane_rows[i]`` and
-the right descents are the clear top bits, ``lane_high & ~q``.
+The element stores its point once, in the byte-lane form of
+``rootsys.pack_point``: one int ``lanes`` whose lane i holds coordinate i
+plus 128.  s_i is q - c * ``lane_rows[i]`` with c the coordinate in lane i,
+and the right descents are the clear top bits, ``lane_high & ~q``.  Every
+reflection, descent test, peel, fold and Bruhat walk of this module runs on
+that int (``_lane_reflect``, ``_peel``, ``_lane_fold``, ``_lane_leq``,
+``_lane_reaches_identity``), and the tables it reads are the ``dynkin`` of the
+root system, which every element references; this module keeps no table of
+its own in ``rs._cache`` except the optional group table.  The tuple
+``WeylElement.point`` and the matrix of x on the root lattice
+(``WeylElement.rows``) are derived views.  Only this module and ``rootsys``
+read a coordinate: elsewhere a lane form is an opaque key.
 
 Words are tuples of 1-based simple-reflection indices and both act and
 multiply left to right: the word (1, 2) denotes s1*s2, which sends a vector v
@@ -47,20 +49,12 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import GroupTooLarge, LengthBoundExceeded, LetterOutOfRange, NotReduced, WrongType
-from .rootsys import Dynkin, Root, RootSystem, _check_vector, pack_point, reflect_root_in_place, reflect_weight
+from .rootsys import Dynkin, Root, RootSystem, _check_vector, reflect_root_in_place
 
 Word = tuple[int, ...]
 
 _WORD_BOUND = 16  # default guard for all_reduced_words
 _GROUP_GUARD = 400_000  # default guard for whole-group enumeration; E8 refused
-
-
-def _first_descent(point: tuple[int, ...]) -> int:
-    """The least 0-based i with point[i] < 0, or -1 when the point is dominant."""
-    for i, c in enumerate(point):
-        if c < 0:
-            return i
-    return -1
 
 
 def _bits(mask: int):
@@ -71,33 +65,56 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _peel(point: tuple[int, ...], weight_links):
-    """Yield the least right descent, 0-based, and strip it, until the point is rho.
+def _coordinates(q: int, rank: int) -> tuple[int, ...]:
+    """The point whose lane form is q: each lane less the bias 128."""
+    return tuple(b - 128 for b in q.to_bytes(rank, "little"))
 
-    Peeling i_1, ..., i_l off the point of x spells x = s_{i_l} ... s_{i_1}.
+
+def _lane_reflect(q: int, i: int, rows) -> int:
+    """s_i (0-based node i) on a lane form: q - c * rows[i], with c the coordinate in lane i."""
+    return q - (((q >> (i << 3)) & 0xFF) - 128) * rows[i]
+
+
+def _lane_lowered(qs, i: int, rows) -> set[int]:
+    """{v s_i : v in qs with s_i a right descent of v}, on lane forms (0-based node i)."""
+    top = 0x80 << (i << 3)
+    return {_lane_reflect(q, i, rows) for q in qs if not q & top}
+
+
+def _peel(q: int, dyn: Dynkin):
+    """Yield the least right descent, 0-based, of the lane form q and strip it, until q is rho.
+
+    The least descent is the lowest bit of ``lane_high & ~q``, the top bit
+    of its lane.  Peeling i_1, ..., i_l off the point of x spells
+    x = s_{i_l} ... s_{i_1}.
     """
-    i = _first_descent(point)
-    while i >= 0:
+    rows, high = dyn.lane_rows, dyn.lane_high
+    descents = high & ~q
+    while descents:
+        i = ((descents & -descents).bit_length() >> 3) - 1
         yield i
-        point = reflect_weight(point, i, weight_links)
-        i = _first_descent(point)
+        q = _lane_reflect(q, i, rows)
+        descents = high & ~q
 
 
-def _inverse_point(point: tuple[int, ...], dyn: Dynkin) -> tuple[int, ...]:
-    """The point x(rho) of x^{-1}: the peeled letters of x, folded into rho."""
-    links = dyn.weight_links
-    out = dyn.rho
-    for i in _peel(point, links):
-        out = reflect_weight(out, i, links)
-    return out
+def _lane_fold(q: int, length: int, nodes, rows) -> tuple[int, int]:
+    """Lane form and length of x * s_{i_1} ... s_{i_k} from those of x (0-based nodes, already checked)."""
+    for i in nodes:
+        c = ((q >> (i << 3)) & 0xFF) - 128
+        length += 1 if c > 0 else -1
+        q -= c * rows[i]
+    return q, length
 
 
-def _fold(point: tuple[int, ...], length: int, indices, weight_links) -> tuple[tuple[int, ...], int]:
-    """Point and length of x * s_{i_1} ... s_{i_k} from those of x (0-based, already checked)."""
-    for i in indices:
-        length += 1 if point[i] > 0 else -1
-        point = reflect_weight(point, i, weight_links)
-    return point, length
+def _inverse_lanes(q: int, dyn: Dynkin) -> int:
+    """The lane form of x(rho), the point of x^{-1}: the peeled letters of x, folded into rho."""
+    return _lane_fold(dyn.rho, 0, _peel(q, dyn), dyn.lane_rows)[0]
+
+
+def _inverse_weights(x: "WeylElement") -> tuple[int, ...]:
+    """x(rho) scaled by the root norms: (beta, x(rho)) has the sign of sum_k beta_k * weights[k]."""
+    dyn = x.dynkin
+    return tuple(c * n for c, n in zip(_coordinates(_inverse_lanes(x.lanes, dyn), dyn.rank), dyn.norms))
 
 
 def _columns_times(columns: list, i: int, root_links) -> list:
@@ -115,34 +132,41 @@ def _identity_columns(n: int) -> list:
 
 
 class WeylElement:
-    """A Weyl group element x: the point x^{-1}(rho) in fundamental-weight coordinates, plus l(x).
+    """A Weyl group element x: the lane form of x^{-1}(rho) (``rootsys.pack_point``), plus l(x).
 
-    Immutable by convention.  ``point`` alone decides equality and hashing;
+    Immutable by convention.  ``lanes`` alone decides equality and hashing;
     the element also references its root system's ``dynkin`` tables (not
-    compared) so that it can act on weights and roots.
+    compared) so that it can act on weights and roots.  Every lane lies in
+    65..191, so the int also fixes the rank.  ``point`` decodes the lanes
+    into the tuple x^{-1}(rho) in fundamental-weight coordinates.
     """
 
-    __slots__ = ("point", "length", "dynkin")
+    __slots__ = ("lanes", "length", "dynkin")
 
-    def __init__(self, point: tuple[int, ...], length: int, dynkin: Dynkin) -> None:
-        self.point = point
+    def __init__(self, lanes: int, length: int, dynkin: Dynkin) -> None:
+        self.lanes = lanes
         self.length = length
         self.dynkin = dynkin
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.point == other.point
+        return self.lanes == other.lanes
 
     def __hash__(self) -> int:
-        return hash(self.point)
+        return hash(self.lanes)
+
+    @property
+    def point(self) -> tuple[int, ...]:
+        """x^{-1}(rho) in fundamental-weight coordinates, decoded from the lanes."""
+        return _coordinates(self.lanes, self.dynkin.rank)
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The matrix of x on the root lattice: rows[i][j] is the alpha_i-coefficient of x(alpha_j)."""
         dyn = self.dynkin
         columns = _identity_columns(dyn.rank)
-        for i in reversed(list(_peel(self.point, dyn.weight_links))):
+        for i in reversed(list(_peel(self.lanes, dyn))):
             columns = _columns_times(columns, i, dyn.root_links)
         return tuple(zip(*columns))
 
@@ -184,13 +208,15 @@ def _check_letter(rs: RootSystem, i: int) -> None:
 def _check_element(rs: RootSystem, *elements: WeylElement) -> None:
     """WrongType unless every element given is an element of rs's Weyl group.
 
-    The Dynkin tables are compared by value, so an element from another
-    build of the same type passes.  The weight links hold every off-diagonal
-    Cartan entry, so they decide the other tables too.
+    An element built over rs itself passes on an identity test, so the
+    inner loops pay no comparison.  Otherwise the Dynkin tables are compared
+    by value, so an element from another build of the same type passes.  The
+    weight links hold every off-diagonal Cartan entry, so they decide the
+    other tables too.
     """
-    links = rs.dynkin.weight_links
+    dyn = rs.dynkin
     for x in elements:
-        if x.dynkin.weight_links != links:
+        if x.dynkin is not dyn and x.dynkin.weight_links != dyn.weight_links:
             raise WrongType(f"element of another root system passed to {rs.cartan_type}")
 
 
@@ -202,7 +228,7 @@ def act_on_root(x: WeylElement, v: Root) -> Root:
     dyn = x.dynkin
     _check_vector(dyn.rank, v)
     out = list(v)
-    for i in _peel(x.point, dyn.weight_links):
+    for i in _peel(x.lanes, dyn):
         reflect_root_in_place(out, i, dyn.root_links)
     return tuple(out)
 
@@ -217,61 +243,61 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 
 
 def has_right_ascent(x: WeylElement, i: int) -> bool:
-    """True iff l(x * s_i) > l(x), i.e. coordinate i of x^{-1}(rho) is positive."""
-    return x.point[i - 1] > 0
+    """True iff l(x * s_i) > l(x), i.e. coordinate i of x^{-1}(rho) is positive: the top bit of lane i."""
+    return bool(x.lanes >> ((i << 3) - 1) & 1)
 
 
 def right_multiply_simple(rs: RootSystem, x: WeylElement, i: int) -> WeylElement:
     _check_letter(rs, i)
-    c = x.point[i - 1]
-    return WeylElement(
-        reflect_weight(x.point, i - 1, x.dynkin.weight_links), x.length + (1 if c > 0 else -1), x.dynkin
-    )
+    _check_element(rs, x)
+    q, length = _lane_fold(x.lanes, x.length, (i - 1,), x.dynkin.lane_rows)
+    return WeylElement(q, length, x.dynkin)
 
 
 def left_multiply_simple(rs: RootSystem, x: WeylElement, i: int) -> WeylElement:
     """s_i * x = (x^{-1} * s_i)^{-1}."""
     _check_letter(rs, i)
+    _check_element(rs, x)
     dyn = x.dynkin
-    inv = _inverse_point(x.point, dyn)
-    length = x.length + (1 if inv[i - 1] > 0 else -1)
-    return WeylElement(_inverse_point(reflect_weight(inv, i - 1, dyn.weight_links), dyn), length, dyn)
+    inv, length = _lane_fold(_inverse_lanes(x.lanes, dyn), x.length, (i - 1,), dyn.lane_rows)
+    return WeylElement(_inverse_lanes(inv, dyn), length, dyn)
 
 
 def multiply(rs: RootSystem, x: WeylElement, y: WeylElement) -> WeylElement:
     """x*y: x times a reduced word of y, read off y's peel; WrongType unless both are elements of rs."""
     _check_element(rs, x, y)
     dyn = x.dynkin
-    links = dyn.weight_links
-    point, length = _fold(x.point, x.length, reversed(list(_peel(y.point, links))), links)
-    return WeylElement(point, length, dyn)
-
-
-def _times_word(x: WeylElement, letters) -> WeylElement:
-    """x * s_{a_1} ... s_{a_k}, length counted along the way; letters already checked."""
-    dyn = x.dynkin
-    point, length = _fold(x.point, x.length, [a - 1 for a in letters], dyn.weight_links)
-    return WeylElement(point, length, dyn)
+    q, length = _lane_fold(x.lanes, x.length, reversed(list(_peel(y.lanes, dyn))), dyn.lane_rows)
+    return WeylElement(q, length, dyn)
 
 
 def word_to_element(rs: RootSystem, w: Word) -> WeylElement:
     """Left-to-right product of simple reflections; length counted along the way."""
     for letter in w:
         _check_letter(rs, letter)
-    return _times_word(identity_element(rs), w)
+    dyn = rs.dynkin
+    q, length = _lane_fold(dyn.rho, 0, [a - 1 for a in w], dyn.lane_rows)
+    return WeylElement(q, length, dyn)
 
 
 def is_reduced(rs: RootSystem, w: Word) -> bool:
     return word_to_element(rs, w).length == len(w)
 
 
+def _descents(q: int, dyn: Dynkin) -> frozenset[int]:
+    """The right descents, 1-based, of the element with lane form q."""
+    return frozenset((b >> 3) + 1 for b in _bits(dyn.lane_high & ~q))
+
+
 def right_descents(rs: RootSystem, x: WeylElement) -> frozenset[int]:
-    return frozenset(i for i, c in enumerate(x.point, start=1) if c < 0)
+    _check_element(rs, x)
+    return _descents(x.lanes, x.dynkin)
 
 
 def left_descents(rs: RootSystem, x: WeylElement) -> frozenset[int]:
     """{i : l(s_i x) < l(x)}: the right descents of x^{-1}."""
-    return frozenset(i for i, c in enumerate(_inverse_point(x.point, x.dynkin), start=1) if c < 0)
+    _check_element(rs, x)
+    return _descents(_inverse_lanes(x.lanes, x.dynkin), x.dynkin)
 
 
 def inversion_set_of_inverse(rs: RootSystem, x: WeylElement) -> frozenset[Root]:
@@ -280,8 +306,8 @@ def inversion_set_of_inverse(rs: RootSystem, x: WeylElement) -> frozenset[Root]:
     x^{-1}(beta) < 0 iff (x^{-1}(beta), rho) < 0 iff (beta, x(rho)) < 0, and
     x(rho) is the point of x^{-1}.
     """
-    dyn = x.dynkin
-    weights = tuple(c * n for c, n in zip(_inverse_point(x.point, dyn), dyn.norms))
+    _check_element(rs, x)
+    weights = _inverse_weights(x)
     out = [beta for beta in rs.positive_roots if sum(b * c for b, c in zip(beta, weights)) < 0]
     if len(out) != x.length:
         raise AssertionError(f"{len(out)} inversions for an element of length {x.length}")
@@ -289,11 +315,12 @@ def inversion_set_of_inverse(rs: RootSystem, x: WeylElement) -> frozenset[Root]:
 
 
 def inverse(rs: RootSystem, x: WeylElement) -> WeylElement:
-    return WeylElement(_inverse_point(x.point, x.dynkin), x.length, x.dynkin)
+    _check_element(rs, x)
+    return WeylElement(_inverse_lanes(x.lanes, x.dynkin), x.length, x.dynkin)
 
 
 def _lane_leq(a: int, la: int, b: int, lb: int, dyn: Dynkin) -> bool:
-    """u <= v by the descent walk, for the lane forms a, b (``rootsys.pack_point``) and lengths of u and v.
+    """u <= v by the descent walk, for the lane forms a, b and lengths of u and v.
 
     With s a right descent of v:  u <= v  iff  us <= vs when s is also a
     descent of u, else u <= vs.  The recursion never branches, so it runs as
@@ -314,15 +341,6 @@ def _lane_leq(a: int, la: int, b: int, lb: int, dyn: Dynkin) -> bool:
             a -= (((a >> shift) & 0xFF) - 128) * rows[shift >> 3]
             la -= 1
     return la == lb and a == b
-
-
-def _lane_fold(q: int, length: int, nodes, rows) -> tuple[int, int]:
-    """Lane form and length of x * s_{i_1} ... s_{i_k} from those of x (0-based nodes, already checked)."""
-    for i in nodes:
-        c = ((q >> (i << 3)) & 0xFF) - 128
-        length += 1 if c > 0 else -1
-        q -= c * rows[i]
-    return q, length
 
 
 def _lane_reaches_identity(q: int, length: int, nodes, left: int, rows) -> bool:
@@ -347,15 +365,13 @@ def _lane_reaches_identity(q: int, length: int, nodes, left: int, rows) -> bool:
 
 
 def bruhat_leq(rs: RootSystem, u: WeylElement, v: WeylElement) -> bool:
-    """Decide u <= v in Bruhat order by the descent walk on the lane forms of the two points.
+    """Decide u <= v in Bruhat order by the descent walk on the lanes of the two elements.
 
     WrongType unless both are elements of rs's Weyl group: the walk reads
-    the lanes of rs's Dynkin tables.
+    rs's Dynkin tables.
     """
     _check_element(rs, u, v)
-    if u.length == 0 or u.length >= v.length:  # the walk would take no step
-        return u.length == 0 or u.point == v.point
-    return _lane_leq(pack_point(u.point), u.length, pack_point(v.point), v.length, rs.dynkin)
+    return _lane_leq(u.lanes, u.length, v.lanes, v.length, rs.dynkin)
 
 
 def _gammas(rs: RootSystem, w: Word) -> tuple[Root, ...]:
@@ -388,7 +404,7 @@ def _gamma_sequence(rs: RootSystem, x: WeylElement, w: Word) -> GammaSequence:
         raise AssertionError("gamma formula must stay positive")
     if len(set(gammas)) != len(gammas):
         raise AssertionError("gamma values must be pairwise distinct")
-    weights = tuple(c * n for c, n in zip(_inverse_point(x.point, x.dynkin), x.dynkin.norms))
+    weights = _inverse_weights(x)
     if len(gammas) != x.length or any(sum(g * c for g, c in zip(gamma, weights)) >= 0 for gamma in gammas):
         raise AssertionError("gamma values must list the inversion set I(x^{-1})")
     return GammaSequence(w, gammas)
@@ -400,32 +416,31 @@ def canonical_reduced_word(rs: RootSystem, x: WeylElement) -> Word:
     The left descents of x are the right descents of x^{-1}, so the word is
     the peel of x^{-1}'s point.
     """
+    _check_element(rs, x)
     dyn = x.dynkin
-    return tuple(i + 1 for i in _peel(_inverse_point(x.point, dyn), dyn.weight_links))
+    return tuple(i + 1 for i in _peel(_inverse_lanes(x.lanes, dyn), dyn))
 
 
 def all_reduced_words(rs: RootSystem, x: WeylElement, max_length: int = _WORD_BOUND) -> list[Word]:
     """Every reduced word of x in lexicographic order, by depth-first descent (guarded by max_length)."""
+    _check_element(rs, x)
     if x.length > max_length:
         raise LengthBoundExceeded(f"l(x)={x.length} exceeds the bound {max_length}")
     dyn = x.dynkin
-    links = dyn.weight_links
-    memo: dict[tuple[int, ...], list[Word]] = {dyn.rho: [()]}
+    rows, high = dyn.lane_rows, dyn.lane_high
+    memo: dict[int, list[Word]] = {dyn.rho: [()]}
 
-    def rec(point: tuple[int, ...]) -> list[Word]:
-        hit = memo.get(point)
+    def rec(q: int) -> list[Word]:
+        hit = memo.get(q)
         if hit is not None:
             return hit
         words = [
-            head + (i + 1,)
-            for i, c in enumerate(point)
-            if c < 0
-            for head in rec(reflect_weight(point, i, links))
+            head + ((b >> 3) + 1,) for b in _bits(high & ~q) for head in rec(_lane_reflect(q, b >> 3, rows))
         ]
-        memo[point] = words
+        memo[q] = words
         return words
 
-    return sorted(rec(x.point))
+    return sorted(rec(x.lanes))
 
 
 def is_min_coset_rep(rs: RootSystem, x: WeylElement, parabolic) -> bool:
@@ -434,6 +449,7 @@ def is_min_coset_rep(rs: RootSystem, x: WeylElement, parabolic) -> bool:
     Equivalently l(x s_i) > l(x) for all i in P, i.e. x is the minimal-length
     element of the coset x W_P.
     """
+    _check_element(rs, x)
     for i in parabolic:
         if not 1 <= i <= rs.rank:
             raise LetterOutOfRange(f"parabolic node {i} out of range for {rs.cartan_type}")
@@ -470,21 +486,20 @@ def enumerate_weyl_group(rs: RootSystem, guard: int = _GROUP_GUARD) -> list[Weyl
     """
     order = _guarded_order(rs, guard)
     dyn = rs.dynkin
-    links, root_links = dyn.weight_links, dyn.root_links
+    rows, high, root_links = dyn.lane_rows, dyn.lane_high, dyn.root_links
     e = identity_element(rs)
-    seen = {e.point}
+    seen = {e.lanes}
     layer = [(e, _identity_columns(rs.rank))]
     out = [e]
     while layer:
         nxt = []
         for x, columns in layer:
-            for i, c in enumerate(x.point):
-                if c > 0:
-                    point = reflect_weight(x.point, i, links)
-                    if point not in seen:
-                        seen.add(point)
-                        y = WeylElement(point, x.length + 1, dyn)
-                        nxt.append((y, _columns_times(columns, i, root_links)))
+            for b in _bits(high & x.lanes):  # the ascents, lowest node first
+                q = _lane_reflect(x.lanes, b >> 3, rows)
+                if q not in seen:
+                    seen.add(q)
+                    y = WeylElement(q, x.length + 1, dyn)
+                    nxt.append((y, _columns_times(columns, b >> 3, root_links)))
         nxt.sort(key=lambda pair: tuple(zip(*pair[1])))
         out.extend(y for y, _ in nxt)
         layer = nxt
@@ -494,9 +509,9 @@ def enumerate_weyl_group(rs: RootSystem, guard: int = _GROUP_GUARD) -> list[Weyl
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
-    """w0, of length |Phi^+|: its point w0^{-1}(rho) = w0(rho) is -rho."""
+    """w0, of length |Phi^+|: its point w0^{-1}(rho) = w0(rho) is -rho, each lane 128 + 1 lowered by 2."""
     dyn = rs.dynkin
-    return WeylElement(tuple(-c for c in dyn.rho), len(rs.positive_roots), dyn)
+    return WeylElement(dyn.rho - (dyn.lane_high >> 6), len(rs.positive_roots), dyn)
 
 
 class GroupTable:
@@ -509,16 +524,17 @@ class GroupTable:
     suite moves the signed count of every subsequence that takes letter
     i + 1.  Bruhat order becomes a bitmask test, built by the lifting
     property.  Left descents need no table: they are the negative
-    coordinates of x(rho).  Built lazily, once per root system.
+    coordinates of x(rho).  ``index`` maps the lane form of each element to
+    its id.  Built lazily, once per root system.
     """
 
     def __init__(self, rs: RootSystem, guard: int = _GROUP_GUARD) -> None:
         self.rs = rs
         self.elements = enumerate_weyl_group(rs, guard)
-        self.index = {x.point: i for i, x in enumerate(self.elements)}
+        self.index = {x.lanes: i for i, x in enumerate(self.elements)}
         self.length = [x.length for x in self.elements]
-        links, index = rs.dynkin.weight_links, self.index
-        self.rmult = [[index[reflect_weight(x.point, i, links)] for x in self.elements] for i in range(rs.rank)]
+        rows, index = rs.dynkin.lane_rows, self.index
+        self.rmult = [[index[_lane_reflect(x.lanes, i, rows)] for x in self.elements] for i in range(rs.rank)]
         length = self.length
         self.dmult = [[q if length[q] > length[p] else p for p, q in enumerate(row)] for row in self.rmult]
         self.identity = index[rs.dynkin.rho]
@@ -538,7 +554,7 @@ class GroupTable:
         for v, x in enumerate(self.elements):
             if x.length == 0:
                 continue
-            rm = self.rmult[_first_descent(x.point)]
+            rm = self.rmult[next(_peel(x.lanes, x.dynkin))]
             smaller = masks[rm[v]]
             mask = smaller
             for u in _bits(smaller):

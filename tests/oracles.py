@@ -21,8 +21,22 @@ from kltangent import (
     word_to_element,
 )
 from kltangent.errors import WrongType
-from kltangent.rootsys import _epsilon_matrix, reflect_weight
+from kltangent.rootsys import _epsilon_matrix
 from kltangent.weyl import has_right_ascent, right_multiply_simple
+
+
+def reflect_weight(point, i, weight_links):
+    """s_i (0-based node i) applied to a weight in fundamental-weight coordinates, as a tuple.
+
+    The tuple reference for the package's lane forms: s_i negates coordinate
+    i and subtracts point[i] * A[i][j] from each neighbour j.
+    """
+    c = point[i]
+    out = list(point)
+    out[i] = -c
+    for j, a in weight_links[i]:
+        out[j] -= c * a
+    return tuple(out)
 
 
 def brute_hecke_subwords(rs, w, s):
@@ -100,7 +114,7 @@ def bruhat_leq_by_descent(rs, u, v):
 
     With s a right descent of v:  u <= v  iff  us <= vs when s is also a
     descent of u, else u <= vs.  Each step reflects a point coordinate by
-    coordinate (``rootsys.reflect_weight``).
+    coordinate (:func:`reflect_weight`).
     """
     links = rs.dynkin.weight_links
     a, la = u.point, u.length

@@ -3,8 +3,9 @@
 Every function gets the same bad inputs; the table pins which exception each
 one raises, with its message, so the order of the checks (position, letter,
 reducedness, Bruhat order, the 20-letter guard, the cone of lambda) is part
-of the contract.  Further tables pin the rank checks of ``rt_ring`` and the
-vector checks of the root helpers.
+of the contract.  Further tables pin the rank checks of ``rt_ring``, the
+vector checks of the root helpers and the refusal of an element of another
+root system by the element-taking functions of ``weyl`` and ``hecke``.
 """
 
 import pytest
@@ -19,11 +20,18 @@ from kltangent import (
     TruncatedSeries,
     WrongType,
     act_on_root,
+    all_reduced_words,
     build_root_system,
     canonical_reduced_word,
     char_series,
     format_root,
+    gp_tangent_report,
+    hecke_mult,
+    identity_element,
     in_nonneg_integer_span,
+    inverse,
+    inversion_set_of_inverse,
+    is_min_coset_rep,
     is_explicit_factor,
     kclass_restriction,
     kclass_restrictions,
@@ -37,6 +45,7 @@ from kltangent import (
     type_a_tangent_oracle,
     word_to_element,
 )
+from kltangent.weyl import left_descents, left_multiply_simple, right_descents, right_multiply_simple
 
 
 def _alpha1(rs):
@@ -310,3 +319,35 @@ HELPER_CASES = [
 def test_root_helper_vector_contract(case):
     _, call, outcome = case
     assert _outcome(call) == outcome
+
+
+# Each element-taking function, called on an element of the host root system's Weyl group.
+ELEMENT_CALLS = {
+    "inverse": lambda rs, x: inverse(rs, x),
+    "right_descents": lambda rs, x: right_descents(rs, x),
+    "left_descents": lambda rs, x: left_descents(rs, x),
+    "canonical_reduced_word": lambda rs, x: canonical_reduced_word(rs, x),
+    "all_reduced_words": lambda rs, x: all_reduced_words(rs, x),
+    "right_multiply_simple": lambda rs, x: right_multiply_simple(rs, x, rs.rank),
+    "left_multiply_simple": lambda rs, x: left_multiply_simple(rs, x, rs.rank),
+    "is_min_coset_rep": lambda rs, x: is_min_coset_rep(rs, x, {1}),
+    "inversion_set_of_inverse": lambda rs, x: inversion_set_of_inverse(rs, x),
+    "hecke_mult": lambda rs, x: hecke_mult(rs, x, rs.rank),
+    "gp_tangent_report": lambda rs, x: gp_tangent_report(rs, identity_element(rs), x, ()),
+}
+# (host type, foreign type, word of the foreign element): a lane form carries no
+# type, so without the check a missing or extra lane would read as a wrong answer
+FOREIGN = [("A3", "A2", (1, 2, 1)), ("B2", "A2", (1, 2, 1)), ("A2", "A3", (1, 2, 3, 1))]
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_CALLS))
+@pytest.mark.parametrize("host, foreign, word", FOREIGN, ids=[f"{f} in {h}" for h, f, _ in FOREIGN])
+def test_element_of_another_root_system_is_refused(name, host, foreign, word):
+    rs = build_root_system(host)
+    x = word_to_element(build_root_system(foreign), word)
+    assert _outcome(lambda: ELEMENT_CALLS[name](rs, x)) == (
+        WrongType, f"element of another root system passed to {host}"
+    )
+    # an element of a second build of the host type passes
+    twin = word_to_element(build_root_system(host), (1, 2))
+    assert _outcome(lambda: ELEMENT_CALLS[name](rs, twin)) is None

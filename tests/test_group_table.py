@@ -29,7 +29,7 @@ def test_reduced_word_generator_matches_public_enumeration():
             x = word_to_element(rs, word)
             expected = brute_reduced_words(rs, m, len(word))
             assert all_reduced_words(rs, x, len(word)) == expected
-            assert gt.reduced_words_of(gt.index[x.point]) == expected
+            assert gt.reduced_words_of(gt.index[x.lanes]) == expected
 
 
 def test_folds_match_public_ops():
@@ -83,7 +83,7 @@ def test_hecke_table_absorbs_descents():
                 longer = gt.rmult[i - 1][idx]
                 expected = longer if gt.length[longer] > gt.length[idx] else idx
                 assert gt.demazure_fold(word + (i,)) == expected
-                assert gt.dmult[i - 1][idx] == gt.index[hecke_mult(gt.rs, gt.elements[idx], i).point] == expected
+                assert gt.dmult[i - 1][idx] == gt.index[hecke_mult(gt.rs, gt.elements[idx], i).lanes] == expected
 
 
 def test_group_table_guard_applies_on_every_call():

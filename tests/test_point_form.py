@@ -1,4 +1,4 @@
-"""Weyl elements in point form against the matrix definition, over whole groups."""
+"""Weyl elements in point form against the matrix definition and the tuple reflections, over whole groups."""
 
 import os
 import random
@@ -24,6 +24,7 @@ from kltangent import (
     multiply,
     word_to_element,
 )
+from kltangent.rootsys import pack_point
 from kltangent.weyl import left_descents, right_descents, right_multiply_simple
 from oracles import (
     mat_mul,
@@ -33,6 +34,7 @@ from oracles import (
     matrix_length,
     matrix_of_word,
     matrix_right_descents,
+    reflect_weight,
 )
 
 
@@ -81,6 +83,53 @@ def test_action_inversions_and_canonical_word(group):
             assert act_on_root(x, alpha) == tuple(row[j] for row in m)
         assert inversion_set_of_inverse(rs, x) == matrix_inversions(rs, m)
         assert canonical_reduced_word(rs, x) == matrix_canonical_word(rs, word)
+
+
+def _tuple_point(rs, word):
+    """x^{-1}(rho) for the product x of the word: s_a applied to the tuple point, letter by letter from rho."""
+    point = (1,) * rs.rank
+    for letter in word:
+        point = reflect_weight(point, letter - 1, rs.dynkin.weight_links)
+    return point
+
+
+def test_point_is_the_tuple_fold_of_the_canonical_word(group):
+    rs, elements, _ = group
+    points = {}
+    for x in elements:
+        assert x.point == _tuple_point(rs, canonical_reduced_word(rs, x))
+        assert x.lanes == pack_point(x.point)
+        points[x.point] = x
+    # equality and hash agree with equality of the point, across construction paths
+    rng = random.Random(3)
+    for x in elements:
+        y = word_to_element(rs, tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(0, 12))))
+        assert points[y.point] == y and hash(points[y.point]) == hash(y)
+        assert (x == y) == (x.point == y.point)
+    assert len(set(elements)) == len(points) == len(elements)
+
+
+_LANE_SYSTEMS = {label: build_root_system(label) for label in ("E8", "B32", "C32", "D32")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(_LANE_SYSTEMS)).flatmap(
+        lambda label: st.tuples(st.just(label), st.lists(st.integers(1, _LANE_SYSTEMS[label].rank), max_size=80))
+    )
+)
+def test_lanes_round_trip_the_tuple_point(case):
+    """The lane form decodes to the tuple fold of any word, and re-encodes to itself, up to rank 32."""
+    label, raw = case
+    rs = _LANE_SYSTEMS[label]
+    x = word_to_element(rs, tuple(raw))
+    point = _tuple_point(rs, raw)
+    assert x.point == point and pack_point(point) == x.lanes
+    assert repr(x) == f"WeylElement(length={x.length}, point={point})"
+    y = word_to_element(rs, canonical_reduced_word(rs, x))
+    assert y == x and hash(y) == hash(x) and y.point == point
+    z = right_multiply_simple(rs, x, raw[0]) if raw else x
+    assert (z == x) == (z.point == point)
 
 
 _LARGE = {label: build_root_system(label) for label in ("E6", "E7", "E8")}

@@ -20,8 +20,8 @@ from kltangent import (
     root_to_epsilon,
     simple_reflection,
 )
-from kltangent.rootsys import _LANE_REACH, _edges, pack_point, reflect_weight
-from oracles import mat_act, root_from_epsilon_by_elimination, simple_reflection_matrix, solve_rational
+from kltangent.rootsys import _LANE_REACH, _edges, pack_point
+from oracles import mat_act, reflect_weight, root_from_epsilon_by_elimination, simple_reflection_matrix, solve_rational
 
 
 def test_parse_labels():
