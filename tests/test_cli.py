@@ -16,9 +16,10 @@ from kltangent.weyl import has_right_ascent, right_multiply_simple
 # stdout and exit code of the README examples, a B3 report with cone evidence and three
 # error payloads, recorded while a generic recursive encoder still walked every payload;
 # two rows, a report at E7 w0 (63 letters) and a 40-letter E8 report, were recorded
-# while the flags still walked every position on tuple points, and the last, a B32
-# report whose x has a coordinate of 63 (the byte-lane bound), while elements still
-# held tuple points
+# while the flags still walked every position on tuple points, a B32 report whose x
+# has a coordinate of 63 (the byte-lane bound) while elements still held tuple points,
+# and a G2 K-class (a gamma with coefficient 3 at the short root) while the signed
+# pass still built an element per Hecke state
 PINNED = json.loads((Path(__file__).parent / "data" / "cli_stdout.json").read_text())
 
 
