@@ -18,8 +18,8 @@ from kltangent.weyl import has_right_ascent, right_multiply_simple
 # two rows, a report at E7 w0 (63 letters) and a 40-letter E8 report, were recorded
 # while the flags still walked every position on tuple points, a B32 report whose x
 # has a coordinate of 63 (the byte-lane bound) while elements still held tuple points,
-# and a G2 K-class (a gamma with coefficient 3 at the short root) while the signed
-# pass still built an element per Hecke state
+# and a G2 K-class (a gamma with coefficient 3 at the short root) and a 20-letter C32
+# K-class (rank-32 columns) while the signed pass still built an element per Hecke state
 PINNED = json.loads((Path(__file__).parent / "data" / "cli_stdout.json").read_text())
 
 
