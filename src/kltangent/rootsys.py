@@ -226,7 +226,10 @@ class RootSystem:
     """Cartan data plus the full positive-root list of a finite root system.
 
     Immutable after construction; safe to share across threads.  ``dynkin``
-    holds the reflection tables that Weyl group elements reference.  The
+    holds the reflection tables that Weyl group elements reference.
+    ``root_by_lanes`` maps the coefficient lanes sum_k beta_k 2^{8k} of each
+    positive root beta to beta, in the order of ``positive_roots``; the
+    gamma fold looks its columns up in it.  The
     private ``_cache`` dict holds one lazily built table, the group table
     (``weyl.group_table``); its value is deterministic, so concurrent
     idempotent writes are harmless under the GIL and correctness never
@@ -243,16 +246,16 @@ class RootSystem:
             tuple(1 if k == i else 0 for k in range(self.rank)) for i in range(self.rank)
         )
         self.simple_root_names = tuple(f"a{i + 1}" for i in range(self.rank))
-        self.positive_roots = self._close_positive_roots()
-        self.positive_root_set = frozenset(self.positive_roots)
+        self.root_by_lanes = self._close_positive_roots()
+        self.positive_roots = tuple(self.root_by_lanes.values())
         highs = [v for v in self.positive_roots if height(v) == height(self.positive_roots[-1])]
         if len(highs) != 1:
             raise AssertionError("highest root must be unique")
         self.highest_root: Root = highs[0]
         self._cache: dict = {}
 
-    def _close_positive_roots(self) -> tuple[Root, ...]:
-        """Every positive root, sorted by height and then by coefficients.
+    def _close_positive_roots(self) -> dict[int, Root]:
+        """{V: beta} over the positive roots beta, sorted by height and then by coefficients.
 
         Every positive root of height > 1 is s_i(beta) for a positive root
         beta of smaller height, so walking up from the simple roots reaches
@@ -266,6 +269,12 @@ class RootSystem:
         lanes whose top bit is clear, one mask.  With c = -<v, alpha_i^vee>,
         s_i(v) is V + c * 2^{8i}, and its pairings are P + c * lane_rows[i],
         since <alpha_i, alpha_j^vee> = A[i][j].
+
+        The table keeps each root under V = sum_k beta_k 2^{8k}, decoded once.
+        V is linear, and injective on root-lattice vectors with coefficients
+        below 128 in absolute value, so a signed sum of columns x(alpha_j) in
+        this form (``weyl._gammas``) is the V of the root it sums to; a
+        negative root has a negative V, which is never a key.
         """
         n = self.rank
         rows, high = self.dynkin.lane_rows, self.dynkin.lane_high
@@ -288,8 +297,8 @@ class RootSystem:
         expected = _POSITIVE_COUNTS[self.cartan_type.family](n)
         if len(seen) != expected:
             raise AssertionError((self.cartan_type, len(seen), expected))
-        roots = (tuple(coeffs.to_bytes(n, "little")) for coeffs in seen)
-        return tuple(sorted(roots, key=lambda v: (height(v), v)))
+        table = ((coeffs, tuple(coeffs.to_bytes(n, "little"))) for coeffs in seen)
+        return dict(sorted(table, key=lambda item: (height(item[1]), item[1])))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.cartan_type})"

@@ -36,7 +36,8 @@ down the prefix to e or not.  The ordinary product, which is at most the
 Demazure product, is folded only where the Demazure criterion holds.  The
 folds and walks run on the lane forms that elements carry
 (``WeylElement.lanes``), through the lane helpers of ``weyl``; this module
-reads no coordinate of a point and uses a lane form only as an opaque key.
+reads no coordinate of a point, and past the signed pass's ascent test, the
+top bit of a lane, it uses a lane form only as an opaque key.
 
 The Schubert variety at the same fixed point adds the fixed weight set
 -(Phi^+ \\ I(x^{-1})) to whatever the Kazhdan-Lusztig verdicts give, and the
@@ -66,19 +67,21 @@ from .weyl import (
     GammaSequence,
     WeylElement,
     Word,
+    _canonical_word,
     _check_element,
-    _columns_times,
     _gamma_sequence,
-    _identity_columns,
+    _identity_lane_columns,
+    _inverse_lanes,
+    _lane_columns_times,
     _lane_fold,
     _lane_leq,
     _lane_lowered,
     _lane_reaches_identity,
+    _lane_reflect,
     bruhat_leq,
     canonical_reduced_word,
     gamma_sequence,
     has_right_ascent,
-    identity_element,
     inversion_set_of_inverse,
     is_min_coset_rep,
     right_multiply_simple,
@@ -251,45 +254,55 @@ def _live_points(rs: RootSystem, s: Word, targets) -> list[set[int]]:
 def _signed_step(rs: RootSystem, states: list, letter: int, g: int, cap: int, live: set | None = None) -> list:
     """One letter s_k of the pass of :func:`_signed_states`: the states after s_k from those before it.
 
-    ``states`` lists (element, packed polynomial) pairs, ``g`` is P(gamma_k)
-    and ``cap`` the packed bound.  ``live``, when given, is L_k of
-    :func:`_live_points`: a stay copy, a moved or an absorbed state is kept
-    only when its point is in it.  None keeps every state.
+    ``states`` lists (lane form, length, packed polynomial) triples, ``g``
+    is P(gamma_k) and ``cap`` the packed bound.  ``live``, when given, is L_k
+    of :func:`_live_points`: a stay copy, a moved or an absorbed state is
+    kept only when its lane form is in it.  None keeps every state.  s_k is
+    an ascent of a state when the top bit of lane k is set, and the state
+    moves on to ``weyl._lane_reflect`` of its lane form: no element is built
+    and nothing is checked, as the callers validate s and the pass starts at
+    the identity.
 
-    The input list, its pairs and their polynomials are left unchanged, so
-    words that share a prefix step on from its states alike.  A stay copy
+    The input list, its triples and their polynomials are left unchanged,
+    so words that share a prefix step on from its states alike.  A stay copy
     keeps its polynomial by reference, at a point where s_k is an ascent.
     Moved and absorbed states land only on points where s_k is a descent,
     and no stay copy sits there, so each of their terms is written straight
     into a polynomial the step builds itself; the step writes to no other.
     """
-    nxt: dict[int, tuple] = {}  # lane form -> (element, polynomial)
-    for u, poly in states:
-        # Nothing moves onto an ascent state: u keeps poly,
-        # and poly * (e^{-gamma} - 1) moves on to u*s_k.
-        ascent = has_right_ascent(u, letter)
-        if ascent and (live is None or u.lanes in live):
-            nxt[u.lanes] = (u, poly)
-        v = right_multiply_simple(rs, u, letter) if ascent else u
-        if live is not None and v.lanes not in live:
+    i, rows = letter - 1, rs.dynkin.lane_rows
+    top = 0x80 << (i << 3)
+    nxt: dict[int, tuple] = {}  # lane form -> (lane form, length, polynomial)
+    for q, length, poly in states:
+        # Nothing moves onto an ascent state: q keeps poly,
+        # and poly * (e^{-gamma} - 1) moves on to q s_k.
+        ascent = q & top
+        if ascent:
+            if live is None or q in live:
+                nxt[q] = (q, length, poly)
+            q = _lane_reflect(q, i, rows)
+            length += 1
+        if live is not None and q not in live:
             continue
-        entry = nxt.get(v.lanes)
+        entry = nxt.get(q)
         if entry is None:
-            entry = nxt[v.lanes] = (v, {})
-        acc = entry[1]
+            entry = nxt[q] = (q, length, {})
+        acc = entry[2]
         if ascent:
             for e, c in poly.items():
                 acc[e] = acc.get(e, 0) - c
         # At a descent, H_u H_{s_k} = H_u: skipping plus taking leaves poly * e^{-gamma}.
         for e, c in poly.items():
-            if (q := e + g) < cap:
-                acc[q] = acc.get(q, 0) + c
+            if (p := e + g) < cap:
+                acc[p] = acc.get(p, 0) + c
     out = []
-    for u, poly in nxt.values():
-        if not has_right_ascent(u, letter):  # built here: drop the terms that cancelled
+    for state in nxt.values():
+        q, length, poly = state
+        if not q & top:  # built here: drop the terms that cancelled
             poly = {e: c for e, c in poly.items() if c}
+            state = (q, length, poly)
         if poly:
-            out.append((u, poly))
+            out.append(state)
     return out
 
 
@@ -299,8 +312,10 @@ def _signed_states(
     gammas: tuple[Root, ...],
     bound: int,
     targets: tuple[WeylElement, ...] | None = None,
-) -> tuple[_Packing, dict[WeylElement, dict[int, int]]]:
-    """(packing, u -> sum over the subsequences t of s with delta(t) = u of prod_{i in t} -(1 - e^{-gamma_i})).
+) -> tuple[_Packing, dict[int, tuple[int, dict[int, int]]]]:
+    """(packing, u -> (l(u), sum over the subsequences t of s with delta(t) = u of prod_{i in t} -(1 - e^{-gamma_i}))).
+
+    Each u is keyed by its lane form (``WeylElement.lanes``).
 
     The signed-count pass of :func:`kltangent.hecke.demazure_signed_counts`
     with a Laurent polynomial on every state: taking letter k moves u to
@@ -342,17 +357,19 @@ def _signed_states(
     packing = _Packing(rs.rank, max(bound, 0))
     cap = packing.cap(bound)
     lives = _live_points(rs, s, targets) if targets else [None] * len(s)
-    states = [(identity_element(rs), {0: 1} if bound >= 0 else {})]
+    states = [(rs.dynkin.rho, 0, {0: 1} if bound >= 0 else {})]
     for letter, gamma, live in zip(s, gammas, lives):
         states = _signed_step(rs, states, letter, packing.pack(gamma), cap, live)
-    return packing, dict(states)
+    return packing, {q: (length, poly) for q, length, poly in states}
 
 
 def _class_fold(rs: RootSystem):
     """(packing, start, step) of the signed K-class pass with no targets, shared by every reduced word of rs.
 
     A state is (columns, pass states): the columns x(alpha_j) of the prefix
-    x, whose column s_k is gamma_k, and the states of :func:`_signed_step`.
+    x in signed coefficient lanes (``weyl._lane_columns_times``), whose
+    column s_k is the key of gamma_k in ``rs.root_by_lanes``, and the states
+    of :func:`_signed_step`.
     ``step`` leaves its input state unchanged.  One packing with limit
     sum height(Phi^+) serves every word: that bound is at least the sum of
     the gamma heights of any reduced word, so no term is dropped and P is
@@ -361,21 +378,21 @@ def _class_fold(rs: RootSystem):
     bound = sum(map(height, rs.positive_roots))
     packing = _Packing(rs.rank, bound)
     cap = packing.cap(bound)
-    packed = {beta: packing.pack(beta) for beta in rs.positive_roots}
+    packed = {lanes: packing.pack(beta) for lanes, beta in rs.root_by_lanes.items()}
     root_links = rs.dynkin.root_links
 
     def step(state, letter):
         columns, states = state
         i = letter - 1
-        return _columns_times(columns, i, root_links), _signed_step(rs, states, letter, packed[columns[i]], cap)
+        return _lane_columns_times(columns, i, root_links), _signed_step(rs, states, letter, packed[columns[i]], cap)
 
-    start = (_identity_columns(rs.rank), [(identity_element(rs), {0: 1})])
+    start = (_identity_lane_columns(rs.rank), [(rs.dynkin.rho, 0, {0: 1})])
     return packing, start, step
 
 
-def _signed_class(u: WeylElement, state: dict[int, int], exponents) -> LaurentPoly:
-    """P_{u,s} from the pass's state of u; ``exponents`` gives the exponent tuple of each key of state, in order."""
-    sign = -1 if u.length % 2 else 1
+def _signed_class(length: int, state: dict[int, int], exponents) -> LaurentPoly:
+    """P_{u,s} from the pass's state of u, of this length; ``exponents`` lists the exponent of each key of state."""
+    sign = -1 if length % 2 else 1
     return LaurentPoly._of(dict(zip(exponents, [sign * c for c in state.values()])))
 
 
@@ -394,8 +411,10 @@ def kclass_restriction(rs: RootSystem, w: WeylElement, s: Word) -> LaurentPoly:
     gammas = _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas
     _check_word(rs, s)
     packing, states = _signed_states(rs, s, gammas, sum(map(height, gammas)), (w,))
-    state = states.get(w)  # only w is decoded
-    return _signed_class(w, state, packing.exponents(state)) if state else LaurentPoly.zero()
+    if w.lanes not in states:
+        return LaurentPoly.zero()
+    state = states[w.lanes][1]  # only w is decoded
+    return _signed_class(w.length, state, packing.exponents(state))
 
 
 def kclass_restrictions(rs: RootSystem, s: Word) -> dict[WeylElement, LaurentPoly]:
@@ -408,9 +427,12 @@ def kclass_restrictions(rs: RootSystem, s: Word) -> dict[WeylElement, LaurentPol
     gammas = gamma_sequence(rs, s).gammas  # raises NotReduced
     _check_word(rs, s)
     packing, states = _signed_states(rs, s, gammas, sum(map(height, gammas)))
-    keys = set().union(*states.values())
+    keys = set().union(*(state for _, state in states.values()))
     exponent = dict(zip(keys, packing.exponents(keys)))
-    return {u: _signed_class(u, state, map(exponent.__getitem__, state)) for u, state in states.items()}
+    return {
+        WeylElement(q, length, rs.dynkin): _signed_class(length, state, map(exponent.__getitem__, state))
+        for q, (length, state) in states.items()
+    }
 
 
 def is_explicit_factor(rs: RootSystem, j: int, w: WeylElement, s: Word, method: str = "demazure") -> bool:
@@ -490,7 +512,7 @@ def _cone_series_by_target(
     packing, states = _signed_states(rs, s, gammas, bound, targets)
     out = {}
     for w in targets:
-        state = states.get(w, {})
+        state = states.get(w.lanes, (0, {}))[1]
         if w.length % 2:
             state = {p: -c for p, c in state.items()}
         out[w] = _packed_spread(packing, state, gammas, bound)
@@ -717,8 +739,9 @@ def kl_tangent_report(
         raise NotBelow("target w is not below x in Bruhat order")
     if use_type_a_oracle and rs.cartan_type.family != "A":
         raise WrongType(f"type-A oracle requested on {rs.cartan_type}")
-    s = canonical_reduced_word(rs, x)
-    gamma = _gamma_sequence(rs, x, s)
+    inverse = _inverse_lanes(x.lanes, rs.dynkin)  # x(rho): its peel spells s, its pairings check the gammas
+    s = _canonical_word(inverse, rs.dynkin)
+    gamma = _gamma_sequence(rs, x, s, inverse)
     statuses = _statuses(rs, w, s, gamma.gammas, range(1, len(s) + 1), use_type_a_oracle, include_cone_evidence)
     kl_weights = frozenset(st.gamma for st in statuses if st.verdict is Verdict.IN)
     inversions = frozenset(gamma.gammas)  # _gamma_sequence checked it equal to I(x^{-1})

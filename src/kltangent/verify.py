@@ -321,14 +321,14 @@ def kclass_well_definedness_suite(rs: RootSystem) -> VerifyOutcome:
     packing, start, step = _class_fold(rs)
     reference: dict[tuple[int, int], dict[int, int]] = {}  # (x, w) -> packed state from the first word
     for (idx, word, w_ids), (_, states) in _prefix_folds(_cases(gt, None, 0), start, step):
-        table = dict(states)
+        table = {q: poly for q, _, poly in states}
         for w_id in w_ids:
             out.cases += 1
             w = gt.elements[w_id]
-            value = table.get(w, {})
+            value = table.get(w.lanes, {})
             expected = reference.setdefault((idx, w_id), value)
             if value != expected:
-                expected, value = (_signed_class(w, p, packing.exponents(p)) for p in (expected, value))
+                expected, value = (_signed_class(w.length, p, packing.exponents(p)) for p in (expected, value))
                 out.record(
                     x=gt.word_of(idx), w=gt.word_of(w_id), word=word,
                     expected=expected.items(), got=value.items(),

@@ -26,7 +26,10 @@ root system, which every element references; this module keeps no table of
 its own in ``rs._cache`` except the optional group table.  The tuple
 ``WeylElement.point`` and the matrix of x on the root lattice
 (``WeylElement.rows``) are derived views.  Only this module and ``rootsys``
-read a coordinate: elsewhere a lane form is an opaque key.
+read a coordinate: elsewhere a lane form is an opaque key.  The gamma fold
+(``_gammas``) carries the columns x(alpha_j) of a prefix as ints too, in
+signed coefficient lanes sum_k c_k 2^{8k} (``_lane_columns_times``), and
+reads each gamma from ``RootSystem.root_by_lanes``.
 
 Words are tuples of 1-based simple-reflection indices and both act and
 multiply left to right: the word (1, 2) denotes s1*s2, which sends a vector v
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from operator import mul
 
 from .errors import GroupTooLarge, LengthBoundExceeded, LetterOutOfRange, NotReduced, WrongType
 from .rootsys import Dynkin, Root, RootSystem, _check_vector, reflect_root_in_place
@@ -111,10 +115,14 @@ def _inverse_lanes(q: int, dyn: Dynkin) -> int:
     return _lane_fold(dyn.rho, 0, _peel(q, dyn), dyn.lane_rows)[0]
 
 
-def _inverse_weights(x: "WeylElement") -> tuple[int, ...]:
-    """x(rho) scaled by the root norms: (beta, x(rho)) has the sign of sum_k beta_k * weights[k]."""
-    dyn = x.dynkin
-    return tuple(c * n for c, n in zip(_coordinates(_inverse_lanes(x.lanes, dyn), dyn.rank), dyn.norms))
+def _inverse_weights(inverse: int, dyn: Dynkin) -> tuple[int, ...]:
+    """x(rho) scaled by the root norms, from its lane form: (beta, x(rho)) has the sign of sum_k beta_k * weights[k]."""
+    return tuple(c * n for c, n in zip(_coordinates(inverse, dyn.rank), dyn.norms))
+
+
+def _canonical_word(inverse: int, dyn: Dynkin) -> Word:
+    """The canonical reduced word of x from the lane form of x(rho): the peel of x^{-1}'s point."""
+    return tuple(i + 1 for i in _peel(inverse, dyn))
 
 
 def _columns_times(columns: list, i: int, root_links) -> list:
@@ -129,6 +137,24 @@ def _columns_times(columns: list, i: int, root_links) -> list:
 
 def _identity_columns(n: int) -> list:
     return [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
+
+
+def _lane_columns_times(columns: list[int], i: int, root_links) -> list[int]:
+    """:func:`_columns_times` on columns in signed coefficient lanes, sum_k c_k 2^{8k} (``RootSystem.root_by_lanes``).
+
+    The lanes are linear, so column i is negated and each neighbour k loses
+    A[k][i] times it with no coordinate read.
+    """
+    out = list(columns)
+    ci = out[i]
+    out[i] = -ci
+    for k, a in root_links[i]:
+        out[k] -= a * ci
+    return out
+
+
+def _identity_lane_columns(n: int) -> list[int]:
+    return [1 << (j << 3) for j in range(n)]
 
 
 class WeylElement:
@@ -307,7 +333,7 @@ def inversion_set_of_inverse(rs: RootSystem, x: WeylElement) -> frozenset[Root]:
     x(rho) is the point of x^{-1}.
     """
     _check_element(rs, x)
-    weights = _inverse_weights(x)
+    weights = _inverse_weights(_inverse_lanes(x.lanes, x.dynkin), x.dynkin)
     out = [beta for beta in rs.positive_roots if sum(b * c for b, c in zip(beta, weights)) < 0]
     if len(out) != x.length:
         raise AssertionError(f"{len(out)} inversions for an element of length {x.length}")
@@ -375,13 +401,22 @@ def bruhat_leq(rs: RootSystem, u: WeylElement, v: WeylElement) -> bool:
 
 
 def _gammas(rs: RootSystem, w: Word) -> tuple[Root, ...]:
-    """gamma_i = s_1...s_{i-1}(alpha_i): column s_i of the prefix, folded along w."""
-    root_links = rs.dynkin.root_links
-    columns = _identity_columns(rs.rank)
+    """gamma_i = s_1...s_{i-1}(alpha_i): column s_i of the prefix, folded along w in signed coefficient lanes.
+
+    Each gamma is the positive root ``rs.root_by_lanes`` holds under its
+    column.  A column that is a negative root has a negative int and is no
+    key: AssertionError, whatever the optimization level, as on a word that
+    is not reduced.
+    """
+    table, root_links = rs.root_by_lanes, rs.dynkin.root_links
+    columns = _identity_lane_columns(rs.rank)
     gammas = []
     for letter in w:
-        gammas.append(columns[letter - 1])
-        columns = _columns_times(columns, letter - 1, root_links)
+        gamma = table.get(columns[letter - 1])
+        if gamma is None:
+            raise AssertionError("gamma formula must stay positive")
+        gammas.append(gamma)
+        columns = _lane_columns_times(columns, letter - 1, root_links)
     return tuple(gammas)
 
 
@@ -397,15 +432,20 @@ def gamma_sequence(rs: RootSystem, w: Word) -> GammaSequence:
     return _gamma_sequence(rs, x, w)
 
 
-def _gamma_sequence(rs: RootSystem, x: WeylElement, w: Word) -> GammaSequence:
-    """:func:`gamma_sequence` of a word w of x: l(x) distinct positive roots with (beta, x(rho)) < 0."""
+def _gamma_sequence(rs: RootSystem, x: WeylElement, w: Word, inverse: int | None = None) -> GammaSequence:
+    """:func:`gamma_sequence` of a word w of x: l(x) distinct positive roots with (beta, x(rho)) < 0.
+
+    Three checks raise AssertionError, under ``python -O`` too: positivity
+    (in :func:`_gammas`), distinctness and the pairing with x(rho).
+    ``inverse`` is the lane form of x(rho) (:func:`_inverse_lanes`) when the
+    caller has it already; None peels it here.
+    """
     gammas = _gammas(rs, w)
-    if not all(g in rs.positive_root_set for g in gammas):
-        raise AssertionError("gamma formula must stay positive")
     if len(set(gammas)) != len(gammas):
         raise AssertionError("gamma values must be pairwise distinct")
-    weights = _inverse_weights(x)
-    if len(gammas) != x.length or any(sum(g * c for g, c in zip(gamma, weights)) >= 0 for gamma in gammas):
+    dyn = x.dynkin
+    weights = _inverse_weights(_inverse_lanes(x.lanes, dyn) if inverse is None else inverse, dyn)
+    if len(gammas) != x.length or any(sum(map(mul, gamma, weights)) >= 0 for gamma in gammas):
         raise AssertionError("gamma values must list the inversion set I(x^{-1})")
     return GammaSequence(w, gammas)
 
@@ -417,8 +457,7 @@ def canonical_reduced_word(rs: RootSystem, x: WeylElement) -> Word:
     the peel of x^{-1}'s point.
     """
     _check_element(rs, x)
-    dyn = x.dynkin
-    return tuple(i + 1 for i in _peel(_inverse_lanes(x.lanes, dyn), dyn))
+    return _canonical_word(_inverse_lanes(x.lanes, x.dynkin), x.dynkin)
 
 
 def all_reduced_words(rs: RootSystem, x: WeylElement, max_length: int = _WORD_BOUND) -> list[Word]:

@@ -39,6 +39,28 @@ def reflect_weight(point, i, weight_links):
     return tuple(out)
 
 
+def gammas_by_tuple_columns(rs, word):
+    """gamma_i = s_1...s_{i-1}(alpha_i), from the tuple columns x(alpha_j) of each prefix x.
+
+    The tuple reference for ``weyl._gammas``, read off the Cartan matrix:
+    at letter i, column i is negated and every other column k loses
+    A[k][i] times it.  It checks nothing, so on a word that is not reduced
+    some gamma comes out negative.
+    """
+    a, n = rs.cartan_matrix, rs.rank
+    columns = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
+    gammas = []
+    for letter in word:
+        i = letter - 1
+        ci = columns[i]
+        gammas.append(ci)
+        columns = [
+            tuple(-c for c in ci) if k == i else tuple(c - a[k][i] * d for c, d in zip(columns[k], ci))
+            for k in range(n)
+        ]
+    return tuple(gammas)
+
+
 def brute_hecke_subwords(rs, w, s):
     """Index sets whose 0-Hecke fold is w, by direct subsequence sweep."""
     out = []

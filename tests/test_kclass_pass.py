@@ -85,7 +85,7 @@ def test_pass_keeps_only_states_below_w(monkeypatch):
         _, full = _signed_states(rs, word, gammas, bound)
         for targets in [(w,) for w in below] + [tuple(below), tuple(rng.sample(below, (len(below) + 1) // 2))]:
             _, states = _signed_states(rs, word, gammas, bound, targets)
-            assert states == {t: full[t] for t in targets}, (word, targets)
+            assert states == {t.lanes: full[t.lanes] for t in targets}, (word, targets)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
@@ -130,15 +130,15 @@ def test_multi_target_pass_matches_single_target(label):
         gammas = gamma_sequence(rs, word).gammas
         bound = max(map(height, gammas), default=0) + 1
         packing, full = _signed_states(rs, word, gammas, bound)
-        single = {w: _signed_states(rs, word, gammas, bound, (w,))[1].get(w) for w in below}
+        single = {w: _signed_states(rs, word, gammas, bound, (w,))[1].get(w.lanes) for w in below}
         subsets = [tuple(below)] + [tuple(rng.sample(below, rng.randint(1, len(below)))) for _ in range(3)]
         for targets in subsets:
             multi_packing, states = _signed_states(rs, word, gammas, bound, targets)
             assert multi_packing.width == packing.width
-            assert states == {t: full[t] for t in targets if t in full}
+            assert states == {t.lanes: full[t.lanes] for t in targets if t.lanes in full}
             for t in targets:
                 count += 1
-                assert states.get(t) == single[t], (word, t)
+                assert states.get(t.lanes) == single[t], (word, t)
     assert count > 0
 
 
@@ -194,6 +194,31 @@ def test_pruned_pass_on_long_words(label, seed):
         for w in targets:
             assert kclass_restriction(rs, w, word) == full[w], (word, w)
             assert tangent_cone_series(rs, w, word, bound) == oracle_spread(full[w], gammas, bound), (word, w)
+
+
+def test_pass_steps_lane_forms_and_builds_no_element(monkeypatch):
+    """kclass_restriction answers as before with right_multiply_simple refused, and builds one element, x.
+
+    The pass steps the lane forms of its states, so the number of elements
+    a call builds does not grow with its Hecke states: the only one is x,
+    which ``_validate_pair`` folds from the word.
+    """
+    cases = list(_random_cases("E8", 3, 21, (14, 18)))
+    expected = [[kclass_restriction(rs, w, word) for w in targets] for rs, _, word, targets in cases]
+
+    def refuse(*args):
+        raise AssertionError("the signed pass multiplied an element")
+
+    for module in (weyl, tangent):
+        monkeypatch.setattr(module, "right_multiply_simple", refuse)
+    built = []
+    init = weyl.WeylElement.__init__
+    monkeypatch.setattr(weyl.WeylElement, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    for (rs, _, word, targets), values in zip(cases, expected):
+        for w, value in zip(targets, values):
+            built.clear()
+            assert kclass_restriction(rs, w, word) == value, (word, w)
+            assert len(built) == 1, (word, w)
 
 
 def test_pass_drops_targets_above_the_word():

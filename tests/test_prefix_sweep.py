@@ -15,6 +15,7 @@ import pytest
 from kltangent import build_root_system, group_table, kclass_restrictions, verify
 from kltangent.tangent import _class_fold, _signed_class
 from kltangent.verify import _cases, _prefix_folds, euler_identity_suite, kclass_well_definedness_suite
+from kltangent.weyl import WeylElement
 
 
 def _all_words(gt):
@@ -28,7 +29,10 @@ def test_prefix_sweep_matches_per_word_passes(label):
     gt = group_table(rs)
     packing, start, step = _class_fold(rs)
     classes = {
-        word: {u: _signed_class(u, poly, packing.exponents(poly)) for u, poly in states}
+        word: {
+            WeylElement(q, length, rs.dynkin): _signed_class(length, poly, packing.exponents(poly))
+            for q, length, poly in states
+        }
         for (_, word, _), (_, states) in _prefix_folds(_cases(gt, None, 0), start, step)
     }
     assert () in classes
@@ -111,7 +115,7 @@ def test_kclass_sweep_records_a_wrong_class(monkeypatch):
 
     def change(state):
         columns, states = state
-        _, poly = states[0]
+        _, _, poly = states[0]
         poly[0] = poly.get(0, 0) + 1
         return columns, states
 

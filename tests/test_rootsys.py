@@ -304,3 +304,24 @@ def test_lane_reflections_match_the_tuple_reflections(label):
         assert descents == [i for i, c in enumerate(x.point) if c < 0]
         for i, c in enumerate(x.point):
             assert q - c * dyn.lane_rows[i] == pack_point(reflect_weight(x.point, i, dyn.weight_links))
+
+
+_ALL_TYPES = (
+    [f"A{n}" for n in range(1, 33)] + [f"B{n}" for n in range(2, 33)] + [f"C{n}" for n in range(2, 33)]
+    + [f"D{n}" for n in range(4, 33)] + ["E6", "E7", "E8", "F4", "G2"]
+)
+_ROOT_COUNTS = {
+    "A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n, "C": lambda n: n * n, "D": lambda n: n * (n - 1),
+    "E": {6: 36, 7: 63, 8: 120}.get, "F": lambda n: 24, "G": lambda n: 6,
+}
+
+
+def test_root_table_keys_every_positive_root_by_its_coefficient_bytes():
+    """On all 128 types, root_by_lanes holds |Phi^+| entries: the coefficient bytes of each root, in root order."""
+    assert len(_ALL_TYPES) == 128
+    for label in _ALL_TYPES:
+        rs = build_root_system(label)
+        table = rs.root_by_lanes
+        assert list(table) == [int.from_bytes(bytes(beta), "little") for beta in rs.positive_roots], label
+        assert tuple(table.values()) == rs.positive_roots, label
+        assert len(table) == _ROOT_COUNTS[label[0]](rs.rank), label
