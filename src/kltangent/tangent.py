@@ -67,7 +67,6 @@ from .weyl import (
     GammaSequence,
     WeylElement,
     Word,
-    _canonical_word,
     _check_element,
     _gamma_sequence,
     _identity_lane_columns,
@@ -78,6 +77,7 @@ from .weyl import (
     _lane_lowered,
     _lane_reaches_identity,
     _lane_reflect,
+    _peel,
     bruhat_leq,
     canonical_reduced_word,
     gamma_sequence,
@@ -296,13 +296,11 @@ def _signed_step(rs: RootSystem, states: list, letter: int, g: int, cap: int, li
             if (p := e + g) < cap:
                 acc[p] = acc.get(p, 0) + c
     out = []
-    for state in nxt.values():
-        q, length, poly = state
+    for q, length, poly in nxt.values():
         if not q & top:  # built here: drop the terms that cancelled
             poly = {e: c for e, c in poly.items() if c}
-            state = (q, length, poly)
         if poly:
-            out.append(state)
+            out.append((q, length, poly))
     return out
 
 
@@ -411,10 +409,8 @@ def kclass_restriction(rs: RootSystem, w: WeylElement, s: Word) -> LaurentPoly:
     gammas = _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas
     _check_word(rs, s)
     packing, states = _signed_states(rs, s, gammas, sum(map(height, gammas)), (w,))
-    if w.lanes not in states:
-        return LaurentPoly.zero()
-    state = states[w.lanes][1]  # only w is decoded
-    return _signed_class(w.length, state, packing.exponents(state))
+    _, state = states.get(w.lanes, (0, {}))  # only w is decoded
+    return _signed_class(w.length, state, packing.exponents(state)) if state else LaurentPoly.zero()
 
 
 def kclass_restrictions(rs: RootSystem, s: Word) -> dict[WeylElement, LaurentPoly]:
@@ -740,7 +736,7 @@ def kl_tangent_report(
     if use_type_a_oracle and rs.cartan_type.family != "A":
         raise WrongType(f"type-A oracle requested on {rs.cartan_type}")
     inverse = _inverse_lanes(x.lanes, rs.dynkin)  # x(rho): its peel spells s, its pairings check the gammas
-    s = _canonical_word(inverse, rs.dynkin)
+    s = tuple(i + 1 for i in _peel(inverse, rs.dynkin))  # the canonical word, as canonical_reduced_word peels it
     gamma = _gamma_sequence(rs, x, s, inverse)
     statuses = _statuses(rs, w, s, gamma.gammas, range(1, len(s) + 1), use_type_a_oracle, include_cone_evidence)
     kl_weights = frozenset(st.gamma for st in statuses if st.verdict is Verdict.IN)

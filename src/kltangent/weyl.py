@@ -120,11 +120,6 @@ def _inverse_weights(inverse: int, dyn: Dynkin) -> tuple[int, ...]:
     return tuple(c * n for c, n in zip(_coordinates(inverse, dyn.rank), dyn.norms))
 
 
-def _canonical_word(inverse: int, dyn: Dynkin) -> Word:
-    """The canonical reduced word of x from the lane form of x(rho): the peel of x^{-1}'s point."""
-    return tuple(i + 1 for i in _peel(inverse, dyn))
-
-
 def _columns_times(columns: list, i: int, root_links) -> list:
     """Columns x(alpha_j) of x*s_i from those of x: column i and its neighbours change."""
     ci = columns[i]
@@ -457,7 +452,8 @@ def canonical_reduced_word(rs: RootSystem, x: WeylElement) -> Word:
     the peel of x^{-1}'s point.
     """
     _check_element(rs, x)
-    return _canonical_word(_inverse_lanes(x.lanes, x.dynkin), x.dynkin)
+    dyn = x.dynkin
+    return tuple(i + 1 for i in _peel(_inverse_lanes(x.lanes, dyn), dyn))
 
 
 def all_reduced_words(rs: RootSystem, x: WeylElement, max_length: int = _WORD_BOUND) -> list[Word]:
