@@ -6,13 +6,18 @@ case count and any failures.  At these group sizes the sweeps are not spot
 checks: they cover every element, every reduced word and every Bruhat
 interval in range, so a green suite is a finite proof for that range.
 
-The ``kclass-well-defined`` sweep, which needs the class of every reduced
-word, visits the words in lexicographic order and steps its pass once per
-letter past the common prefix with the previous word (:func:`_prefix_folds`).
-The reduced words of a whole group are closed under prefixes, so it steps
-each node of their prefix tree once instead of every word from e.  The
-``euler-identity`` suite folds each word's signed counts on its own, over
-the Demazure rows of the group table.
+Every sweep that folds words letter by letter over the group table visits
+them in lexicographic order and steps once per letter past the common
+prefix with the previous word (:func:`_prefix_folds`): the K-class pass of
+``kclass-well-defined``, the signed counts of ``euler-identity``, the face
+sets of an exhaustive ``ball-sphere`` run, and the subword products behind
+``hecke-subword-equivalence`` and ``weyl-basics``
+(:func:`_subword_products`).  The reduced words of a whole group, the words
+of at most l letters and the canonical words are each closed under
+prefixes, so such a sweep steps each node of their prefix tree once instead
+of every word from e.  Sampled ``ball-sphere`` draws share few prefixes;
+each folds its word on its own, keeping per letter only the elements that
+a backward walk from its target names.
 
 :func:`run_battery` schedules the suites for one Cartan type and times each
 run; a suite called on its own leaves ``seconds`` at 0.0.
@@ -23,6 +28,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from operator import itemgetter
 
 from .rootsys import RootSystem, build_root_system, cominuscule_nodes, height, negate, root_from_epsilon
@@ -114,6 +120,7 @@ def _cases(gt: GroupTable, sample: int | None, seed: int, all_words: bool = True
     Otherwise ``sample`` random draws of one target each, in this order per
     draw: x among the elements of at most ``_ENUM_LETTERS_BOUND`` letters (the
     subword guard), a random reduced word (only when ``all_words``), then w <= x.
+    Each x's targets are listed once per call, on its first draw.
     """
     masks = gt.leq_masks()
     if sample is None:
@@ -125,10 +132,13 @@ def _cases(gt: GroupTable, sample: int | None, seed: int, all_words: bool = True
         return
     rng = random.Random(seed)
     pool = [idx for idx, length in enumerate(gt.length) if length <= _ENUM_LETTERS_BOUND]
+    below_of: dict[int, list[int]] = {}  # x id -> the ids w <= x, lowest first
     for _ in range(sample):
         idx = pool[rng.randrange(len(pool))]
         word = _random_reduced_word(gt, idx, rng) if all_words else gt.word_of(idx)
-        yield idx, word, (rng.choice(list(_bits(masks[idx]))),)
+        if idx not in below_of:
+            below_of[idx] = list(_bits(masks[idx]))
+        yield idx, word, (rng.choice(below_of[idx]),)
 
 
 def _prefix_folds(groups, start, step):
@@ -176,13 +186,23 @@ def _indecomposable_positions(rs: RootSystem, gt: GroupTable):
     return positions
 
 
-def _subword_products(gt: GroupTable, word) -> set:
-    """(product of the subword, its length) over all 2^|word| subwords, letter by letter: the brute-force oracle."""
-    table = [(gt.identity, 0)]
-    for letter in word:
+def _subword_products(gt: GroupTable, words):
+    """Yield (word, {(product of t, |t|) over the subwords t of word}) for each word, in lexicographic order.
+
+    The pairs of s.a are those of s (t skips a) and each of them carried
+    through ``gt.rmult`` with one more letter (t takes a).  :func:`_prefix_folds`
+    steps each word only past the prefix it shares with the previous one, so
+    over a prefix-closed list (every word of at most l letters, or the
+    canonical words of a group) each word's set is built once, from its
+    prefix's, with no list of its 2^l subwords.
+    """
+
+    def step(pairs: set, letter: int) -> set:
         row = gt.rmult[letter - 1]
-        table += [(row[p], n + 1) for p, n in table]
-    return set(table)
+        return pairs | {(row[p], n + 1) for p, n in pairs}
+
+    for (_, word, _), pairs in _prefix_folds(((None, word, None) for word in words), {(gt.identity, 0)}, step):
+        yield word, pairs
 
 
 def _parity_mask(n: int) -> int:
@@ -196,16 +216,38 @@ def _parity_mask(n: int) -> int:
     return odd
 
 
+def _complex_step(gt: GroupTable, state, letter: int, live=None):
+    """(l + 1, {w: (F, C, R)}) of s.a from (l, {w: (F, C, R)}) of s, by the recurrences of :func:`ball_sphere_suite`.
+
+    F and C are 2^l-bit sets over the position masks r (bit b of r for
+    position b + 1): F holds the faces of Delta(s, w), C the r with r + 2^b
+    a face for some position b + 1 not in r, so the facets are F & ~C.  R is
+    the number of reduced subwords for w.  An element w not below delta(s)
+    has F = 0 and is not stored.  ``live``, when given, lists the elements
+    to keep (:func:`_word_complexes`); None keeps every w <= delta(s.a),
+    which are those with w <| a <= delta(s): the stored elements u with a an
+    ascent, and their products ua.  The input state is left unchanged, so
+    words that share a prefix step on from its state alike.
+    """
+    n, complexes = state
+    length, row, shift, nxt = gt.length, gt.rmult[letter - 1], 1 << n, {}
+    for u, (f, c, r) in complexes.items():
+        up = row[u]
+        if length[up] < length[u]:
+            continue  # only an ascent u is some v <| a: for v = u and for v = ua
+        if live is None or u in live:
+            nxt[u] = (f | f << shift, c | f | c << shift, r)
+        if live is None or up in live:
+            f_up, c_up, r_up = complexes.get(up, (0, 0, 0))
+            nxt[up] = (f | f_up << shift, c | f_up | c_up << shift, r_up + r)
+    return n + 1, nxt
+
+
 def _word_complexes(gt: GroupTable, word, targets) -> dict[int, tuple[int, int, int]]:
     """{w: (F, C, R)} of Delta(s, w) for the targets w <= delta(s) of the word s, w a group id.
 
-    F and C are 2^l-bit sets over the position masks r (bit b of r for
-    position b + 1): F holds the faces, C the r with r + 2^b a face for some
-    position b + 1 not in r, so the facets are F & ~C.  R is the number of
-    reduced subwords for w.  One fold over the letters, by the recurrences
-    proved in :func:`ball_sphere_suite`, reading the elements that a backward
-    walk from the targets collects (w and w <| a at each letter a); an element
-    not below the Demazure product of the prefix has F = 0 and is not stored.
+    One :func:`_complex_step` per letter, each keeping only the elements that
+    a backward walk from the targets collects (w and w <| a at each letter a).
     The walk is the one that prunes the signed K-class pass, on group ids:
     :func:`kltangent.tangent._signed_states` proves that a step reads only v
     and v <| a, and that the walk stays inside [r_k(w), w].
@@ -215,36 +257,38 @@ def _word_complexes(gt: GroupTable, word, targets) -> dict[int, tuple[int, int, 
     for letter in reversed(word[1:]):
         row, live = rmult[letter - 1], needed[-1]
         needed.append(live | {row[v] for v in live if length[row[v]] < length[v]})
-    state = {gt.identity: (1, 0, 1)}  # w -> (F, C, R) of the prefix read so far
-    for k, (letter, live) in enumerate(zip(word, reversed(needed))):
-        row, shift, nxt = rmult[letter - 1], 1 << k, {}
-        for v in live:
-            descent = length[row[v]] < length[v]
-            below = state.get(row[v] if descent else v)  # v <| a
-            if below is not None:  # else F(s, v <| a) = 0, and F(s, v) too
-                f, c, r = state.get(v, (0, 0, 0))
-                nxt[v] = (below[0] | f << shift, below[1] | f | c << shift, r + below[2] if descent else r)
-        state = nxt
-    return {w: state[w] for w in targets if w in state}
+    state = (0, {gt.identity: (1, 0, 1)})
+    for letter, live in zip(word, reversed(needed)):
+        state = _complex_step(gt, state, letter, live)
+    complexes = state[1]
+    return {w: complexes[w] for w in targets if w in complexes}
+
+
+def _counts_step(dmult, counts: dict, letter: int) -> dict:
+    """The signed counts {u: sum over the subsequences t with delta(t) = u of (-1)^|t|} after one more letter.
+
+    A subsequence either skips the letter (its count kept) or takes it (its
+    count negated and moved to u * s_k, the Demazure row ``dmult[k - 1]``).
+    ``counts`` is left unchanged.
+    """
+    row, nxt = dmult[letter - 1], dict(counts)
+    for u, c in counts.items():
+        nxt[row[u]] = nxt.get(row[u], 0) - c
+    return nxt
 
 
 def euler_identity_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) -> VerifyOutcome:
     """Signed Hecke-subword sum equals 1 for every (x, reduced word, w <= x).
 
     With ``sample`` set, checks that many random (x, w, word) triples instead
-    of the full sweep.  Each word folds its signed counts over group ids from
-    {e: 1}: at each letter a subsequence either skips it (count kept) or takes
-    it (count negated and moved to u * s_k, the Demazure row ``gt.dmult``).
-    The counts of a word serve all its targets.
+    of the full sweep.  The signed counts fold over group ids from {e: 1}
+    (:func:`_counts_step`), each prefix stepped once (:func:`_prefix_folds`),
+    and the counts of a word serve all its targets.
     """
     out = VerifyOutcome(f"euler-identity[{rs.cartan_type}]")
     gt = group_table(rs)
-    for _, word, w_ids in _cases(gt, sample, seed):
-        counts = {gt.identity: 1}  # group id u -> sum over the subsequences t with delta(t) = u of (-1)^|t|
-        for letter in word:
-            row = gt.dmult[letter - 1]
-            for u, c in list(counts.items()):  # the counts before the letter
-                counts[row[u]] = counts.get(row[u], 0) - c
+    folds = _prefix_folds(_cases(gt, sample, seed), {gt.identity: 1}, partial(_counts_step, gt.dmult))
+    for (_, word, w_ids), counts in folds:
         for w_id in w_ids:
             out.cases += 1
             value = (-1) ** (gt.length[w_id] % 2) * counts.get(w_id, 0)
@@ -256,7 +300,7 @@ def euler_identity_suite(rs: RootSystem, sample: int | None = None, seed: int = 
 def ball_sphere_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) -> VerifyOutcome:
     """Delta(s, w) has the reduced Euler characteristic of a ball or a sphere, and it is pure.
 
-    Faces (:func:`_word_complexes`).  Let w <| a = wa when a is a right descent
+    Faces (:func:`_complex_step`).  Let w <| a = wa when a is a right descent
     of w and w otherwise, so w <= u * a iff w <| a <= u (the lemma behind
     :func:`kltangent.tangent._position_flags`).  For l = |s|:
 
@@ -286,18 +330,29 @@ def ball_sphere_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) 
     so delta(s at t) = w and t is a reduced subword for w; each reduced
     subword gives a face of size m.  So every facet has size m iff
     #facets = R(s, w).
+
+    The full sweep steps each prefix of the reduced words once
+    (:func:`_prefix_folds`), keeping every w below the prefix's Demazure
+    product.  Sampled draws share few prefixes, so each word folds on its own
+    along the backward walk of :func:`_word_complexes`, which keeps a handful
+    of elements per letter instead of a whole interval.
     """
     out = VerifyOutcome(f"ball-sphere[{rs.cartan_type}]")
     gt = group_table(rs)
+    if sample is None:
+        sweep = _prefix_folds(_cases(gt, None, seed), (0, {gt.identity: (1, 0, 1)}), partial(_complex_step, gt))
+        folds = ((group, complexes) for group, (_, complexes) in sweep)
+    else:
+        folds = ((group, _word_complexes(gt, group[1], group[2])) for group in _cases(gt, sample, seed))
     parity: dict[int, int] = {}  # word length l -> ODD_l
-    for _, word, w_ids in _cases(gt, sample, seed):
+    for (_, word, w_ids), complexes in folds:
         if len(word) not in parity:
             parity[len(word)] = _parity_mask(len(word))
-        odd, top, complexes = parity[len(word)], gt.demazure_fold(word), _word_complexes(gt, word, w_ids)
+        odd, top = parity[len(word)], gt.demazure_fold(word)
         for w_id in w_ids:
             out.cases += 1
             size = len(word) - gt.length[w_id]
-            faces, covered, reduced = complexes[w_id]
+            faces, covered, reduced = complexes.get(w_id, (0, 0, 0))
             chi = (faces & odd).bit_count() - (faces & ~odd).bit_count()
             expected = (-1) ** ((size - 1) % 2) if w_id == top else 0
             if chi != expected:
@@ -613,12 +668,12 @@ def weyl_basics_suite(rs: RootSystem) -> VerifyOutcome:
             out.record(check="gamma", x=gt.word_of(idx), got=[sorted(s) for s in sets])
 
     # Bruhat order against the subword oracle, all pairs.
+    achievable = dict(_subword_products(gt, map(gt.word_of, range(size))))
     for v_id in range(size):
         word = gt.word_of(v_id)
-        achievable = _subword_products(gt, word)
         for u_id in range(size):
             out.cases += 1
-            oracle = (u_id, gt.length[u_id]) in achievable
+            oracle = (u_id, gt.length[u_id]) in achievable[word]
             fast = bruhat_leq(rs, gt.elements[u_id], gt.elements[v_id])
             if oracle != fast:
                 out.record(check="bruhat", u=gt.word_of(u_id), v=word, oracle=oracle, got=fast)
@@ -649,16 +704,17 @@ def hecke_subword_suite(rs: RootSystem) -> VerifyOutcome:
         frontier = [w + (i,) for w in frontier for i in range(1, rs.rank + 1)]
         words.extend(frontier)
 
+    reduced = {(w_id, gt.length[w_id]) for w_id in range(size)}
+    contains_of = {  # q -> the bitmask of the w with a reduced word among the subwords of q
+        q: sum(1 << w_id for w_id, _ in pairs & reduced) for q, pairs in _subword_products(gt, words)
+    }
     for q in words:
         delta_id = gt.demazure_fold(q)
-        achievable = _subword_products(gt, q)
-        for w_id in range(size):
-            out.cases += 1
-            contains_reduced = (w_id, gt.length[w_id]) in achievable
-            demazure_above = bool((masks[delta_id] >> w_id) & 1)
-            if contains_reduced != demazure_above:
-                out.record(check="equivalence", q=q, w=gt.word_of(w_id),
-                           contains=contains_reduced, demazure_above=demazure_above)
+        contains, above = contains_of[q], masks[delta_id]
+        out.cases += size
+        for w_id in _bits(contains ^ above):
+            out.record(check="equivalence", q=q, w=gt.word_of(w_id),
+                       contains=bool(contains >> w_id & 1), demazure_above=bool(above >> w_id & 1))
         for cut in range(len(q) + 1):
             out.cases += 1
             left = gt.word_of(gt.demazure_fold(q[:cut]))

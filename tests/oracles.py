@@ -131,6 +131,15 @@ def brute_subword_complex(rs, w, s):
     return sorted(faces), sorted(facets), deltas
 
 
+def subword_products_by_listing(gt, word):
+    """{(product of t, |t|)} over all 2^|word| subwords t of word, each listed, letter by letter through ``gt.rmult``."""
+    table = [(gt.identity, 0)]
+    for letter in word:
+        row = gt.rmult[letter - 1]
+        table += [(row[p], n + 1) for p, n in table]
+    return set(table)
+
+
 def bruhat_leq_by_descent(rs, u, v):
     """u <= v by the descent walk on the tuple points, with no lanes.
 

@@ -1,21 +1,41 @@
-"""The prefix-shared sweep of ``kclass-well-defined``.
+"""The prefix-shared sweeps of the verify battery.
 
-``verify._prefix_folds`` steps a pass once per letter past the common prefix
-with the previous word.  These tests hold it to the per-word passes it
-replaces (``kclass_restrictions``), check that no step writes to a state
-another word steps on from, and that the suite still records a failure when
-one word's class is wrong.  The last test checks that the Euler-identity
-suite, which folds each word on its own, records a wrong Demazure row.
+``verify._prefix_folds`` steps a fold once per letter past the common prefix
+with the previous word.  Four sweeps run on it: the K-class pass of
+``kclass-well-defined``, the signed counts of ``euler-identity``, the face
+sets of an exhaustive ``ball-sphere`` run (``verify._complex_step``) and the
+subword products of ``hecke-subword-equivalence`` and ``weyl-basics``
+(``verify._subword_products``).  These tests hold each to the per-word
+computation it replaces (``kclass_restrictions``, ``_word_complexes``, the
+2^l subword listing of ``oracles.subword_products_by_listing``), count the
+steps, check that no step writes to a state another word steps on from, and
+that each suite still records a failure when its table or one word's state
+is wrong, with the same case count.
 """
 
 import copy
+from functools import partial
+from itertools import product
 
 import pytest
 
 from kltangent import build_root_system, group_table, kclass_restrictions, verify
 from kltangent.tangent import _class_fold, _signed_class
-from kltangent.verify import _cases, _prefix_folds, euler_identity_suite, kclass_well_definedness_suite
+from kltangent.verify import (
+    _SAMPLED_CASES,
+    VerifyConfig,
+    _cases,
+    _complex_step,
+    _prefix_folds,
+    _subword_products,
+    _word_complexes,
+    ball_sphere_suite,
+    euler_identity_suite,
+    hecke_subword_suite,
+    kclass_well_definedness_suite,
+)
 from kltangent.weyl import WeylElement
+from oracles import subword_products_by_listing
 
 
 def _all_words(gt):
@@ -63,7 +83,7 @@ def test_sampled_sweep_keeps_the_draws():
 
 
 def test_steps_leave_their_input_unchanged():
-    """The one-letter pass step writes to no state it is given and hands on no pair of it."""
+    """The one-letter steps write to no state they are given; the pass step hands on no pair of it."""
     rs = build_root_system("B3")
     gt = group_table(rs)
     _, start, class_step = _class_fold(rs)
@@ -84,6 +104,12 @@ def test_steps_leave_their_input_unchanged():
 
     for _ in _prefix_folds(_cases(gt, None, 0), start, class_states):
         pass
+    for start, step in [
+        ({gt.identity: 1}, partial(verify._counts_step, gt.dmult)),
+        ((0, {gt.identity: (1, 0, 1)}), partial(_complex_step, gt)),
+    ]:
+        for _ in _prefix_folds(_cases(gt, None, 0), start, checked(step)):
+            pass
 
 
 @pytest.mark.parametrize("label", ["G2", "B3"])
@@ -137,3 +163,129 @@ def test_euler_suite_records_a_wrong_demazure_row(monkeypatch):
     words = [failure["word"] for failure in outcome.failures if "word" in failure]  # past the cap, a note
     assert words and all(1 in word for word in words)
     assert outcome.cases == 6539
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
+def test_prefix_folded_complexes_match_word_complexes(label):
+    """Stepped once per prefix with no live set, every reduced word holds the (F, C, R) of its own pruned fold."""
+    gt = group_table(build_root_system(label))
+    start = (0, {gt.identity: (1, 0, 1)})
+    seen = set()
+    for (_, word, w_ids), (n, complexes) in _prefix_folds(_cases(gt, None, 0), start, partial(_complex_step, gt)):
+        assert n == len(word)
+        assert complexes == _word_complexes(gt, word, w_ids), word
+        seen.add(word)
+    assert seen == _all_words(gt)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_subword_products_match_the_listing_on_every_short_word(label):
+    rs = build_root_system(label)
+    gt = group_table(rs)
+    words = [q for n in range(7) for q in product(range(1, rs.rank + 1), repeat=n)]
+    got = dict(_subword_products(gt, words))
+    assert list(got) == sorted(words)
+    for q in words:
+        assert got[q] == subword_products_by_listing(gt, q), q
+
+
+def test_subword_products_match_the_listing_on_the_canonical_words_of_d4():
+    gt = group_table(build_root_system("D4"))
+    words = [gt.word_of(idx) for idx in range(len(gt.elements))]
+    got = dict(_subword_products(gt, words))
+    assert set(got) == set(words)
+    for q in words:
+        assert got[q] == subword_products_by_listing(gt, q), q
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "A4", "C4", "D4", "B4", "D5", "A5", "F4"])
+def test_canonical_words_are_prefix_closed(label):
+    """Every prefix of a canonical word is canonical, so weyl-basics builds each word's subword products once."""
+    gt = group_table(build_root_system(label))
+    words = {gt.word_of(idx) for idx in range(len(gt.elements))}
+    assert all(word[:-1] in words for word in words if word)
+
+
+def _count_steps(monkeypatch, name):
+    """Patch the step verify.<name> to record the letter of each call; return the list of letters."""
+    real, letters = getattr(verify, name), []
+
+    def counted(*args):
+        letters.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(verify, name, counted)
+    return letters
+
+
+@pytest.mark.parametrize("label,cases", [("A3", 959), ("B3", 6539)])
+@pytest.mark.parametrize("suite,step", [(euler_identity_suite, "_counts_step"), (ball_sphere_suite, "_complex_step")])
+def test_euler_and_ball_sphere_step_each_prefix_once(label, cases, suite, step, monkeypatch):
+    """The exhaustive sweeps step once per nonempty reduced word, not once per letter of each word."""
+    rs = build_root_system(label)
+    letters = _count_steps(monkeypatch, step)
+    outcome = suite(rs)
+    assert outcome.ok and outcome.cases == cases
+    words = _all_words(group_table(rs))
+    assert len(letters) == len(words) - 1
+    assert len(letters) < sum(map(len, words))
+
+
+def test_sampled_ball_sphere_folds_each_draw_along_its_live_sets(monkeypatch):
+    """Sampled draws share few prefixes: each word folds on its own, every step keeping only a backward walk's elements."""
+    rs = build_root_system("D4")
+    gt = group_table(rs)
+    lives = []
+    real = verify._complex_step
+
+    def recorded(gt, state, letter, live=None):
+        lives.append(live)
+        return real(gt, state, letter, live)
+
+    monkeypatch.setattr(verify, "_complex_step", recorded)
+    seed = VerifyConfig().seed
+    outcome = ball_sphere_suite(rs, _SAMPLED_CASES, seed)
+    assert outcome.ok and outcome.cases == _SAMPLED_CASES
+    assert len(lives) == sum(len(word) for _, word, _ in _cases(gt, _SAMPLED_CASES, seed))
+    assert all(live is not None for live in lives)
+
+
+def test_hecke_subword_suite_records_each_flipped_bruhat_bit(monkeypatch):
+    """A flipped bit w of the Bruhat mask of v fails exactly the pairs (q, w) with delta(q) = v, each bit on its own."""
+    rs = build_root_system("B3")
+    gt = group_table(rs)
+    masks = list(gt.leq_masks())
+    s1, s2 = gt.rmult[0][gt.identity], gt.rmult[1][gt.identity]
+    masks[s1] ^= 1 << gt.identity | 1 << s2  # e <= s1 read as false, s2 <= s1 as true
+    monkeypatch.setattr(gt, "_leq", masks)
+    outcome = hecke_subword_suite(rs)
+    words = [q for n in range(7) for q in product(range(1, rs.rank + 1), repeat=n)]
+    ones = [q for q in words if gt.demazure_fold(q) == s1]  # (1,), (1, 1), ..., six letters
+    expected = [(q, (), True, False) for q in ones] + [(q, (2,), False, True) for q in ones]
+    got = [(f["q"], f["w"], f["contains"], f["demazure_above"]) for f in outcome.failures]
+    assert {f["check"] for f in outcome.failures} == {"equivalence"}
+    assert sorted(got) == sorted(expected) and len(expected) == 12
+    assert outcome.cases == 59572
+
+
+def test_ball_sphere_sweep_records_a_wrong_multiplication_entry(monkeypatch):
+    """One wrong entry of the multiplication table, e * s_1 = e, is recorded, and only against words with letter 1."""
+    rs = build_root_system("B3")
+    gt = group_table(rs)
+    gt.leq_masks()  # built from the true table
+    rows = [list(row) for row in gt.rmult]
+    rows[0][gt.identity] = gt.identity
+    monkeypatch.setattr(gt, "rmult", rows)
+    outcome = ball_sphere_suite(rs)
+    words = [failure["word"] for failure in outcome.failures if "word" in failure]  # past the cap, a note
+    assert words and all(1 in word for word in words)
+    assert outcome.cases == 6539
+
+
+def test_exhaustive_euler_and_ball_sphere_on_a4():
+    """Above the battery's exhaustive order, both sweeps still run every (x, reduced word, w <= x) of A4."""
+    rs = build_root_system("A4")
+    for suite in (euler_identity_suite, ball_sphere_suite):
+        outcome = suite(rs)
+        assert outcome.ok, outcome.failures[:3]
+        assert outcome.cases == 256_005
