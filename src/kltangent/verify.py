@@ -148,9 +148,9 @@ def _prefix_folds(groups, start, step):
     stack keeps the state after each prefix of the previous word, so only the
     letters past the common prefix are stepped; ``step`` must leave its input
     state unchanged, since later words step on from it too.  Groups with
-    equal words keep their order.  Over the reduced words of a whole group,
-    a prefix-closed set, each node of the prefix tree is stepped once; the
-    K-class sweep (:func:`kclass_well_definedness_suite`) folds its pass so.
+    equal words keep their order.  Over a prefix-closed set of words, such as
+    the reduced words of a whole group, each node of the prefix tree is
+    stepped once.
     """
     stack = [start]  # stack[k]: the state after the first k letters of word
     word: tuple[int, ...] = ()

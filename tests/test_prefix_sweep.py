@@ -206,24 +206,18 @@ def test_canonical_words_are_prefix_closed(label):
     assert all(word[:-1] in words for word in words if word)
 
 
-def _count_steps(monkeypatch, name):
-    """Patch the step verify.<name> to record the letter of each call; return the list of letters."""
-    real, letters = getattr(verify, name), []
-
-    def counted(*args):
-        letters.append(args[2])
-        return real(*args)
-
-    monkeypatch.setattr(verify, name, counted)
-    return letters
-
-
 @pytest.mark.parametrize("label,cases", [("A3", 959), ("B3", 6539)])
 @pytest.mark.parametrize("suite,step", [(euler_identity_suite, "_counts_step"), (ball_sphere_suite, "_complex_step")])
 def test_euler_and_ball_sphere_step_each_prefix_once(label, cases, suite, step, monkeypatch):
     """The exhaustive sweeps step once per nonempty reduced word, not once per letter of each word."""
     rs = build_root_system(label)
-    letters = _count_steps(monkeypatch, step)
+    real, letters = getattr(verify, step), []
+
+    def counted(*args):  # (table, state, letter)
+        letters.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(verify, step, counted)
     outcome = suite(rs)
     assert outcome.ok and outcome.cases == cases
     words = _all_words(group_table(rs))
