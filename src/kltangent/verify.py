@@ -15,9 +15,10 @@ sets of an exhaustive ``ball-sphere`` run, and the subword products behind
 (:func:`_subword_products`).  The reduced words of a whole group, the words
 of at most l letters and the canonical words are each closed under
 prefixes, so such a sweep steps each node of their prefix tree once instead
-of every word from e.  Sampled ``ball-sphere`` draws share few prefixes;
-each folds its word on its own, keeping per letter only the elements that
-a backward walk from its target names.
+of every word from e, and records its failures in that word order.  Sampled
+``ball-sphere`` draws share few prefixes; each folds its word on its own,
+keeping per letter only the elements that a backward walk from its target
+names.
 
 :func:`run_battery` schedules the suites for one Cartan type and times each
 run; a suite called on its own leaves ``seconds`` at 0.0.
@@ -187,22 +188,25 @@ def _indecomposable_positions(rs: RootSystem, gt: GroupTable):
 
 
 def _subword_products(gt: GroupTable, words):
-    """Yield (word, {(product of t, |t|) over the subwords t of word}) for each word, in lexicographic order.
+    """Yield (word, the bitmask of the w with a reduced word among the subwords of word), in lexicographic order.
 
-    The pairs of s.a are those of s (t skips a) and each of them carried
-    through ``gt.rmult`` with one more letter (t takes a).  :func:`_prefix_folds`
-    steps each word only past the prefix it shares with the previous one, so
-    over a prefix-closed list (every word of at most l letters, or the
-    canonical words of a group) each word's set is built once, from its
-    prefix's, with no list of its 2^l subwords.
+    The fold holds the set of (product of t, |t|) over the subwords t: the
+    pairs of s.a are those of s (t skips a) and each of them carried through
+    ``gt.rmult`` with one more letter (t takes a).  A pair (w, l(w)) is a
+    reduced subword for w.  :func:`_prefix_folds` steps each word only past
+    the prefix it shares with the previous one, so over a prefix-closed list
+    (every word of at most l letters, or the canonical words of a group) each
+    word's set is built once, from its prefix's, with no list of its 2^l
+    subwords.
     """
+    length = gt.length
 
     def step(pairs: set, letter: int) -> set:
         row = gt.rmult[letter - 1]
         return pairs | {(row[p], n + 1) for p, n in pairs}
 
     for (_, word, _), pairs in _prefix_folds(((None, word, None) for word in words), {(gt.identity, 0)}, step):
-        yield word, pairs
+        yield word, sum(1 << p for p, n in pairs if n == length[p])
 
 
 def _parity_mask(n: int) -> int:
@@ -283,7 +287,9 @@ def euler_identity_suite(rs: RootSystem, sample: int | None = None, seed: int = 
     With ``sample`` set, checks that many random (x, w, word) triples instead
     of the full sweep.  The signed counts fold over group ids from {e: 1}
     (:func:`_counts_step`), each prefix stepped once (:func:`_prefix_folds`),
-    and the counts of a word serve all its targets.
+    and the counts of a word serve all its targets.  So failures are recorded
+    in lexicographic order of the words, in both modes, and the first
+    ``_FAILURE_CAP`` of that order are kept.
     """
     out = VerifyOutcome(f"euler-identity[{rs.cartan_type}]")
     gt = group_table(rs)
@@ -335,7 +341,10 @@ def ball_sphere_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) 
     (:func:`_prefix_folds`), keeping every w below the prefix's Demazure
     product.  Sampled draws share few prefixes, so each word folds on its own
     along the backward walk of :func:`_word_complexes`, which keeps a handful
-    of elements per letter instead of a whole interval.
+    of elements per letter instead of a whole interval.  A full sweep records
+    failures in lexicographic order of the words, a sampled one in draw
+    order.  A target that the fold does not hold is recorded as a failure:
+    every w <= delta(s) is stored, so only a broken fold or table drops one.
     """
     out = VerifyOutcome(f"ball-sphere[{rs.cartan_type}]")
     gt = group_table(rs)
@@ -352,7 +361,10 @@ def ball_sphere_suite(rs: RootSystem, sample: int | None = None, seed: int = 0) 
         for w_id in w_ids:
             out.cases += 1
             size = len(word) - gt.length[w_id]
-            faces, covered, reduced = complexes.get(w_id, (0, 0, 0))
+            if w_id not in complexes:
+                out.record(word=word, w=gt.word_of(w_id), expected="w <= delta(s)", got="no faces")
+                continue
+            faces, covered, reduced = complexes[w_id]
             chi = (faces & odd).bit_count() - (faces & ~odd).bit_count()
             expected = (-1) ** ((size - 1) % 2) if w_id == top else 0
             if chi != expected:
@@ -668,12 +680,12 @@ def weyl_basics_suite(rs: RootSystem) -> VerifyOutcome:
             out.record(check="gamma", x=gt.word_of(idx), got=[sorted(s) for s in sets])
 
     # Bruhat order against the subword oracle, all pairs.
-    achievable = dict(_subword_products(gt, map(gt.word_of, range(size))))
+    contains_of = dict(_subword_products(gt, map(gt.word_of, range(size))))
     for v_id in range(size):
         word = gt.word_of(v_id)
         for u_id in range(size):
             out.cases += 1
-            oracle = (u_id, gt.length[u_id]) in achievable[word]
+            oracle = bool(contains_of[word] >> u_id & 1)
             fast = bruhat_leq(rs, gt.elements[u_id], gt.elements[v_id])
             if oracle != fast:
                 out.record(check="bruhat", u=gt.word_of(u_id), v=word, oracle=oracle, got=fast)
@@ -704,10 +716,7 @@ def hecke_subword_suite(rs: RootSystem) -> VerifyOutcome:
         frontier = [w + (i,) for w in frontier for i in range(1, rs.rank + 1)]
         words.extend(frontier)
 
-    reduced = {(w_id, gt.length[w_id]) for w_id in range(size)}
-    contains_of = {  # q -> the bitmask of the w with a reduced word among the subwords of q
-        q: sum(1 << w_id for w_id, _ in pairs & reduced) for q, pairs in _subword_products(gt, words)
-    }
+    contains_of = dict(_subword_products(gt, words))
     for q in words:
         delta_id = gt.demazure_fold(q)
         contains, above = contains_of[q], masks[delta_id]
