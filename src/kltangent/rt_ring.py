@@ -10,19 +10,26 @@ handled through height-truncated series: grading exponents -mu by the height
 of mu makes every denominator factor shift the grade by at least one, so all
 coefficients up to the truncation bound are exact.
 
+Both kinds of element share one term store: a dict from exponent tuples to
+nonzero coefficients, built by one normaliser (:func:`_normal`) and combined
+by one sum and one product (:func:`_sum`, :func:`_product`).  A
+:class:`LaurentPoly` is that store; a :class:`TruncatedSeries` is the store
+plus a bound, whose constructor, sum and product are the polynomial's
+followed by the height cut.
+
 Inside the expansion (and inside the signed pass of ``kltangent.tangent``) an
 exponent -nu with nu >= 0 is one packed int, the digits nu_k of a fixed width
 topped by height(nu) (:class:`_Packing`): multiplying by e^{-beta} is one
 integer addition, the height bound is one comparison, and no tuple is built.
-Packed ints never leave the pass and the spread: each decodes its result
-once, and a :class:`LaurentPoly` or :class:`TruncatedSeries` holds one dict
-keyed by exponent tuples.
+Packed ints never leave the pass and the spread: ``_Packing.terms`` is the
+one decoder from a packed state, with a sign, to a term dict.
 """
 
 from __future__ import annotations
 
 import struct
-from operator import neg
+from math import inf
+from operator import add, neg
 
 from .errors import BeyondTruncation, ExponentOutsideCone, WrongType
 from .rootsys import Root, height, negate
@@ -32,46 +39,82 @@ WeightVector = tuple[int, ...]
 _DIGIT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes, standard sizes
 
 
-def _vadd(a: WeightVector, b: WeightVector) -> WeightVector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _same_rank(a: WeightVector, b: WeightVector) -> None:
-    """WrongType unless the exponents a and b have the same number of coordinates."""
-    if len(a) != len(b):
-        raise WrongType(f"rank mismatch: {a} has {len(a)} coordinates, {b} has {len(b)}")
-
-
-def _check_ranks(x: dict, y: dict) -> None:
-    """WrongType unless two nonempty term dicts are keyed by exponents of one rank."""
+def _check_ranks(x, y) -> None:
+    """WrongType unless the exponents of x and of y (term dicts or lists of exponents) have one rank; empty ones have none."""
     if x and y:
-        _same_rank(next(iter(x)), next(iter(y)))
+        a, b = next(iter(x)), next(iter(y))
+        if len(a) != len(b):
+            raise WrongType(f"rank mismatch: {a} has {len(a)} coordinates, {b} has {len(b)}")
+
+
+def _normal(terms, in_cone: bool) -> dict[WeightVector, int]:
+    """The term dict of (exponent, coefficient) pairs, a mapping or an iterable.
+
+    Exponents become tuples of one rank (WrongType otherwise), coefficients
+    of one exponent are summed and zero sums dropped.  ``in_cone`` refuses an
+    exponent outside the negative cone with ExponentOutsideCone, whatever
+    its coefficient.
+    """
+    data: dict[WeightVector, int] = {}
+    for exponent, coeff in terms.items() if hasattr(terms, "items") else terms:
+        exponent = tuple(exponent)
+        _check_ranks(data, (exponent,))
+        if in_cone and max(exponent) > 0:
+            raise ExponentOutsideCone(f"series exponent {exponent} outside the negative cone")
+        data[exponent] = data.get(exponent, 0) + coeff
+    return {e: c for e, c in data.items() if c}
+
+
+def _sum(x: dict, y: dict) -> dict[WeightVector, int]:
+    """x + y on term dicts of one rank (WrongType otherwise); zero sums are dropped."""
+    _check_ranks(x, y)
+    out = dict(x)
+    for e, c in y.items():
+        c += out.get(e, 0)
+        if c:
+            out[e] = c
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _product(x: dict, y: dict, bound: float) -> dict[WeightVector, int]:
+    """x * y on term dicts of one rank (WrongType otherwise); zero sums are dropped.
+
+    A pair of exponents -mu, -mu' is skipped unless height(mu) + height(mu')
+    <= bound, so every exponent -mu of the product has height(mu) <= bound;
+    the bound of a polynomial product is inf.
+    """
+    _check_ranks(x, y)
+    out: dict[WeightVector, int] = {}
+    get = out.get
+    heights = [(e, c, -sum(e)) for e, c in y.items()]
+    for e1, c1 in x.items():
+        room = bound + sum(e1)  # the largest height(mu') that fits
+        for e2, c2, h2 in heights:
+            if h2 <= room:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _cut(terms: dict[WeightVector, int], bound: int) -> dict[WeightVector, int]:
+    """The terms e^{-mu} with height(mu) <= bound."""
+    return {e: c for e, c in terms.items() if -sum(e) <= bound}
 
 
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with root-lattice exponents.
 
-    Terms of different rank in one polynomial, and the sum and product of two
-    nonzero polynomials of different rank, raise WrongType.
+    Terms of different rank in one polynomial, the sum and product of two
+    nonzero polynomials of different rank, and a coefficient query of
+    another rank raise WrongType.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()) -> None:
-        data: dict[WeightVector, int] = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        first = None
-        for exponent, coeff in items:
-            exponent = tuple(exponent)
-            if first is None:
-                first = exponent
-            _same_rank(first, exponent)
-            coeff = data.get(exponent, 0) + coeff
-            if coeff:
-                data[exponent] = coeff
-            else:
-                data.pop(exponent, None)
-        self._terms = data
+        self._terms = _normal(terms, in_cone=False)
 
     @classmethod
     def _of(cls, terms: dict[WeightVector, int]) -> "LaurentPoly":
@@ -96,22 +139,16 @@ class LaurentPoly:
         return sorted(self._terms.items())
 
     def coefficient(self, exponent: WeightVector) -> int:
-        return self._terms.get(tuple(exponent), 0)
+        exponent = tuple(exponent)
+        _check_ranks(self._terms, (exponent,))
+        return self._terms.get(exponent, 0)
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check_ranks(self._terms, other._terms)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            c2 = out.get(e, 0) + c
-            if c2:
-                out[e] = c2
-            else:
-                out.pop(e, None)
-        return LaurentPoly._of(out)
+        return LaurentPoly._of(_sum(self._terms, other._terms))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._of({e: -c for e, c in self._terms.items()})
@@ -120,17 +157,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check_ranks(self._terms, other._terms)
-        out: dict[WeightVector, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = _vadd(e1, e2)
-                c = out.get(e, 0) + c1 * c2
-                if c:
-                    out[e] = c
-                else:
-                    out.pop(e, None)
-        return LaurentPoly._of(out)
+        return LaurentPoly._of(_product(self._terms, other._terms, inf))
 
     def scale(self, c: int) -> "LaurentPoly":
         if c == 0:
@@ -221,7 +248,7 @@ def in_nonneg_integer_span(vectors, target: WeightVector) -> bool:
         raise WrongType("span target must be nonempty")
     vectors = [tuple(v) for v in vectors]
     for v in vectors:
-        _same_rank(v, target)
+        _check_ranks((v,), (target,))
     return _span_search(vectors)(target)
 
 
@@ -271,33 +298,36 @@ class _Packing:
         data = b"".join([(p & low).to_bytes(size, "little") for p in packed])
         return [tuple(map(neg, nu)) for nu in self._digits(data)]
 
+    def terms(self, state: dict[int, int], sign: int, known: dict | None = None) -> dict[WeightVector, int]:
+        """The term dict {-nu: sign * c} of a packed state {P(nu): c}.
+
+        ``known`` maps packed values to their exponents: given it, only the
+        keys it lacks are decoded, and added to it, so the states of one pass
+        decode each shared key once and share its tuple.
+        """
+        if known is None:
+            exponents = self.exponents(state)
+        else:
+            new = [p for p in state if p not in known]
+            known.update(zip(new, self.exponents(new)))
+            exponents = map(known.__getitem__, state)
+        return dict(zip(exponents, [sign * c for c in state.values()]))
+
 
 class TruncatedSeries:
     """Exact series coefficients on exponents -mu with height(mu) <= bound.
 
-    Like :class:`LaurentPoly`, a series refuses terms of mixed rank, and the
-    sum and product of two nonzero series of different rank, with WrongType.
+    The term store of :class:`LaurentPoly` plus the bound: the constructor,
+    ``+`` and ``*`` are the polynomial's followed by the height cut at the
+    (smaller) bound.  An exponent outside the negative cone raises
+    ExponentOutsideCone; mixed ranks raise WrongType, as for a polynomial.
     """
 
     __slots__ = ("bound", "_terms")
 
     def __init__(self, terms, bound: int) -> None:
-        data: dict[WeightVector, int] = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        first = None
-        for exponent, coeff in items:
-            exponent = tuple(exponent)
-            if first is None:
-                first = exponent
-            _same_rank(first, exponent)
-            mu = negate(exponent)
-            if min(mu) < 0:
-                raise AssertionError(f"series exponent {exponent} outside -cone")
-            if height(mu) > bound or coeff == 0:
-                continue
-            data[exponent] = data.get(exponent, 0) + coeff
         self.bound = bound
-        self._terms = {e: c for e, c in data.items() if c}
+        self._terms = _cut(_normal(terms, in_cone=True), bound)
 
     @classmethod
     def _of(cls, terms: dict[WeightVector, int], bound: int) -> "TruncatedSeries":
@@ -312,8 +342,7 @@ class TruncatedSeries:
     def coefficient(self, exponent: WeightVector) -> int:
         """Exact coefficient of e^{exponent}; BeyondTruncation past the bound, WrongType off the terms' rank."""
         exponent = tuple(exponent)
-        if self._terms:
-            _same_rank(next(iter(self._terms)), exponent)
+        _check_ranks(self._terms, (exponent,))
         mu = negate(exponent)
         if min(mu) < 0:
             return 0  # support lies in the negative cone, exactly zero
@@ -322,27 +351,12 @@ class TruncatedSeries:
         return self._terms.get(exponent, 0)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        _check_ranks(self._terms, other._terms)
         bound = min(self.bound, other.bound)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return TruncatedSeries(out, bound)
+        return TruncatedSeries._of(_cut(_sum(self._terms, other._terms), bound), bound)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        _check_ranks(self._terms, other._terms)
         bound = min(self.bound, other.bound)
-        out: dict[WeightVector, int] = {}
-        for e1, c1 in self._terms.items():
-            h1 = -height(e1)
-            if h1 > bound:
-                continue
-            for e2, c2 in other._terms.items():
-                e = _vadd(e1, e2)
-                if h1 - height(e2) > bound:
-                    continue
-                out[e] = out.get(e, 0) + c1 * c2
-        return TruncatedSeries(out, bound)
+        return TruncatedSeries._of(_product(self._terms, other._terms, bound), bound)
 
     def __eq__(self, other) -> bool:
         return (
@@ -374,18 +388,18 @@ def char_series(numerator: LaurentPoly, denominator_weights, bound: int) -> Trun
     if any(min(b) < 0 or height(b) < 1 for b in weights):
         raise ValueError("denominator weights must be positive roots")
     for exponent in (*weights, *numerator._terms):
-        _same_rank(weights[0], exponent)
+        _check_ranks(weights, (exponent,))
     in_cone = _span_search(weights)
     for exponent, _ in numerator.items():
         if not in_cone(negate(exponent)):
             raise ExponentOutsideCone(f"numerator exponent {exponent} outside the span")
     packing = _Packing(len(weights[0]), max(bound, 0))
     terms = {packing.pack(negate(e)): c for e, c in numerator.items() if -sum(e) <= bound}
-    return _packed_spread(packing, terms, weights, bound)
+    return _packed_spread(packing, terms, weights, bound, 1)
 
 
-def _packed_spread(packing: _Packing, terms: dict[int, int], weights, bound: int) -> TruncatedSeries:
-    """terms / prod (1 - e^{-beta}) up to the height bound, on packed exponents.
+def _packed_spread(packing: _Packing, terms: dict[int, int], weights, bound: int, sign: int) -> TruncatedSeries:
+    """sign * terms / prod (1 - e^{-beta}) up to the height bound, on packed exponents.
 
     The packing's limit must be >= bound, the terms must be nonzero and the
     weights of positive height; terms at or past the cap are dropped by the
@@ -405,4 +419,4 @@ def _packed_spread(packing: _Packing, terms: dict[int, int], weights, bound: int
                 nxt[p] = get(p, 0) + c
                 p += step
         terms = {p: c for p, c in nxt.items() if c}
-    return TruncatedSeries._of(dict(zip(packing.exponents(terms), terms.values())), bound)
+    return TruncatedSeries._of(packing.terms(terms, sign), bound)

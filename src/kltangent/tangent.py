@@ -388,12 +388,6 @@ def _class_fold(rs: RootSystem):
     return packing, start, step
 
 
-def _signed_class(length: int, state: dict[int, int], exponents) -> LaurentPoly:
-    """P_{u,s} from the pass's state of u, of this length; ``exponents`` lists the exponent of each key of state."""
-    sign = -1 if length % 2 else 1
-    return LaurentPoly._of(dict(zip(exponents, [sign * c for c in state.values()])))
-
-
 def kclass_restriction(rs: RootSystem, w: WeylElement, s: Word) -> LaurentPoly:
     """P_{w,s}: the Schubert class restricted to the fixed point of s.
 
@@ -410,7 +404,7 @@ def kclass_restriction(rs: RootSystem, w: WeylElement, s: Word) -> LaurentPoly:
     _check_word(rs, s)
     packing, states = _signed_states(rs, s, gammas, sum(map(height, gammas)), (w,))
     _, state = states.get(w.lanes, (0, {}))  # only w is decoded
-    return _signed_class(w.length, state, packing.exponents(state)) if state else LaurentPoly.zero()
+    return LaurentPoly._of(packing.terms(state, (-1) ** w.length))
 
 
 def kclass_restrictions(rs: RootSystem, s: Word) -> dict[WeylElement, LaurentPoly]:
@@ -418,15 +412,14 @@ def kclass_restrictions(rs: RootSystem, s: Word) -> dict[WeylElement, LaurentPol
 
     Same values as :func:`kclass_restriction` for each u; the word must be
     reduced and at most 20 letters long.  The states share most of their
-    exponents, so the union of their keys is decoded once.
+    exponents, so each is decoded once, for all of them.
     """
     gammas = gamma_sequence(rs, s).gammas  # raises NotReduced
     _check_word(rs, s)
     packing, states = _signed_states(rs, s, gammas, sum(map(height, gammas)))
-    keys = set().union(*(state for _, state in states.values()))
-    exponent = dict(zip(keys, packing.exponents(keys)))
+    known: dict[int, WeightVector] = {}
     return {
-        WeylElement(q, length, rs.dynkin): _signed_class(length, state, map(exponent.__getitem__, state))
+        WeylElement(q, length, rs.dynkin): LaurentPoly._of(packing.terms(state, (-1) ** length, known))
         for q, (length, state) in states.items()
     }
 
@@ -508,10 +501,7 @@ def _cone_series_by_target(
     packing, states = _signed_states(rs, s, gammas, bound, targets)
     out = {}
     for w in targets:
-        state = states.get(w.lanes, (0, {}))[1]
-        if w.length % 2:
-            state = {p: -c for p, c in state.items()}
-        out[w] = _packed_spread(packing, state, gammas, bound)
+        out[w] = _packed_spread(packing, states.get(w.lanes, (0, {}))[1], gammas, bound, (-1) ** w.length)
     return out
 
 
@@ -577,8 +567,7 @@ def _cone_coefficients(
     gamma_j the only partition is gamma_j itself, and the coefficient is the
     Demazure flag of position j.  Letters must already be validated.
     """
-    rows = rs.dynkin.lane_rows
-    guard = int.from_bytes(b"\x80" * rs.rank, "little")
+    rows, guard = rs.dynkin.lane_rows, rs.dynkin.lane_high
     packed = [int.from_bytes(bytes(gamma), "little") for gamma in gammas]
     parts = [(1 << i, packed[i]) for i in sorted(range(len(s)), key=lambda i: -height(gammas[i]))]
     backwards = [(1 << k, letter - 1) for k, letter in reversed(list(enumerate(s)))]

@@ -27,9 +27,10 @@ its own in ``rs._cache`` except the optional group table.  The tuple
 ``WeylElement.point`` and the matrix of x on the root lattice
 (``WeylElement.rows``) are derived views.  Only this module and ``rootsys``
 read a coordinate: elsewhere a lane form is an opaque key.  The gamma fold
-(``_gammas``) carries the columns x(alpha_j) of a prefix as ints too, in
-signed coefficient lanes sum_k c_k 2^{8k} (``_lane_columns_times``), and
-reads each gamma from ``RootSystem.root_by_lanes``.
+(``_gammas``), ``WeylElement.rows`` and the group enumeration carry the
+columns x(alpha_j) of a prefix as ints too, in signed coefficient lanes
+sum_k c_k 2^{8k} (``_lane_columns_times``); the gamma fold reads each gamma
+from ``RootSystem.root_by_lanes``.
 
 Words are tuples of 1-based simple-reflection indices and both act and
 multiply left to right: the word (1, 2) denotes s1*s2, which sends a vector v
@@ -120,24 +121,11 @@ def _inverse_weights(inverse: int, dyn: Dynkin) -> tuple[int, ...]:
     return tuple(c * n for c, n in zip(_coordinates(inverse, dyn.rank), dyn.norms))
 
 
-def _columns_times(columns: list, i: int, root_links) -> list:
-    """Columns x(alpha_j) of x*s_i from those of x: column i and its neighbours change."""
-    ci = columns[i]
-    out = list(columns)
-    out[i] = tuple(-c for c in ci)
-    for k, a in root_links[i]:
-        out[k] = tuple(c - a * d for c, d in zip(columns[k], ci))
-    return out
-
-
-def _identity_columns(n: int) -> list:
-    return [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
-
-
 def _lane_columns_times(columns: list[int], i: int, root_links) -> list[int]:
-    """:func:`_columns_times` on columns in signed coefficient lanes, sum_k c_k 2^{8k} (``RootSystem.root_by_lanes``).
+    """Columns x(alpha_j) of x*s_i from those of x, in signed coefficient lanes sum_k c_k 2^{8k} (``RootSystem.root_by_lanes``).
 
-    The lanes are linear, so column i is negated and each neighbour k loses
+    x s_i(alpha_i) = -x(alpha_i) and x s_i(alpha_k) = x(alpha_k) - A[k][i] x(alpha_i):
+    the lanes are linear, so column i is negated and each neighbour k loses
     A[k][i] times it with no coordinate read.
     """
     out = list(columns)
@@ -150,6 +138,18 @@ def _lane_columns_times(columns: list[int], i: int, root_links) -> list[int]:
 
 def _identity_lane_columns(n: int) -> list[int]:
     return [1 << (j << 3) for j in range(n)]
+
+
+def _row_bytes(columns: list[int], dyn: Dynkin) -> bytes:
+    """The matrix of the lane columns row by row, entry rows[i][j] plus 64 in byte i * rank + j.
+
+    Each column is a root, whose coefficients lie in -6..6, so adding 64 to
+    every lane (``lane_high >> 1``) leaves lane i holding its entry plus 64
+    with no borrow.  The bytes compare as the rows do, lexicographically.
+    """
+    n, bias = dyn.rank, dyn.lane_high >> 1
+    data = b"".join([(c + bias).to_bytes(n, "little") for c in columns])  # column by column
+    return b"".join([data[i::n] for i in range(n)])
 
 
 class WeylElement:
@@ -186,10 +186,11 @@ class WeylElement:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The matrix of x on the root lattice: rows[i][j] is the alpha_i-coefficient of x(alpha_j)."""
         dyn = self.dynkin
-        columns = _identity_columns(dyn.rank)
+        columns = _identity_lane_columns(dyn.rank)
         for i in reversed(list(_peel(self.lanes, dyn))):
-            columns = _columns_times(columns, i, dyn.root_links)
-        return tuple(zip(*columns))
+            columns = _lane_columns_times(columns, i, dyn.root_links)
+        data, n = _row_bytes(columns, dyn), dyn.rank
+        return tuple(tuple(c - 64 for c in data[k : k + n]) for k in range(0, n * n, n))
 
     def __repr__(self) -> str:
         return f"WeylElement(length={self.length}, point={self.point})"
@@ -517,14 +518,15 @@ def enumerate_weyl_group(rs: RootSystem, guard: int = _GROUP_GUARD) -> list[Weyl
     """All elements by breadth-first right multiplication, shortest first.
 
     Within one length the elements are sorted by their matrix ``rows``; the
-    columns x(alpha_j) travel along the search, so no matrix is rebuilt.
+    columns x(alpha_j) travel along the search in coefficient lanes, and the
+    sort key is their :func:`_row_bytes`, so no matrix is rebuilt.
     """
     order = _guarded_order(rs, guard)
     dyn = rs.dynkin
     rows, high, root_links = dyn.lane_rows, dyn.lane_high, dyn.root_links
     e = identity_element(rs)
     seen = {e.lanes}
-    layer = [(e, _identity_columns(rs.rank))]
+    layer = [(e, _identity_lane_columns(rs.rank))]
     out = [e]
     while layer:
         nxt = []
@@ -534,8 +536,8 @@ def enumerate_weyl_group(rs: RootSystem, guard: int = _GROUP_GUARD) -> list[Weyl
                 if q not in seen:
                     seen.add(q)
                     y = WeylElement(q, x.length + 1, dyn)
-                    nxt.append((y, _columns_times(columns, b >> 3, root_links)))
-        nxt.sort(key=lambda pair: tuple(zip(*pair[1])))
+                    nxt.append((y, _lane_columns_times(columns, b >> 3, root_links)))
+        nxt.sort(key=lambda pair: _row_bytes(pair[1], dyn))
         out.extend(y for y, _ in nxt)
         layer = nxt
     if len(out) != order:

@@ -180,7 +180,8 @@ def test_cone_coefficient_exponent_contract(case):
 
 _A2_SERIES = char_series(LaurentPoly({(-1, -1): 1}), [(1, 0), (0, 1)], 3)
 
-# (id, call, outcome): the ring objects refuse to mix ranks; the trusted _of paths are not checked.
+# (id, call, outcome): the ring objects refuse to mix ranks, and a series refuses a term outside the
+# negative cone; the trusted _of paths are not checked.
 RANK_CASES = [
     (
         "char_series numerator shorter than the weights",
@@ -195,6 +196,11 @@ RANK_CASES = [
     (
         "LaurentPoly product of ranks 2 and 3",
         lambda: LaurentPoly.one(2) * LaurentPoly.one(3),
+        (WrongType, "rank mismatch: (0, 0) has 2 coordinates, (0, 0, 0) has 3"),
+    ),
+    (
+        "LaurentPoly coefficient of a rank-3 query",
+        lambda: LaurentPoly.one(2).coefficient((0, 0, 0)),
         (WrongType, "rank mismatch: (0, 0) has 2 coordinates, (0, 0, 0) has 3"),
     ),
     (
@@ -222,6 +228,16 @@ RANK_CASES = [
         lambda: TruncatedSeries({(-1, -1): 1, (-1, -1, 0): 1}, 3),
         (WrongType, "rank mismatch: (-1, -1) has 2 coordinates, (-1, -1, 0) has 3"),
     ),
+    (
+        "TruncatedSeries term outside the negative cone",
+        lambda: TruncatedSeries({(1, 0): 1}, 3),
+        (ExponentOutsideCone, "series exponent (1, 0) outside the negative cone"),
+    ),
+    (
+        "TruncatedSeries term outside the negative cone with coefficient 0",
+        lambda: TruncatedSeries({(-1, -1): 1, (0, 1): 0}, 3),
+        (ExponentOutsideCone, "series exponent (0, 1) outside the negative cone"),
+    ),
     ("the zero polynomial has no rank", lambda: LaurentPoly.zero() * LaurentPoly.one(3), None),
     ("the empty series has no rank", lambda: TruncatedSeries({}, 3) * TruncatedSeries({(-1, -1, 0): 1}, 3), None),
 ]
@@ -231,6 +247,11 @@ RANK_CASES = [
 def test_ring_rank_contract(case):
     _, call, outcome = case
     assert _outcome(call) == outcome
+
+
+def test_empty_ring_objects_answer_a_query_of_any_rank():
+    assert LaurentPoly.zero().coefficient((0, 0, 0)) == 0
+    assert TruncatedSeries({}, 3).coefficient((-1, -1, 0)) == 0
 
 
 _D4 = build_root_system("D4")

@@ -19,8 +19,8 @@ from itertools import product
 
 import pytest
 
-from kltangent import build_root_system, group_table, kclass_restrictions, verify
-from kltangent.tangent import _class_fold, _signed_class
+from kltangent import LaurentPoly, build_root_system, group_table, kclass_restrictions, verify
+from kltangent.tangent import _class_fold
 from kltangent.verify import (
     _SAMPLED_CASES,
     VerifyConfig,
@@ -50,7 +50,7 @@ def test_prefix_sweep_matches_per_word_passes(label):
     packing, start, step = _class_fold(rs)
     classes = {
         word: {
-            WeylElement(q, length, rs.dynkin): _signed_class(length, poly, packing.exponents(poly))
+            WeylElement(q, length, rs.dynkin): LaurentPoly._of(packing.terms(poly, (-1) ** length))
             for q, length, poly in states
         }
         for (_, word, _), (_, states) in _prefix_folds(_cases(gt, None, 0), start, step)
@@ -264,6 +264,27 @@ def test_hecke_subword_suite_records_each_flipped_bruhat_bit(monkeypatch):
     got = [(f["q"], f["w"], f["contains"], f["demazure_above"]) for f in outcome.failures]
     assert {f["check"] for f in outcome.failures} == {"equivalence"}
     assert sorted(got) == sorted(expected) and len(expected) == 12
+    assert outcome.cases == 59572
+
+
+def test_hecke_subword_suite_records_assoc_failures_of_a_wrong_canonical_word(monkeypatch):
+    """A wrong canonical word for x = s2s3s2s1 fails exactly the cuts (q, cut) with delta(q[:cut]) = x that it changes."""
+    rs = build_root_system("B3")
+    gt = group_table(rs)
+    x, wrong = gt.product_fold((2, 3, 2, 1)), (3, 2, 1, 3, 2, 3)
+    words = [gt.word_of(idx) for idx in range(len(gt.elements))]
+    words[x] = wrong
+    monkeypatch.setattr(gt, "_words", words)
+    outcome = hecke_subword_suite(rs)
+    qs = [q for n in range(7) for q in product(range(1, rs.rank + 1), repeat=n)]
+    expected = [
+        {"check": "assoc", "q": q, "cut": cut}
+        for q in qs
+        for cut in range(len(q) + 1)
+        if gt.demazure_fold(q[:cut]) == x and gt.demazure_fold(wrong + q[cut:]) != gt.demazure_fold(q)
+    ]
+    assert len(expected) == 39 and {f["cut"] for f in expected} == {4, 5, 6}
+    assert outcome.failures == expected
     assert outcome.cases == 59572
 
 

@@ -166,3 +166,29 @@ def test_char_series_repeated_and_collinear_weights():
     # 1 / (1 - e^{-a1})^2: the coefficient of e^{-k a1} is k + 1
     square = char_series(LaurentPoly.one(2), [A1, A1], 5)
     assert [square.coefficient((-k, 0)) for k in range(6)] == [1, 2, 3, 4, 5, 6]
+
+
+@st.composite
+def _series_pairs(draw):
+    """Two series of one rank, their terms in the negative cone, each with its own bound."""
+    rank = draw(st.integers(1, 3))
+    cone = st.tuples(*(st.integers(-4, 0) for _ in range(rank)))
+    return [
+        TruncatedSeries(draw(st.dictionaries(cone, st.integers(-5, 5), max_size=8)), draw(st.integers(0, 9)))
+        for _ in range(2)
+    ]
+
+
+@given(_series_pairs())
+@settings(max_examples=200, deadline=None)
+def test_series_arithmetic_is_the_cut_polynomial_arithmetic(pair):
+    """+ and * of two series are those of their polynomials, cut at the smaller bound; == and hash follow the terms."""
+    s, t = pair
+    p, q = LaurentPoly(s.items()), LaurentPoly(t.items())
+    bound = min(s.bound, t.bound)
+    assert s + t == TruncatedSeries((p + q).items(), bound)
+    assert s * t == TruncatedSeries((p * q).items(), bound)
+    copy = TruncatedSeries(dict(s.items()), s.bound)
+    assert copy == s and hash(copy) == hash(s)
+    assert (s == t) == ((s.items(), s.bound) == (t.items(), t.bound))
+    assert p != s and s != p
