@@ -98,6 +98,13 @@ def _product(x: dict, y: dict, bound: float) -> dict[WeightVector, int]:
     return {e: c for e, c in out.items() if c}
 
 
+def _same_kind(x, y):
+    """y, when it is of the class of x; WrongType otherwise: a polynomial and a series do not mix."""
+    if type(y) is not type(x):
+        raise WrongType(f"{type(x).__name__} and {type(y).__name__} do not mix")
+    return y
+
+
 def _cut(terms: dict[WeightVector, int], bound: int) -> dict[WeightVector, int]:
     """The terms e^{-mu} with height(mu) <= bound."""
     return {e: c for e, c in terms.items() if -sum(e) <= bound}
@@ -107,8 +114,8 @@ class LaurentPoly:
     """Immutable sparse Laurent polynomial with root-lattice exponents.
 
     Terms of different rank in one polynomial, the sum and product of two
-    nonzero polynomials of different rank, and a coefficient query of
-    another rank raise WrongType.
+    nonzero polynomials of different rank, a coefficient query of another
+    rank, and a sum, difference or product with a series raise WrongType.
     """
 
     __slots__ = ("_terms",)
@@ -148,16 +155,19 @@ class LaurentPoly:
         return not self._terms
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly._of(_sum(self._terms, other._terms))
+        return LaurentPoly._of(_sum(self._terms, _same_kind(self, other)._terms))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._of({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return self + -_same_kind(self, other)
+
+    def __rsub__(self, other) -> "LaurentPoly":
+        return -self + other  # reached only when other is no polynomial, which __add__ refuses
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly._of(_product(self._terms, other._terms, inf))
+        return LaurentPoly._of(_product(self._terms, _same_kind(self, other)._terms, inf))
 
     def scale(self, c: int) -> "LaurentPoly":
         if c == 0:
@@ -217,7 +227,7 @@ def _span_search(vectors):
         if hit is not None:
             return hit
         v = vecs[idx]
-        bound = min(r // c for r, c in zip(remaining, v) if c)
+        bound = min(r // c for r, c in zip(remaining, v) if c)  # v fits bound times: every cur tried is >= 0
         ok = False
         cur = remaining
         for _ in range(bound + 1):
@@ -225,8 +235,6 @@ def _span_search(vectors):
                 ok = True
                 break
             cur = tuple(r - c for r, c in zip(cur, v))
-            if min(cur) < 0:
-                break
         memo[key] = ok
         return ok
 
@@ -320,7 +328,8 @@ class TruncatedSeries:
     The term store of :class:`LaurentPoly` plus the bound: the constructor,
     ``+`` and ``*`` are the polynomial's followed by the height cut at the
     (smaller) bound.  An exponent outside the negative cone raises
-    ExponentOutsideCone; mixed ranks raise WrongType, as for a polynomial.
+    ExponentOutsideCone; mixed ranks raise WrongType, as for a polynomial,
+    and so does a polynomial operand, which has no bound.
     """
 
     __slots__ = ("bound", "_terms")
@@ -351,11 +360,11 @@ class TruncatedSeries:
         return self._terms.get(exponent, 0)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        bound = min(self.bound, other.bound)
+        bound = min(self.bound, _same_kind(self, other).bound)
         return TruncatedSeries._of(_cut(_sum(self._terms, other._terms), bound), bound)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        bound = min(self.bound, other.bound)
+        bound = min(self.bound, _same_kind(self, other).bound)
         return TruncatedSeries._of(_product(self._terms, other._terms, bound), bound)
 
     def __eq__(self, other) -> bool:
@@ -375,21 +384,20 @@ class TruncatedSeries:
 def char_series(numerator: LaurentPoly, denominator_weights, bound: int) -> TruncatedSeries:
     """Expand numerator / prod (1 - e^{-beta}) as a height-truncated series.
 
-    Every denominator weight must have positive height, the weights and the
-    numerator's exponents one rank (WrongType otherwise), and every exponent of
-    the numerator must lie in the negative of the integer cone spanned by the
-    denominator weights (ExponentOutsideCone otherwise); under these
-    hypotheses the expansion prod (1 + e^{-beta} + e^{-2 beta} + ...) has
-    exact coefficients up to the height bound.
+    The weights must be nonempty, each of nonnegative coordinates and
+    positive height, the weights and the numerator's exponents one rank
+    (WrongType otherwise), and every exponent of the numerator must lie in
+    the negative of the integer cone spanned by the denominator weights
+    (ExponentOutsideCone otherwise); under these hypotheses the expansion
+    prod (1 + e^{-beta} + e^{-2 beta} + ...) has exact coefficients up to
+    the height bound.
     """
     weights = [tuple(b) for b in denominator_weights]
     if not weights:
-        raise ValueError("denominator weight list must be nonempty")
-    if any(min(b) < 0 or height(b) < 1 for b in weights):
-        raise ValueError("denominator weights must be positive roots")
+        raise WrongType("denominator weight list must be nonempty")
     for exponent in (*weights, *numerator._terms):
         _check_ranks(weights, (exponent,))
-    in_cone = _span_search(weights)
+    in_cone = _span_search(weights)  # WrongType unless every weight is positive
     for exponent, _ in numerator.items():
         if not in_cone(negate(exponent)):
             raise ExponentOutsideCone(f"numerator exponent {exponent} outside the span")

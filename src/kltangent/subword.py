@@ -10,7 +10,7 @@ w (index sets t with delta(s at t) = w, signed by (-1)^{excess}) is always 1.
 
 The module keeps no table between calls: ``build_complex`` builds the 2^l
 Demazure products of s, one Bruhat test per distinct product and the
-lexicographic order of the masks for every complex it returns.  It is the
+lexicographic order of the faces for every complex it returns.  It is the
 slow oracle of the verification battery's ball-sphere check, which folds
 each word's faces letter by letter as one bitset over the masks and reads
 the reduced Euler characteristic and the facets off it (``kltangent.verify``).
@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .errors import LengthBoundExceeded, TargetNotContained
 from .hecke import demazure_element, demazure_signed_counts, hecke_mult
 from .rootsys import RootSystem
-from .weyl import Word, WeylElement, _check_element, _check_letter, bruhat_leq, identity_element
+from .weyl import Word, WeylElement, _bits, _check_element, _check_letter, bruhat_leq, identity_element
 
 # Strictly increasing 1-based positions into a word.
 IndexSequence = tuple[int, ...]
@@ -58,10 +58,6 @@ def _subword_deltas(rs: RootSystem, s: Word) -> list[WeylElement]:
     return table
 
 
-def _mask_to_indices(mask: int) -> IndexSequence:
-    return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
-
-
 def hecke_subwords(rs: RootSystem, w: WeylElement, s: Word) -> list[HeckeSubword]:
     """All index sets t with delta(s at t) = w, each with excess |t| - l(w).
 
@@ -75,8 +71,7 @@ def hecke_subwords(rs: RootSystem, w: WeylElement, s: Word) -> list[HeckeSubword
     target = w.lanes
     for mask, delta in enumerate(_subword_deltas(rs, s)):
         if delta.lanes == target:
-            indices = _mask_to_indices(mask)
-            out.append(HeckeSubword(indices, len(indices) - w.length))
+            out.append(HeckeSubword(tuple(i + 1 for i in _bits(mask)), mask.bit_count() - w.length))
     out.sort(key=lambda h: h.indices)
     return out
 
@@ -105,10 +100,10 @@ class SubwordComplex:
 def build_complex(rs: RootSystem, w: WeylElement, s: Word) -> SubwordComplex:
     """Enumerate Delta(s, w); raises TargetNotContained when w is not <= delta(s).
 
-    One Bruhat test per distinct Demazure product of a complement.  The index
-    sets are built position by position, like the Demazure table, and the
-    masks are read in lexicographic order of their positions, so faces and
-    facets come out sorted.
+    One Bruhat test per distinct Demazure product of a complement.  Only the
+    faces get an index set, read off the set bits of their masks
+    (``weyl._bits``), and the faces are sorted by it, so faces and facets
+    come out in lexicographic order.
     """
     _check_element(rs, w)
     _check_word(rs, s)
@@ -118,15 +113,9 @@ def build_complex(rs: RootSystem, w: WeylElement, s: Word) -> SubwordComplex:
     products = {d.lanes: d for d in complements}
     above = {q: bruhat_leq(rs, w, d) for q, d in products.items()}
     is_face = [above[d.lanes] for d in complements]
-    indices: list[IndexSequence] = [()]
-    for k in range(1, len(s) + 1):
-        indices += [t + (k,) for t in indices]
     bits = [1 << j for j in range(len(s))]
     faces, facets, delta_by_face = [], [], {}
-    for r in sorted(range(len(complements)), key=indices.__getitem__):
-        if not is_face[r]:
-            continue
-        face = indices[r]
+    for face, r in sorted((tuple(i + 1 for i in _bits(r)), r) for r, ok in enumerate(is_face) if ok):
         faces.append(face)
         delta_by_face[face] = complements[r]
         if all(r & b or not is_face[r | b] for b in bits):

@@ -70,14 +70,12 @@ from .weyl import (
     _check_element,
     _gamma_sequence,
     _identity_lane_columns,
-    _inverse_lanes,
     _lane_columns_times,
     _lane_fold,
     _lane_leq,
     _lane_lowered,
     _lane_reaches_identity,
     _lane_reflect,
-    _peel,
     bruhat_leq,
     canonical_reduced_word,
     gamma_sequence,
@@ -605,12 +603,13 @@ def tangent_cone_coefficient(rs: RootSystem, lam: WeightVector, w: WeylElement, 
     integrally indecomposable gamma_j, the coefficient at -gamma_j is 1 when
     1 - e^{-gamma_j} is not an explicit factor and 0 when it is; for
     decomposable weights the integer is returned raw, with no tangent-space
-    meaning attached.  ExponentOutsideCone unless -lam lies in the
-    nonnegative integer span of the gammas.
+    meaning attached.  ExponentOutsideCone unless -lam has the rank's
+    length and lies in the nonnegative integer span of the gammas (the
+    span search refuses a negative coordinate).
     """
     gammas = _gamma_sequence(rs, _validate_pair(rs, w, s), s).gammas
     mu = negate(tuple(lam))
-    if len(mu) != rs.rank or min(mu) < 0 or not in_nonneg_integer_span(gammas, mu):
+    if len(mu) != rs.rank or not in_nonneg_integer_span(gammas, mu):
         raise ExponentOutsideCone(f"-({lam}) is outside the cone of the ambient weights")
     return _cone_series_by_target(rs, (w,), s, gammas, height(mu))[w].coefficient(tuple(lam))
 
@@ -628,12 +627,14 @@ def _statuses(
 
     In iff delta(s \\ j) >= w where gamma_j is integrally indecomposable in
     I(x^{-1}); elsewhere Undetermined, or the ordinary-product verdict when
-    ``use_type_a_oracle`` is set in type A.  The flags take one downward
-    fold of w from the first requested position.  When ``include_cone``
-    asks for the cone coefficients of the decomposable positions, they are
-    counted by :func:`_cone_coefficients` over the vector partitions of
-    each gamma_j, with no K-class pass and no series; a word of more than
-    20 letters is still refused (LengthBoundExceeded) there.
+    ``use_type_a_oracle`` is set (callers set it in type A only, and
+    :func:`kl_tangent_report` refuses it elsewhere with WrongType).  The
+    flags take one downward fold of w from the first requested position.
+    When ``include_cone`` asks for the cone coefficients of the
+    decomposable positions, they are counted by :func:`_cone_coefficients`
+    over the vector partitions of each gamma_j, with no K-class pass and no
+    series; a word of more than 20 letters is still refused
+    (LengthBoundExceeded) there.
     """
     indecomposables = _indecomposable_inversions(frozenset(gammas))
     cones = {}
@@ -642,14 +643,13 @@ def _statuses(
         if decomposables:
             _check_word(rs, s)
             cones = _cone_coefficients(rs, w, s, gammas, decomposables)
-    type_a = use_type_a_oracle and rs.cartan_type.family == "A"
     statuses = []
     for j, (demazure_ok, ordinary_ok) in zip(positions, _position_flags(rs, w, s, positions)):
         gamma_j = gammas[j - 1]
         indecomposable = gamma_j in indecomposables
         if indecomposable:
             verdict = Verdict.IN if demazure_ok else Verdict.OUT
-        elif type_a:
+        elif use_type_a_oracle:
             verdict = Verdict.IN if ordinary_ok else Verdict.OUT
         else:
             verdict = Verdict.UNDETERMINED
@@ -724,9 +724,8 @@ def kl_tangent_report(
         raise NotBelow("target w is not below x in Bruhat order")
     if use_type_a_oracle and rs.cartan_type.family != "A":
         raise WrongType(f"type-A oracle requested on {rs.cartan_type}")
-    inverse = _inverse_lanes(x.lanes, rs.dynkin)  # x(rho): its peel spells s, its pairings check the gammas
-    s = tuple(i + 1 for i in _peel(inverse, rs.dynkin))  # the canonical word, as canonical_reduced_word peels it
-    gamma = _gamma_sequence(rs, x, s, inverse)
+    s = canonical_reduced_word(rs, x)
+    gamma = _gamma_sequence(rs, x, s)
     statuses = _statuses(rs, w, s, gamma.gammas, range(1, len(s) + 1), use_type_a_oracle, include_cone_evidence)
     kl_weights = frozenset(st.gamma for st in statuses if st.verdict is Verdict.IN)
     inversions = frozenset(gamma.gammas)  # _gamma_sequence checked it equal to I(x^{-1})

@@ -30,6 +30,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import product
 from operator import itemgetter
 
 from .rootsys import RootSystem, build_root_system, cominuscule_nodes, height, negate, root_from_epsilon
@@ -708,11 +709,8 @@ def hecke_subword_suite(rs: RootSystem) -> VerifyOutcome:
     masks = gt.leq_masks()
     size = len(gt.elements)
 
-    words: list[tuple[int, ...]] = [()]
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(_WORD_LENGTH_MAX):
-        frontier = [w + (i,) for w in frontier for i in range(1, rs.rank + 1)]
-        words.extend(frontier)
+    letters = range(1, rs.rank + 1)
+    words = [q for n in range(_WORD_LENGTH_MAX + 1) for q in product(letters, repeat=n)]
 
     contains_of = dict(_subword_products(gt, words))
     for q in words:

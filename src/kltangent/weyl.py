@@ -428,19 +428,18 @@ def gamma_sequence(rs: RootSystem, w: Word) -> GammaSequence:
     return _gamma_sequence(rs, x, w)
 
 
-def _gamma_sequence(rs: RootSystem, x: WeylElement, w: Word, inverse: int | None = None) -> GammaSequence:
+def _gamma_sequence(rs: RootSystem, x: WeylElement, w: Word) -> GammaSequence:
     """:func:`gamma_sequence` of a word w of x: l(x) distinct positive roots with (beta, x(rho)) < 0.
 
     Three checks raise AssertionError, under ``python -O`` too: positivity
-    (in :func:`_gammas`), distinctness and the pairing with x(rho).
-    ``inverse`` is the lane form of x(rho) (:func:`_inverse_lanes`) when the
-    caller has it already; None peels it here.
+    (in :func:`_gammas`), distinctness and the pairing with x(rho), whose
+    lane form is peeled here (:func:`_inverse_lanes`).
     """
     gammas = _gammas(rs, w)
     if len(set(gammas)) != len(gammas):
         raise AssertionError("gamma values must be pairwise distinct")
     dyn = x.dynkin
-    weights = _inverse_weights(_inverse_lanes(x.lanes, dyn) if inverse is None else inverse, dyn)
+    weights = _inverse_weights(_inverse_lanes(x.lanes, dyn), dyn)
     if len(gammas) != x.length or any(sum(map(mul, gamma, weights)) >= 0 for gamma in gammas):
         raise AssertionError("gamma values must list the inversion set I(x^{-1})")
     return GammaSequence(w, gammas)

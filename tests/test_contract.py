@@ -3,8 +3,8 @@
 Every function gets the same bad inputs; the table pins which exception each
 one raises, with its message, so the order of the checks (position, letter,
 reducedness, Bruhat order, the 20-letter guard, the cone of lambda) is part
-of the contract.  Further tables pin the rank checks of ``rt_ring``, the
-vector checks of the root helpers and the refusal of an element of another
+of the contract.  Further tables pin the rank, operand and weight checks
+of ``rt_ring``, the vector checks of the root helpers and the refusal of an element of another
 root system by the element-taking functions of ``weyl`` and ``hecke``.
 """
 
@@ -180,8 +180,9 @@ def test_cone_coefficient_exponent_contract(case):
 
 _A2_SERIES = char_series(LaurentPoly({(-1, -1): 1}), [(1, 0), (0, 1)], 3)
 
-# (id, call, outcome): the ring objects refuse to mix ranks, and a series refuses a term outside the
-# negative cone; the trusted _of paths are not checked.
+# (id, call, outcome): the ring objects refuse to mix ranks, a polynomial and a series refuse each other
+# as operands in either order, a series refuses a term outside the negative cone, and char_series
+# refuses an empty or a non-positive weight list; the trusted _of paths are not checked.
 RANK_CASES = [
     (
         "char_series numerator shorter than the weights",
@@ -237,6 +238,51 @@ RANK_CASES = [
         "TruncatedSeries term outside the negative cone with coefficient 0",
         lambda: TruncatedSeries({(-1, -1): 1, (0, 1): 0}, 3),
         (ExponentOutsideCone, "series exponent (0, 1) outside the negative cone"),
+    ),
+    (
+        "char_series with no denominator weights",
+        lambda: char_series(LaurentPoly.one(2), [], 3),
+        (WrongType, "denominator weight list must be nonempty"),
+    ),
+    (
+        "char_series with a zero weight",
+        lambda: char_series(LaurentPoly.one(2), [(1, 0), (0, 0)], 3),
+        (WrongType, "span vectors must be positive"),
+    ),
+    (
+        "char_series with a weight of a negative coordinate",
+        lambda: char_series(LaurentPoly.one(2), [(2, -1)], 3),
+        (WrongType, "span vectors must be positive"),
+    ),
+    (
+        "LaurentPoly plus a series",
+        lambda: LaurentPoly.one(2) + TruncatedSeries({(0, 0): 1}, 3),
+        (WrongType, "LaurentPoly and TruncatedSeries do not mix"),
+    ),
+    (
+        "LaurentPoly minus a series",
+        lambda: LaurentPoly.one(2) - TruncatedSeries({(0, 0): 1}, 3),
+        (WrongType, "LaurentPoly and TruncatedSeries do not mix"),
+    ),
+    (
+        "LaurentPoly times a series",
+        lambda: LaurentPoly.one(2) * TruncatedSeries({(0, 0): 1}, 3),
+        (WrongType, "LaurentPoly and TruncatedSeries do not mix"),
+    ),
+    (
+        "TruncatedSeries plus a polynomial",
+        lambda: TruncatedSeries({(0, 0): 1}, 3) + LaurentPoly.one(2),
+        (WrongType, "TruncatedSeries and LaurentPoly do not mix"),
+    ),
+    (
+        "TruncatedSeries minus a polynomial",
+        lambda: TruncatedSeries({(0, 0): 1}, 3) - LaurentPoly.one(2),
+        (WrongType, "LaurentPoly and TruncatedSeries do not mix"),
+    ),
+    (
+        "TruncatedSeries times a polynomial",
+        lambda: TruncatedSeries({(0, 0): 1}, 3) * LaurentPoly.one(2),
+        (WrongType, "TruncatedSeries and LaurentPoly do not mix"),
     ),
     ("the zero polynomial has no rank", lambda: LaurentPoly.zero() * LaurentPoly.one(3), None),
     ("the empty series has no rank", lambda: TruncatedSeries({}, 3) * TruncatedSeries({(-1, -1, 0): 1}, 3), None),

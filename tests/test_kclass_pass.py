@@ -7,6 +7,7 @@ per word, and ``oracle_spread`` expands a class on exponent tuples.
 """
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,7 +32,7 @@ from kltangent import (
 )
 from kltangent import tangent, weyl
 from kltangent.tangent import _live_points, _signed_states, _suffix_floors
-from kltangent.weyl import has_right_ascent
+from kltangent.weyl import _bits, has_right_ascent
 from oracles import brute_subword_complex, kclasses_by_enumeration, oracle_spread
 
 
@@ -276,6 +277,32 @@ def test_build_complex_matches_definition(label):
             faces, facets, deltas = brute_subword_complex(rs, w, word)
             assert list(c.faces) == faces and list(c.facets) == facets
             assert c._deltas == deltas
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_build_complex_matches_definition_on_every_short_word(label):
+    """Every word of at most 5 letters, reduced or not, and every target below its Demazure product.
+
+    Faces, facets and the keys of ``_deltas`` come out in the lexicographic
+    order of the definition's sorted lists, also where a face of a
+    non-reduced word is longer than the target's complement needs.
+    """
+    rs = build_root_system(label)
+    gt = group_table(rs)
+    masks = gt.leq_masks()
+    words = [q for n in range(6) for q in product(range(1, rs.rank + 1), repeat=n)]
+    count = 0
+    for word in words:
+        top = gt.demazure_fold(word)
+        for w_id in _bits(masks[top]):
+            w = gt.elements[w_id]
+            c = build_complex(rs, w, word)
+            faces, facets, deltas = brute_subword_complex(rs, w, word)
+            assert list(c.faces) == faces and list(c.facets) == facets, (word, w_id)
+            assert list(c._deltas) == faces and c._deltas == deltas, (word, w_id)
+            count += 1
+    assert count == sum(masks[gt.demazure_fold(word)].bit_count() for word in words)
+    assert any(len(word) > gt.length[gt.demazure_fold(word)] for word in words)
 
 
 def test_build_complex_matches_definition_b3_sample():

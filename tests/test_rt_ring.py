@@ -7,6 +7,7 @@ from kltangent import (
     ExponentOutsideCone,
     LaurentPoly,
     TruncatedSeries,
+    WrongType,
     char_series,
     in_nonneg_integer_span,
     lambda_minus_one,
@@ -90,7 +91,7 @@ def test_char_series_cancellation_example():
 def test_char_series_cone_guard():
     with pytest.raises(ExponentOutsideCone):
         char_series(LaurentPoly.monomial((0, -1)), [A1], 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(WrongType):
         char_series(LaurentPoly.one(2), [], 4)
 
 
